@@ -9,7 +9,7 @@
 //! lookups + adds per encoded vector. The **Symmetric Distance Computation**
 //! (SDC) — both sides encoded — is also provided for completeness.
 
-use crate::util::{adc_table, split_uniform, Neighbor};
+use crate::util::{split_uniform, Neighbor};
 use crate::{AnnIndex, BaselineError};
 use vaq_core::engine::{IndexView, QueryEngine};
 use vaq_kmeans::{nearest_centroid, KMeans, KMeansConfig};
@@ -178,36 +178,6 @@ impl Pq {
         for (s, (&(lo, hi), cb)) in self.ranges.iter().zip(self.codebooks.iter()).enumerate() {
             vaq_linalg::squared_distances_into(&query[lo..hi], cb, arena.table_mut(s));
         }
-    }
-
-    /// Builds the per-subspace ADC lookup tables for a query.
-    #[deprecated(
-        since = "0.2.0",
-        note = "allocates one Vec per subspace per query; use `fill_tables` \
-                with a reusable `TableArena` (or a `QueryEngine` over \
-                `Pq::view`) instead"
-    )]
-    pub fn lookup_tables(&self, query: &[f32]) -> Vec<Vec<f32>> {
-        self.ranges
-            .iter()
-            .zip(self.codebooks.iter())
-            .map(|(&(lo, hi), cb)| adc_table(&query[lo..hi], cb))
-            .collect()
-    }
-
-    /// ADC distance of database row `i` under precomputed tables (used by
-    /// candidate-list re-rankers such as the inverted multi-index).
-    #[deprecated(
-        since = "0.2.0",
-        note = "pair with the deprecated `lookup_tables`; scan candidates \
-                through `QueryEngine::search_ids_squared` over `Pq::view` \
-                instead"
-    )]
-    #[inline]
-    pub fn distance_with_tables(&self, tables: &[Vec<f32>], i: usize) -> f32 {
-        let m = self.ranges.len();
-        let code = &self.codes[i * m..(i + 1) * m];
-        tables.iter().zip(code.iter()).map(|(t, &c)| t[c as usize]).sum()
     }
 
     /// ADC search: scan all codes accumulating table lookups. Distances
@@ -431,19 +401,18 @@ mod tests {
     }
 
     #[test]
-    fn arena_matches_deprecated_nested_tables() {
-        // The flat arena must reproduce the nested-Vec tables bit for bit
-        // (same accumulation order in both kernels).
+    fn arena_entries_match_the_squared_distance_formula() {
         let data = small_data();
         let pq = Pq::train(&data, &PqConfig::new(8).with_bits(4)).unwrap();
         let q = data.row(33);
         let mut arena = TableArena::new();
         pq.fill_tables(q, &mut arena);
-        #[allow(deprecated)]
-        let nested = pq.lookup_tables(q);
-        assert_eq!(arena.num_tables(), nested.len());
-        for (s, table) in nested.iter().enumerate() {
-            assert_eq!(arena.table(s), table.as_slice(), "subspace {s}");
+        assert_eq!(arena.num_tables(), pq.ranges.len());
+        for (s, (&(lo, hi), cb)) in pq.ranges.iter().zip(&pq.codebooks).enumerate() {
+            for (c, centroid) in cb.iter_rows().enumerate() {
+                let exact = vaq_linalg::squared_euclidean(centroid, &q[lo..hi]);
+                assert_eq!(arena.lookup(s, c), exact, "subspace {s} entry {c}");
+            }
         }
     }
 

@@ -139,11 +139,9 @@ fn bench_encode(c: &mut Criterion) {
     g.finish();
 }
 
-#[allow(deprecated)] // benchmarks the deprecated nested-table path on purpose
-fn bench_lookup_tables(c: &mut Criterion) {
-    // The tentpole comparison: per-query nested `Vec<Vec<f32>>` table
-    // allocation vs refilling one flat `TableArena` in place, single-query
-    // and batched (64 queries through the same staging buffer).
+fn bench_table_refill(c: &mut Criterion) {
+    // Refilling one flat `TableArena` in place, single-query and batched
+    // (64 queries through the same staging buffer).
     let ds = SyntheticSpec::sift_like().generate(2000, 64, 5);
     let vaq = Vaq::train(&ds.data, &VaqConfig::new(128, 16).with_ti_clusters(0)).unwrap();
     let enc = vaq.encoder();
@@ -152,21 +150,10 @@ fn bench_lookup_tables(c: &mut Criterion) {
     let q0 = projected[0].as_slice();
 
     let mut g = quick(c);
-    g.bench_function("tables_nested_alloc_single", |b| {
-        b.iter(|| enc.lookup_tables(std::hint::black_box(q0)))
-    });
     let mut arena = TableArena::new();
     enc.fill_tables(q0, &mut arena); // pre-size: measure the steady state
     g.bench_function("tables_arena_refill_single", |b| {
         b.iter(|| enc.fill_tables(std::hint::black_box(q0), &mut arena))
-    });
-    g.bench_function("tables_nested_alloc_batch64", |b| {
-        b.iter(|| {
-            projected
-                .iter()
-                .map(|q| enc.lookup_tables(std::hint::black_box(q)).len())
-                .sum::<usize>()
-        })
     });
     g.bench_function("tables_arena_refill_batch64", |b| {
         b.iter(|| {
@@ -186,10 +173,9 @@ fn main() {
     bench_milp(&mut criterion);
     bench_scan_kernels(&mut criterion);
     bench_encode(&mut criterion);
-    bench_lookup_tables(&mut criterion);
+    bench_table_refill(&mut criterion);
 
-    // Persist every summary so regressions (e.g. the arena staging path
-    // getting slower than the nested allocation it replaced) are diffable.
+    // Persist every summary so regressions are diffable.
     let rows: Vec<Json> = criterion
         .summaries()
         .iter()

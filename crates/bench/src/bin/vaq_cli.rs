@@ -85,9 +85,13 @@ USAGE:
                   [--visit 0.25] [--rss-budget-mb 0]]
 
 Vector FILEs may be .fvecs, .bvecs, or .csv (one vector per line).
+`audit` and `info` open a file of either kind — a monolithic `train`
+output, or a segmented index written by `save`, `save_mapped` or a
+durable checkpoint — and print its segment, buffer and tombstone counts.
 `audit` re-checks the index's structural invariants (bit budget C1–C4,
-importance monotonicity, code ranges, TI partition order) and exits
-non-zero listing each VAQ1xx diagnostic on failure.
+importance monotonicity, code ranges, TI partition order, segment and
+tombstone accounting) and exits non-zero listing each VAQ1xx diagnostic
+on failure.
 `chaos` runs the full train → save → load → query pipeline on synthetic
 data with every registered fault site armed under a seeded probabilistic
 schedule, asserting each run ends in a clean result or a typed error —
@@ -113,7 +117,7 @@ sequentially and batched), over two bit budgets — the default mixed-width
 plan and an all-nibble 4-bit plan — plus a per-tier kernel
 micro-benchmark, and writes results/BENCH_adc_scan_v2.json. The run
 fails if early-abandon is slower than the full scan it prunes. Set
-VAQ_FORCE_KERNEL=scalar|ssse3|avx2|avx512|neon (or VAQ_FORCE_SCALAR=1)
+VAQ_FORCE_KERNEL=scalar|ssse3|avx2|avx512|neon
 to measure the end-to-end engine numbers on a pinned kernel tier.
 `bench --concurrent` instead benchmarks the segmented index: a writer
 ingests the dataset tail in batches (sealing and compacting in the
@@ -124,7 +128,7 @@ ingest was running.
 `bench --out-of-core` is the mapped-extent acceptance run: the dataset
 is streamed to an fvecs file block by block, dictionaries fit from a
 block-sampled subset, the whole file is ingested blockwise, and the
-index is persisted in the page-aligned VAQ4 layout. The in-RAM index is
+index is persisted with `save_mapped`. The in-RAM index is
 then dropped, the peak-RSS watermark reset, and every query answered
 from the memory-mapped reopen — answers must be byte-identical to the
 in-RAM index. With --rss-budget-mb N > 0 the run fails unless the index
@@ -281,17 +285,27 @@ fn cmd_eval(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_audit(opts: &Opts) -> Result<(), String> {
+/// Loads an index file of either kind through the owned parser (every
+/// checksum verified, full audit run), returning it with the loader's
+/// one-line account of what the file held — kind, bit plan, segment,
+/// buffer and tombstone counts (the `persist.load` obs event).
+fn load_any(opts: &Opts) -> Result<(PathBuf, SegmentedVaq, String), String> {
     let path = PathBuf::from(get(opts, "index")?);
-    let vaq = Vaq::load(&path).map_err(|e| e.to_string())?;
-    println!(
-        "auditing {} — {} vectors, {} subspaces, {} code bits",
-        path.display(),
-        vaq.len(),
-        vaq.bits().len(),
-        vaq.code_bits()
-    );
-    let report = vaq.audit();
+    vaq_core::obs::set_enabled(true);
+    let index = SegmentedVaq::load(&path).map_err(|e| e.to_string())?;
+    let held = vaq_core::obs::take_events()
+        .into_iter()
+        .rev()
+        .find(|e| e.kind == "persist.load")
+        .map(|e| e.detail)
+        .unwrap_or_default();
+    Ok((path, index, held))
+}
+
+fn cmd_audit(opts: &Opts) -> Result<(), String> {
+    let (path, index, held) = load_any(opts)?;
+    println!("auditing {} — {} live vectors; {held}", path.display(), index.len());
+    let report = index.audit();
     if report.is_ok() {
         println!("audit clean: all structural invariants hold");
         return Ok(());
@@ -303,8 +317,15 @@ fn cmd_audit(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_info(opts: &Opts) -> Result<(), String> {
-    let vaq = load_index(opts)?;
-    println!("vectors:        {}", vaq.len());
+    let (path, index, held) = load_any(opts)?;
+    let snap = index.snapshot();
+    println!("vectors:        {} live", index.len());
+    println!("segments:       {} sealed, {} buffered rows", snap.num_segments(), snap.buffer_len());
+    println!("file:           {held}");
+    // Model details need the monolithic view; a segmented file has none.
+    let Ok(vaq) = Vaq::load(&path) else {
+        return Ok(());
+    };
     println!("code bits:      {} ({} bytes/vector)", vaq.code_bits(), vaq.code_bits().div_ceil(8));
     println!("subspaces:      {}", vaq.bits().len());
     println!("bit allocation: {:?}", vaq.bits());
@@ -464,53 +485,36 @@ fn chaos_run(seed: u64, p: f64, n: usize, d: usize) -> Result<bool, String> {
             return Err(format!("seed {seed} round {round}: query surfaced a tombstoned id"));
         }
     }
-    // Out-of-core phase: persist the page-aligned extent layout and
-    // reopen it memory-mapped under the same armed schedule. An armed
+    // Out-of-core phase: persist with `save_mapped` and reopen it
+    // memory-mapped under the same armed schedule. An armed
     // `persist.mmap` degrades the open to the owned read path; either
-    // way the answers must match the in-RAM index exactly.
-    let v4 = std::env::temp_dir().join(format!("vaq-chaos-{}-{seed}.vaq4", std::process::id()));
-    match seg.save_mapped(&v4) {
-        Err(e) => {
-            let _ = std::fs::remove_file(&v4);
-            return Ok(drop_err(e));
+    // way the answers must match the in-RAM index exactly. A typed
+    // error is an accepted outcome, a wrong answer (inner `Err`) is not.
+    let file = std::env::temp_dir().join(format!("vaq-chaos-{}-{seed}.vaq", std::process::id()));
+    let mapped_phase = || -> Result<Result<(), String>, vaq_core::VaqError> {
+        seg.save_mapped(&file)?;
+        let mapped = SegmentedVaq::open_mapped(&file)?;
+        for round in 0..3usize {
+            let q = sanitized((round * 23) % n);
+            let want = seg.search_with(&q, 5, SearchStrategy::FullScan)?.0;
+            let got = mapped.search_with(&q, 5, SearchStrategy::FullScan)?.0;
+            if want != got {
+                return Ok(Err(format!(
+                    "seed {seed}: mapped reopen disagrees with the in-RAM index"
+                )));
+            }
+            if got.iter().any(|h| deleted.contains(&h.index)) {
+                return Ok(Err(format!("seed {seed}: mapped reopen surfaced a tombstoned id")));
+            }
         }
-        Ok(()) => match SegmentedVaq::open_mapped(&v4) {
-            Err(e) => {
-                let _ = std::fs::remove_file(&v4);
-                return Ok(drop_err(e));
-            }
-            Ok(mapped) => {
-                for round in 0..3usize {
-                    let q = sanitized((round * 23) % n);
-                    let want = match seg.search_with(&q, 5, SearchStrategy::FullScan) {
-                        Ok(r) => r.0,
-                        Err(e) => {
-                            let _ = std::fs::remove_file(&v4);
-                            return Ok(drop_err(e));
-                        }
-                    };
-                    let got = match mapped.search_with(&q, 5, SearchStrategy::FullScan) {
-                        Ok(r) => r.0,
-                        Err(e) => {
-                            let _ = std::fs::remove_file(&v4);
-                            return Ok(drop_err(e));
-                        }
-                    };
-                    if want != got {
-                        let _ = std::fs::remove_file(&v4);
-                        return Err(format!(
-                            "seed {seed}: mapped reopen disagrees with the in-RAM index"
-                        ));
-                    }
-                    if got.iter().any(|h| deleted.contains(&h.index)) {
-                        let _ = std::fs::remove_file(&v4);
-                        return Err(format!("seed {seed}: mapped reopen surfaced a tombstoned id"));
-                    }
-                }
-            }
-        },
+        Ok(Ok(()))
+    };
+    let outcome = mapped_phase();
+    let _ = std::fs::remove_file(&file);
+    match outcome {
+        Err(e) => return Ok(drop_err(e)),
+        Ok(verdict) => verdict?,
     }
-    let _ = std::fs::remove_file(&v4);
 
     // Quiesce deterministically before the final audit: a failed seal
     // legitimately leaves the buffer over threshold until the next
@@ -574,8 +578,8 @@ fn time_batched(
 }
 
 /// `kernels`: one line per SIMD tier with its support status on this CPU,
-/// plus the kernel the dispatcher actually picked (after VAQ_FORCE_KERNEL
-/// / VAQ_FORCE_SCALAR overrides) — CI matrices print this to keep forced
+/// plus the kernel the dispatcher actually picked (after a VAQ_FORCE_KERNEL
+/// override) — CI matrices print this to keep forced
 /// runs honest about what they measured.
 fn cmd_kernels(_opts: &Opts) -> Result<(), String> {
     use vaq_linalg::{active_kernel, kernel_supported, ScanKernel};
@@ -1186,7 +1190,7 @@ fn cmd_ooc_query(opts: &Opts) -> Result<(), String> {
 /// synthetic dataset to an fvecs file block by block (never materialized
 /// in RAM), trains the dictionaries from a block-sampled subset, ingests
 /// the whole file blockwise into a segmented index, persists it in the
-/// page-aligned `VAQ4` layout, then drops the in-RAM index, resets the
+/// `save_mapped` layout, then drops the in-RAM index, resets the
 /// peak-RSS watermark, and answers the query set from the memory-mapped
 /// reopen. The mapped answers must be byte-identical to the in-RAM
 /// index's, and the query-phase peak RSS is measured against
@@ -1301,7 +1305,7 @@ fn cmd_bench_out_of_core(opts: &Opts) -> Result<(), String> {
     seg.save_mapped(&index_path).map_err(|e| e.to_string())?;
     let save_secs = t0.elapsed().as_secs_f64();
     let file_bytes = std::fs::metadata(&index_path).map(|m| m.len()).unwrap_or(0);
-    println!("saved: {} MiB VAQ4 in {save_secs:.1}s", file_bytes / (1 << 20));
+    println!("saved: {} MiB in {save_secs:.1}s", file_bytes / (1 << 20));
     drop(seg);
 
     // Phase 3: a fresh child process answers the query set from the

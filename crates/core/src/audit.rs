@@ -571,7 +571,7 @@ impl Audit for crate::segment::SegmentedVaq {
 }
 
 /// VAQ113: a mapped extent must sit entirely inside the file it was
-/// mapped from and start on a page boundary (the `VAQ4` writer aligns
+/// mapped from and start on a page boundary (the persist writer aligns
 /// every extent; a span that drifted would read a neighbour's bytes).
 /// Owned storages (`span == None`) have nothing to check.
 fn audit_mapped_span(r: &mut AuditReport, s: usize, what: &str, span: Option<MappedSpan>) {

@@ -4,8 +4,8 @@
 //! byte-at-a-time table walk over the reflected Castagnoli polynomial
 //! `0x1EDC6F41` (reversed: `0x82F63B78`) — the same CRC used by iSCSI,
 //! ext4 metadata, and most storage engines, chosen for its better burst-
-//! and random-error detection than CRC32 (IEEE). The `VAQ3` manifest
-//! header, every manifest extent, and every WAL record carry one of
+//! and random-error detection than CRC32 (IEEE). The index file's header
+//! and extent table, every extent, and every WAL record carry one of
 //! these; a mismatch on load is reported as a typed corruption error,
 //! never a panic.
 //!

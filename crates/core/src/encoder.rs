@@ -179,24 +179,6 @@ impl Encoder {
             squared_distances_into(&projected_query[lo..hi], cb, arena.table_mut(s));
         }
     }
-
-    /// Builds per-subspace ADC lookup tables (squared distances) for a
-    /// projected query.
-    #[deprecated(
-        since = "0.2.0",
-        note = "allocates one Vec per subspace per query; use `fill_tables` with a reusable \
-                `TableArena` (or go through `QueryEngine`) instead"
-    )]
-    pub fn lookup_tables(&self, projected_query: &[f32]) -> Vec<Vec<f32>> {
-        self.ranges
-            .iter()
-            .zip(self.codebooks.iter())
-            .map(|(&(lo, hi), cb)| {
-                let q = &projected_query[lo..hi];
-                cb.iter_rows().map(|c| vaq_linalg::squared_euclidean(c, q)).collect()
-            })
-            .collect()
-    }
 }
 
 /// Copies a contiguous column range into its own matrix.
@@ -312,17 +294,18 @@ mod tests {
     }
 
     #[test]
-    fn arena_matches_deprecated_nested_tables() {
+    fn arena_entries_match_the_squared_distance_formula() {
         let data = toy_projected(100, 12, 19);
         let l = layout(12, 3);
         let enc = Encoder::train(&data, &l, &[4, 3, 2], 10, 0).unwrap();
         let q = data.row(7);
         let mut arena = TableArena::new();
         enc.fill_tables(q, &mut arena);
-        #[allow(deprecated)]
-        let nested = enc.lookup_tables(q);
-        for (s, table) in nested.iter().enumerate() {
-            assert_eq!(arena.table(s), table.as_slice(), "subspace {s}");
+        for (s, (&(lo, hi), cb)) in enc.ranges.iter().zip(&enc.codebooks).enumerate() {
+            for (c, centroid) in cb.iter_rows().enumerate() {
+                let exact = vaq_linalg::squared_euclidean(centroid, &q[lo..hi]);
+                assert_eq!(arena.lookup(s, c), exact, "subspace {s} entry {c}");
+            }
         }
     }
 

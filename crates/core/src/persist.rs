@@ -1,65 +1,68 @@
 //! Binary persistence for trained [`Vaq`] and [`SegmentedVaq`] indexes:
-//! checksummed manifests, atomic commits, and typed IO errors.
+//! one checksummed, page-aligned extent container, atomic commits, and
+//! typed IO errors.
 //!
 //! A trained index is expensive (dictionary learning dominates, as the
 //! paper's encoding-time measurements show), so a downstream system wants
-//! to train once and serve many times. Three versioned little-endian
-//! binary layouts share one vocabulary of fields, built with [`bytes`]:
+//! to train once and serve many times. Every save — [`Vaq::save`],
+//! [`SegmentedVaq::save`], [`SegmentedVaq::save_mapped`], durable
+//! checkpoints, and both `to_bytes` — writes the same little-endian
+//! layout:
 //!
 //! ```text
-//! -- monolithic index, magic "VAQ1" --
-//! magic "VAQ1" | version u32 |
-//! pca:    mean [f32] | components rows/cols + [f32] | eigenvalues [f64]
-//! layout: perm [u64] | ranges [(u64,u64)] | shares [f64] | pc_share [f64]
-//! bits:   [u64]
-//! encoder: per-subspace codebook matrices
-//! codes:  n u64 | m u64 | [u16]
-//! ti:     present flag | centroids | clusters [(idx u32, dist f32)] | prefix
-//! default strategy tag + payload
-//!
-//! -- segmented index, magic "VAQ2" --
-//! magic "VAQ2" | version u32 |
-//! model:  pca | layout | bits | codebooks | strategy |
-//!         ti_prefix_subspaces u64 | seed u64
-//! policy: seal_threshold u64 | compact_min_segments u64 |
-//!         tombstone_purge_frac f64 | ti_clusters u64 | background u8
-//! next_id u32 | segment count u64
-//! per segment: n u64 | ids [u32] | codes [u16] |
-//!              dead u64 | tombstone words [u64] | ti flag + payload
-//! buffer: rows u64 | ids [u32] | codes [u16] | dead u64 | words [u64]
-//!
-//! -- checksummed manifest container, magic "VAQ3" --
-//! header: magic "VAQ3" | version u32 | kind u8 (1=monolithic, 2=segmented) |
+//! header: magic "VAQ4" | version u32 | kind u8 (1=monolithic, 2=segmented) |
 //!         wal_seq u64 | extent count u64 | header crc32c u32
-//! per extent: len u64 | crc32c u32 | payload[len]
-//! kind 1: one extent holding a complete VAQ1 stream
-//! kind 2: extent 0 = model + policy + next_id, one extent per sealed
-//!         segment, final extent = write buffer
+//! table:  [offset u64 | len u64 | crc32c u32] × count | table crc32c u32
+//! payloads at their absolute offsets, each aligned to 4096 bytes,
+//! zero padding in between
+//!
+//! extent 0:        model — pca | layout | bits | codebooks | strategy |
+//!                  ti_prefix_subspaces u64 | seed u64 | policy | next_id u32
+//! 7 per segment:   meta (rows u64 | dead u64 | TI flag + centroids,
+//!                  cluster boundaries, prefix) | ids [u32] | codes [u16] |
+//!                  packed [u8] | tombstone words [u64] |
+//!                  TI member ids [u32] | TI member distances [f32]
+//! last extent:     buffer — rows u64 | ids [u32] | codes [u16] |
+//!                  dead u64 | word count u64 | words [u64]
 //! ```
 //!
-//! `VAQ3` is what [`Vaq::save`] / [`SegmentedVaq::save`] write: the
-//! header and **every extent** carry a CRC32C ([`crate::crc`], in-tree),
-//! verified before a single field is parsed, so a torn or bit-flipped
-//! region is reported as corruption instead of being interpreted. The
-//! `wal_seq` header field records the last write-ahead-log sequence
-//! number baked into the snapshot (see `crate::segment::wal`); plain
-//! `save` writes 0.
+//! The array extents are the raw arrays, so a 64-bit little-endian host
+//! can map them and read typed slices in place with no parsing; the meta
+//! extent holds everything needed to build those typed views without
+//! touching the arrays. Three extents may be empty:
 //!
-//! Saves are **atomic**: the bytes go to `<path>.tmp`, the file and its
-//! parent directory are fsynced, and the tmp is renamed over the target —
-//! a crash at any point (exercised by the `persist.commit` /
+//! * the **packed** extent — the blocked packing is a pure function of
+//!   the codes, so only [`SegmentedVaq::save_mapped`] materialises it
+//!   (+29 % file size on a 128-bit plan); every other writer leaves it at
+//!   length 0 and the owned parser re-derives it with
+//!   [`PackedCodes::pack`];
+//! * the **ids** extent of a `kind = 1` file — a monolithic index's ids
+//!   are its row numbers (an id column would add 6 % to the file);
+//! * both **TI** extents when the segment has no partition.
+//!
+//! The header, the table and **every extent** carry a CRC32C
+//! ([`crate::crc`], in-tree). The owned parser ([`Vaq::load`],
+//! [`SegmentedVaq::load`], [`SegmentedVaq::open_durable`], both
+//! `from_bytes`) verifies all of them and requires the inter-extent
+//! padding to be zero before a single field is parsed, so *every*
+//! single-byte mutation of a file is reported as corruption instead of
+//! being interpreted; field-level checks come second and the full
+//! structural audit last. [`SegmentedVaq::open_mapped`] shares the
+//! header, table, meta and size checks, verifies the small extents
+//! eagerly and the big arrays lazily on first touch (see `LazyExtents`),
+//! and leaves the padding unread. The `wal_seq` header field records the
+//! last write-ahead-log sequence number baked into the snapshot (see
+//! `crate::segment::wal`); plain saves write 0.
+//!
+//! Saves are **atomic**: the bytes are streamed to `<path>.tmp`, the file
+//! and its parent directory are fsynced, and the tmp is renamed over the
+//! target — a crash at any point (exercised by the `persist.commit` /
 //! `persist.fsync` fault sites and `vaq_cli crash`) leaves either the old
 //! complete file or the new complete file, never a torn mix.
 //!
-//! [`SegmentedVaq::from_bytes`] accepts all three formats: a `VAQ1` file
-//! loads as a segmented index whose whole database is one sealed segment,
-//! with byte-identical search behaviour, and `VAQ2` files load unchanged.
-//!
-//! Everything is validated on load (checksums first, field-level checks
-//! second, the full structural audit afterwards); a truncated or
-//! corrupted file returns [`VaqError::BadConfig`] and a failed filesystem
-//! operation returns [`VaqError::Io`] with its `source()` chain intact —
-//! never a panic.
+//! A truncated or corrupted file returns [`VaqError::BadConfig`] and a
+//! failed filesystem operation returns [`VaqError::Io`] with its
+//! `source()` chain intact — never a panic.
 
 use crate::encoder::Encoder;
 use crate::search::SearchStrategy;
@@ -79,27 +82,25 @@ use vaq_linalg::{
     U16Storage, U32Storage, U64Storage, PAGE_ALIGN,
 };
 
-const MAGIC: &[u8; 4] = b"VAQ1";
+const MAGIC: &[u8; 4] = b"VAQ4";
 const VERSION: u32 = 1;
-const MAGIC2: &[u8; 4] = b"VAQ2";
-const VERSION2: u32 = 1;
-const MAGIC3: &[u8; 4] = b"VAQ3";
-const VERSION3: u32 = 1;
-/// Page-aligned out-of-core container (see the `VAQ4` section below).
-const MAGIC4: &[u8; 4] = b"VAQ4";
-const VERSION4: u32 = 1;
-/// Extents per sealed segment in a `VAQ4` file: meta, ids, codes, packed,
-/// tombstone words, TI member ids, TI member distances.
-const SEG_EXTENTS: usize = 7;
-/// Bytes per `VAQ4` extent-table entry: offset `u64` + length `u64` +
-/// CRC32C `u32`.
-const VAQ4_TABLE_ENTRY: usize = 8 + 8 + 4;
-/// `VAQ3` payload kinds.
 const KIND_MONOLITHIC: u8 = 1;
 const KIND_SEGMENTED: u8 = 2;
-/// Bytes of the `VAQ3` header covered by the header CRC (everything
-/// before the CRC field itself).
+/// Bytes of the header covered by the header CRC (everything before the
+/// CRC field itself), and the whole header.
 const HEADER_CRC_SPAN: usize = 4 + 4 + 1 + 8 + 8;
+const HEADER_LEN: usize = HEADER_CRC_SPAN + 4;
+/// Bytes per extent-table entry: offset `u64` + length `u64` + CRC32C
+/// `u32`.
+const TABLE_ENTRY: usize = 8 + 8 + 4;
+/// Extents per sealed segment, and each one's slot after the meta extent.
+const SEG_EXTENTS: usize = 7;
+const IDS: usize = 1;
+const CODES: usize = 2;
+const PACKED: usize = 3;
+const WORDS: usize = 4;
+const TI_IDX: usize = 5;
+const TI_DIST: usize = 6;
 
 // ---------------------------------------------------------------------------
 // Atomic commit: tmp → fsync → rename → fsync(dir)
@@ -156,91 +157,28 @@ fn fsync_dir(dir: &Path) -> Result<(), VaqError> {
     Ok(())
 }
 
-/// Reads an index file with the container header validated *first*: the
-/// 29-byte header is pulled in alone and checked — magic, checksum, and
-/// the claimed extent count against the real file length — before the
-/// body is read, so a corrupt or hostile header is rejected without a
-/// file-sized read behind it. Legacy raw `VAQ1`/`VAQ2` streams carry no
-/// checksummed header to pre-validate and are read whole, as before.
-pub(crate) fn read_index_file(path: &Path) -> Result<Vec<u8>, VaqError> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path).map_err(|e| io_at(path, e))?;
-    let flen = narrow(f.metadata().map_err(|e| io_at(path, e))?.len(), "file length")?;
-    let mut head = [0u8; HEADER_CRC_SPAN + 4];
-    let mut got = 0usize;
-    while got < head.len() {
-        match f.read(&mut head[got..]).map_err(|e| io_at(path, e))? {
-            0 => break,
-            k => got += k,
-        }
-    }
-    check_header_against_len(&head[..got], flen)?;
-    let mut data = Vec::with_capacity(flen.max(got));
-    data.extend_from_slice(&head[..got]);
-    f.read_to_end(&mut data).map_err(|e| io_at(path, e))?;
-    Ok(data)
-}
-
-/// The header-vs-file-length precheck behind `read_index_file`. For
-/// the checksummed containers this proves the claimed extent count could
-/// at least *encode* within `flen` bytes (12 bytes of framing per `VAQ3`
-/// extent, a 20-byte table entry per `VAQ4` extent), so a fabricated
-/// count dies here instead of driving downstream allocations.
-fn check_header_against_len(head: &[u8], flen: usize) -> Result<(), VaqError> {
-    if head.len() < 4 {
-        return Err(VaqError::BadConfig("corrupt index file: truncated".into()));
-    }
-    let magic = &head[..4];
-    if magic == MAGIC.as_slice() || magic == MAGIC2.as_slice() {
-        return Ok(());
-    }
-    let (per_extent, fixed_tail) = if magic == MAGIC3.as_slice() {
-        (12usize, 0usize)
-    } else if magic == MAGIC4.as_slice() {
-        (VAQ4_TABLE_ENTRY, 4)
-    } else {
-        return Err(bad("unrecognized index file magic"));
-    };
-    if head.len() < HEADER_CRC_SPAN + 4 {
-        return Err(VaqError::BadConfig("corrupt index file: truncated".into()));
-    }
-    let mut buf = Bytes::copy_from_slice(&head[4..HEADER_CRC_SPAN + 4]);
-    let _version = buf.get_u32_le();
-    let _kind = buf.get_u8();
-    let _wal_seq = buf.get_u64_le();
-    let nextents = buf.get_u64_le();
-    let stored = buf.get_u32_le();
-    if crate::crc::crc32c(&head[..HEADER_CRC_SPAN]) != stored {
-        return Err(bad("manifest header checksum mismatch"));
-    }
-    let min_len = nextents
-        .checked_mul(wide(per_extent))
-        .and_then(|b| b.checked_add(wide(HEADER_CRC_SPAN + 4 + fixed_tail)))
-        .ok_or_else(|| bad("extent count overflow"))?;
-    if min_len > wide(flen) {
-        return Err(bad("extent count larger than the file can hold"));
-    }
-    Ok(())
-}
-
-/// Atomically replaces `path` with `bytes`: write `<path>.tmp`, fsync it,
-/// rename it over `path`, fsync the parent directory. A crash — real, or
-/// injected through the `persist.commit` (tmp write, rename) and
-/// `persist.fsync` (both syncs) fault sites — leaves either the old
-/// complete file or the new complete file, never a torn mix; an injected
-/// crash during the tmp write leaves a torn prefix *of the tmp only*, so
-/// recovery tests see realistic debris.
-pub(crate) fn commit_bytes(path: &Path, bytes: &[u8]) -> Result<(), VaqError> {
-    use std::io::Write;
+/// Atomically replaces `path` with the container holding `extents`:
+/// stream it to `<path>.tmp`, fsync it, rename it over `path`, fsync the
+/// parent directory. A crash — real, or injected through the
+/// `persist.commit` (tmp write, rename) and `persist.fsync` (both syncs)
+/// fault sites — leaves either the old complete file or the new complete
+/// file, never a torn mix; an injected crash during the tmp write leaves
+/// a torn prefix *of the tmp only*, so recovery tests see realistic
+/// debris. The payloads are streamed (no whole-file buffer is
+/// materialized), so saving adds O(extent-table) memory, not O(file).
+fn commit(path: &Path, kind: u8, wal_seq: u64, extents: &[ExtPayload<'_>]) -> Result<(), VaqError> {
     let tmp = tmp_path(path);
-    if crate::faults::fired("persist.commit") {
-        // Simulated power loss mid-write: a torn prefix of the staging
-        // file may have reached disk; the destination is untouched.
-        let _ = std::fs::write(&tmp, &bytes[..bytes.len() / 2]);
+    let torn = crate::faults::fired("persist.commit");
+    let f = std::fs::File::create(&tmp).map_err(|e| io_at(&tmp, e))?;
+    let mut w = std::io::BufWriter::new(f);
+    let len = write_container(&mut w, kind, wal_seq, extents).map_err(|e| io_at(&tmp, e))?;
+    let f = w.into_inner().map_err(|e| io_at(&tmp, e.into_error()))?;
+    if torn {
+        // Simulated power loss mid-write: only a prefix of the staging
+        // file reached disk; the destination is untouched.
+        let _ = f.set_len(len / 2);
         return Err(abandoned(&tmp, "persist.commit"));
     }
-    let mut f = std::fs::File::create(&tmp).map_err(|e| io_at(&tmp, e))?;
-    f.write_all(bytes).map_err(|e| io_at(&tmp, e))?;
     fsync_file(&f, &tmp)?;
     drop(f);
     if crate::faults::fired("persist.commit") {
@@ -254,461 +192,29 @@ pub(crate) fn commit_bytes(path: &Path, bytes: &[u8]) -> Result<(), VaqError> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// VAQ3 container framing
-// ---------------------------------------------------------------------------
-
-/// Frames `extents` as a `VAQ3` stream: checksummed header, then each
-/// extent length-prefixed and carrying its own CRC32C.
-fn vaq3_wrap(kind: u8, wal_seq: u64, extents: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = extents.iter().map(|e| e.len() + 12).sum();
-    let mut buf = BytesMut::with_capacity(HEADER_CRC_SPAN + 4 + total);
-    buf.put_slice(MAGIC3);
-    buf.put_u32_le(VERSION3);
-    buf.put_u8(kind);
-    buf.put_u64_le(wal_seq);
-    buf.put_u64_le(wide(extents.len()));
-    let header_crc = crate::crc::crc32c(&buf);
-    buf.put_u32_le(header_crc);
-    for e in extents {
-        buf.put_u64_le(wide(e.len()));
-        buf.put_u32_le(crate::crc::crc32c(e));
-        buf.put_slice(e);
-    }
-    buf.to_vec()
-}
-
-struct Vaq3Header {
-    kind: u8,
-    wal_seq: u64,
-    nextents: usize,
-}
-
-/// Parses and verifies the `VAQ3` header. `buf` must be positioned right
-/// after the magic; `data` is the whole stream (for the header CRC).
-fn get_vaq3_header(buf: &mut Bytes, data: &[u8]) -> Result<Vaq3Header, VaqError> {
-    let version = take(buf, 4)?.get_u32_le();
-    if version != VERSION3 {
-        return Err(bad(&format!("unsupported manifest version {version}")));
-    }
-    let kind = take(buf, 1)?.get_u8();
-    let wal_seq = take(buf, 8)?.get_u64_le();
-    let nextents = take_len(buf, "extent count")?;
-    let stored = take(buf, 4)?.get_u32_le();
-    // `take` above guarantees the span exists.
-    if crate::crc::crc32c(&data[..HEADER_CRC_SPAN]) != stored {
-        return Err(bad("manifest header checksum mismatch"));
-    }
-    if kind != KIND_MONOLITHIC && kind != KIND_SEGMENTED {
-        return Err(bad(&format!("unknown manifest kind {kind}")));
-    }
-    Ok(Vaq3Header { kind, wal_seq, nextents })
-}
-
-/// Reads one length-prefixed, checksummed extent and verifies its CRC
-/// before a single payload byte is interpreted.
-fn get_extent(buf: &mut Bytes, what: &str) -> Result<Bytes, VaqError> {
-    let len = take_len(buf, "extent length")?;
-    let stored = take(buf, 4)?.get_u32_le();
-    let payload = take(buf, len)?;
-    if crate::crc::crc32c(&payload) != stored {
-        return Err(bad(&format!("{what} checksum mismatch")));
-    }
-    Ok(payload)
-}
-
-/// Rejects unconsumed bytes at the end of an extent: a well-formed writer
-/// never leaves slack, so trailing bytes mean corruption that happened to
-/// keep the checksum intact (i.e. a hostile file).
-fn expect_drained(buf: &Bytes, what: &str) -> Result<(), VaqError> {
-    if buf.remaining() != 0 {
-        return Err(bad(&format!("{what} has trailing bytes")));
-    }
-    Ok(())
-}
-
-impl Vaq {
-    /// Serializes the trained index to bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(1024 + self.codes.len() * 2);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-
-        put_pca(&mut buf, &self.pca);
-        put_layout(&mut buf, &self.layout);
-        put_usize_slice(&mut buf, &self.bits);
-
-        // Encoder codebooks (bits/ranges are shared with the layout).
-        buf.put_u64_le(wide(self.encoder.codebooks.len()));
-        for cb in &self.encoder.codebooks {
-            put_matrix(&mut buf, cb);
-        }
-
-        // Codes.
-        buf.put_u64_le(wide(self.n));
-        buf.put_u64_le(wide(self.encoder.num_subspaces()));
-        for &c in &self.codes {
-            buf.put_u16_le(c);
-        }
-
-        put_ti(&mut buf, self.ti.as_ref());
-        put_strategy(&mut buf, self.default_strategy);
-        buf.to_vec()
-    }
-
-    /// Serializes the trained index as a checksummed `VAQ3` manifest
-    /// (what [`Vaq::save`] writes): one extent holding the `VAQ1` stream,
-    /// header and extent each guarded by a CRC32C.
-    pub fn to_manifest_bytes(&self) -> Vec<u8> {
-        vaq3_wrap(KIND_MONOLITHIC, 0, &[self.to_bytes()])
-    }
-
-    /// Deserializes an index previously produced by [`Vaq::to_bytes`] or
-    /// [`Vaq::to_manifest_bytes`] (a `VAQ3` manifest of monolithic kind).
-    pub fn from_bytes(data: &[u8]) -> Result<Vaq, VaqError> {
-        if crate::faults::fired("persist.from_bytes") {
-            return Err(VaqError::Injected { site: "persist.from_bytes" });
-        }
-        let mut buf = Bytes::copy_from_slice(data);
-
-        let mut magic = [0u8; 4];
-        take(&mut buf, 4)?.copy_to_slice(&mut magic);
-        if &magic == MAGIC3 {
-            let header = get_vaq3_header(&mut buf, data)?;
-            if header.kind != KIND_MONOLITHIC {
-                return Err(bad("manifest holds a segmented index, not a monolithic one"));
-            }
-            if header.nextents != 1 {
-                return Err(bad("monolithic manifest must hold exactly one extent"));
-            }
-            let payload = get_extent(&mut buf, "index extent")?;
-            expect_drained(&buf, "manifest")?;
-            // The extent must be a raw VAQ1 stream: nesting containers
-            // would let a hostile file force unbounded recursion.
-            if payload.len() < 4 || &payload[..4] != MAGIC {
-                return Err(bad("monolithic extent is not a VAQ1 stream"));
-            }
-            return Vaq::from_bytes(&payload);
-        }
-        if &magic == MAGIC4 {
-            return Err(bad("VAQ4 manifests hold segmented indexes; open with SegmentedVaq"));
-        }
-        if &magic != MAGIC {
-            return Err(bad("bad magic"));
-        }
-        let version = take(&mut buf, 4)?.get_u32_le();
-        if version != VERSION {
-            return Err(bad(&format!("unsupported version {version}")));
-        }
-
-        let pca = get_pca(&mut buf)?;
-        let layout = get_layout(&mut buf)?;
-        let nranges = layout.ranges.len();
-
-        let bits = get_usize_slice(&mut buf)?;
-        if bits.len() != nranges {
-            return Err(bad("bits/subspace count mismatch"));
-        }
-        let codebooks = get_codebooks(&mut buf, &bits, &layout.ranges)?;
-        let encoder = Encoder { codebooks, bits: bits.clone(), ranges: layout.ranges.clone() };
-
-        let n = take_len(&mut buf, "row count")?;
-        let m = take_len(&mut buf, "code width")?;
-        if m != nranges {
-            return Err(bad("code width mismatch"));
-        }
-        let codes = get_codes(&mut buf, n, &encoder)?;
-        let ti = get_ti(&mut buf, n)?;
-        let default_strategy = get_strategy(&mut buf)?;
-
-        // The blocked packing is derived state (codes were range-checked
-        // above, and the full audit below re-verifies them against the
-        // dictionaries), so it is rebuilt rather than serialized — the
-        // on-disk format is unchanged.
-        let packed = PackedCodes::pack(&codes, &encoder.table_sizes().collect::<Vec<_>>(), n);
-        crate::obs::note_truncated_packing(&packed, "persist.load");
-        let vaq = Vaq { pca, layout, bits, encoder, codes, n, ti, default_strategy, packed };
-        // The file is untrusted input: a payload can parse field-by-field
-        // yet still violate the index's structural invariants (bit budget,
-        // TI ordering, ...). Run the full audit and fail loud — in every
-        // build profile, not just debug.
-        let report = crate::audit::Audit::audit(&vaq);
-        if !report.is_ok() {
-            return Err(bad(&format!(
-                "audit found {} invariant violation(s) after load",
-                report.issues().len()
-            )));
-        }
-        Ok(vaq)
-    }
-
-    /// Atomically writes the index to a file as a checksummed `VAQ3`
-    /// manifest (tmp + fsync + rename; see `commit_bytes`'s module
-    /// docs). An interrupted save leaves any previous file intact.
-    pub fn save(&self, path: &Path) -> Result<(), VaqError> {
-        commit_bytes(path, &self.to_manifest_bytes())
-    }
-
-    /// Loads an index from a file (`VAQ3` manifest or legacy raw `VAQ1`).
-    /// The container header is validated before the body is read, so a
-    /// corrupt header fails fast (see `read_index_file`).
-    pub fn load(path: &Path) -> Result<Vaq, VaqError> {
-        let data = read_index_file(path)?;
-        Vaq::from_bytes(&data)
-    }
-}
-
-impl SegmentedVaq {
-    /// Serializes the segmented index to the `VAQ2` manifest: the shared
-    /// model once, then one blob per sealed segment (ids, codes,
-    /// tombstones, TI) and the write buffer. The snapshot and id counter
-    /// are captured atomically, so serializing during concurrent ingest
-    /// yields *some* consistent state; pending buffered rows are persisted
-    /// as-is and re-sealed on load.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let (set, next_id) = self.persist_snapshot();
-        let model = self.shared_model();
-        let policy = self.policy();
-
-        let mut buf = BytesMut::with_capacity(4096);
-        buf.put_slice(MAGIC2);
-        buf.put_u32_le(VERSION2);
-        put_model_policy(&mut buf, model, policy, next_id);
-        buf.put_u64_le(wide(set.segments.len()));
-        for seg in &set.segments {
-            put_segment(&mut buf, seg);
-        }
-        put_buffer(&mut buf, &set.buffer);
-        buf.to_vec()
-    }
-
-    /// Serializes the segmented index as a checksummed `VAQ3` manifest
-    /// (what [`SegmentedVaq::save`] writes): the same fields as `VAQ2`,
-    /// framed as independently-checksummed extents — model+policy first,
-    /// one extent per sealed segment, the write buffer last — so a torn
-    /// or bit-flipped region is pinpointed before parsing. `wal_seq`
-    /// records the last write-ahead-log sequence number already baked
-    /// into this snapshot (0 when there is no WAL).
-    pub fn to_manifest_bytes(&self, wal_seq: u64) -> Vec<u8> {
-        let (set, next_id) = self.persist_snapshot();
-        manifest_from_set(self.shared_model(), self.policy(), &set, next_id, wal_seq)
-    }
-
-    /// Deserializes a segmented index.
-    ///
-    /// Accepts both formats: a `VAQ2` manifest restores segments, buffer,
-    /// tombstones, and policy exactly; a legacy `VAQ1` file (a monolithic
-    /// [`Vaq`]) loads as one sealed segment under a default
-    /// [`SegmentPolicy`], returning byte-identical search results to the
-    /// original index. Every field is validated, the quiescence invariant
-    /// is restored (an over-threshold buffer is sealed), and the full
-    /// structural audit must pass before the index is returned.
-    pub fn from_bytes(data: &[u8]) -> Result<SegmentedVaq, VaqError> {
-        Ok(Self::from_bytes_with_seq(data)?.0)
-    }
-
-    /// [`SegmentedVaq::from_bytes`] plus the manifest's recorded WAL
-    /// sequence number — the replay cursor durable recovery
-    /// ([`SegmentedVaq::open_durable`]) resumes from. Legacy `VAQ1` /
-    /// `VAQ2` files predate the WAL and report 0.
-    ///
-    /// [`SegmentedVaq::open_durable`]: crate::segment::SegmentedVaq::open_durable
-    pub(crate) fn from_bytes_with_seq(data: &[u8]) -> Result<(SegmentedVaq, u64), VaqError> {
-        if data.len() >= 4 && &data[..4] == MAGIC {
-            // Legacy monolithic file: `Vaq::from_bytes` owns validation,
-            // auditing, and the `persist.from_bytes` fault site.
-            let vaq = Vaq::from_bytes(data)?;
-            return Ok((SegmentedVaq::from_vaq(vaq, SegmentPolicy::default()), 0));
-        }
-        if crate::faults::fired("persist.from_bytes") {
-            return Err(VaqError::Injected { site: "persist.from_bytes" });
-        }
-        let mut buf = Bytes::copy_from_slice(data);
-
-        let mut magic = [0u8; 4];
-        take(&mut buf, 4)?.copy_to_slice(&mut magic);
-        if &magic == MAGIC4 {
-            // Owned parse of the out-of-core container: every extent is
-            // checksum-verified eagerly and the full audit runs, exactly
-            // like `VAQ3` — this is the fallback / audit / chaos path.
-            return vaq4_to_segmented(data);
-        }
-        if &magic == MAGIC3 {
-            let header = get_vaq3_header(&mut buf, data)?;
-            if header.kind == KIND_MONOLITHIC {
-                if header.nextents != 1 {
-                    return Err(bad("monolithic manifest must hold exactly one extent"));
-                }
-                let payload = get_extent(&mut buf, "index extent")?;
-                expect_drained(&buf, "manifest")?;
-                // Must be a raw VAQ1 stream — nesting containers would
-                // let a hostile file force unbounded recursion.
-                if payload.len() < 4 || &payload[..4] != MAGIC {
-                    return Err(bad("monolithic extent is not a VAQ1 stream"));
-                }
-                let vaq = Vaq::from_bytes(&payload)?;
-                let idx = SegmentedVaq::from_vaq(vaq, SegmentPolicy::default());
-                return Ok((idx, header.wal_seq));
-            }
-            let nsegs = header
-                .nextents
-                .checked_sub(2)
-                .ok_or_else(|| bad("segmented manifest needs model and buffer extents"))?;
-            let mut mp = get_extent(&mut buf, "model extent")?;
-            let (model, policy, next_id) = get_model_policy(&mut mp)?;
-            expect_drained(&mp, "model extent")?;
-            let mut segments = Vec::new();
-            for s in 0..nsegs {
-                let mut e = get_extent(&mut buf, "segment extent")?;
-                segments.push(get_segment(&mut e, &model, s)?);
-                expect_drained(&e, "segment extent")?;
-            }
-            let mut be = get_extent(&mut buf, "buffer extent")?;
-            let buffer = get_buffer(&mut be, &model)?;
-            expect_drained(&be, "buffer extent")?;
-            expect_drained(&buf, "manifest")?;
-            let index = finish_segmented_load(model, policy, segments, buffer, next_id)?;
-            return Ok((index, header.wal_seq));
-        }
-        if &magic != MAGIC2 {
-            return Err(bad("bad magic"));
-        }
-        let version = take(&mut buf, 4)?.get_u32_le();
-        if version != VERSION2 {
-            return Err(bad(&format!("unsupported segmented version {version}")));
-        }
-
-        let (model, policy, next_id) = get_model_policy(&mut buf)?;
-        let nsegs = take_len(&mut buf, "segment count")?;
-        let mut segments = Vec::new();
-        for s in 0..nsegs {
-            segments.push(get_segment(&mut buf, &model, s)?);
-        }
-        let buffer = get_buffer(&mut buf, &model)?;
-        Ok((finish_segmented_load(model, policy, segments, buffer, next_id)?, 0))
-    }
-
-    /// Atomically writes the segmented index to a file as a checksummed
-    /// `VAQ3` manifest (tmp + fsync + rename; see the module docs). An
-    /// interrupted save leaves any previous file intact. For a
-    /// crash-recoverable index with a write-ahead log, see
-    /// [`SegmentedVaq::make_durable`].
-    ///
-    /// [`SegmentedVaq::make_durable`]: crate::segment::SegmentedVaq::make_durable
-    pub fn save(&self, path: &Path) -> Result<(), VaqError> {
-        commit_bytes(path, &self.to_manifest_bytes(0))
-    }
-
-    /// Loads a segmented index from a file (any format; see
-    /// [`SegmentedVaq::from_bytes`]). Does **not** replay a write-ahead
-    /// log — use [`SegmentedVaq::open_durable`] for that.
-    ///
-    /// [`SegmentedVaq::open_durable`]: crate::segment::SegmentedVaq::open_durable
-    pub fn load(path: &Path) -> Result<SegmentedVaq, VaqError> {
-        let data = read_index_file(path)?;
-        SegmentedVaq::from_bytes(&data)
-    }
-
-    /// Atomically writes the index as a page-aligned `VAQ4` container
-    /// whose big arrays (ids, codes, packed bytes, tombstone bitmaps, TI
-    /// member tables) can be memory-mapped and scanned in place by
-    /// [`SegmentedVaq::open_mapped`]. The payloads are streamed to the
-    /// staging file (no whole-manifest buffer is materialized), so saving
-    /// adds O(extent-table) memory, not O(file).
-    pub fn save_mapped(&self, path: &Path) -> Result<(), VaqError> {
-        let (set, next_id) = self.persist_snapshot();
-        write_vaq4(path, self.shared_model(), self.policy(), &set, next_id, 0)
-    }
-
-    /// Opens a `VAQ4` file out-of-core: the file is memory-mapped and the
-    /// sealed segments borrow their arrays from the mapping instead of
-    /// copying. Small/structural extents (header, extent table, model,
-    /// per-segment meta, tombstone bitmaps, buffer) are checksum-verified
-    /// eagerly; the big scan extents are verified lazily, on the first
-    /// search that touches them (see `LazyExtents`). Answers are
-    /// byte-identical to [`SegmentedVaq::load`].
-    ///
-    /// Degrades to a fully-owned [`SegmentedVaq::load`] — recorded at the
-    /// `persist.mmap` fault site — when the platform cannot map files,
-    /// the mapping fails, or the file is a non-`VAQ4` format (which has
-    /// no mappable layout).
-    pub fn open_mapped(path: &Path) -> Result<SegmentedVaq, VaqError> {
-        let _span = crate::obs::span("persist.open_mapped");
-        if crate::faults::fired("persist.mmap") {
-            crate::faults::note_degradation(
-                "persist.mmap: injected mapping failure, loading an owned copy",
-            );
-            return SegmentedVaq::load(path);
-        }
-        let f = std::fs::File::open(path).map_err(|e| io_at(path, e))?;
-        let Some(region) = MappedRegion::map_file(&f) else {
-            crate::faults::note_degradation(
-                "persist.mmap: mapping unavailable, loading an owned copy",
-            );
-            return SegmentedVaq::load(path);
-        };
-        // The mapping outlives the descriptor; the region owns the pages.
-        drop(f);
-        if region.as_bytes().len() < 4 || &region.as_bytes()[..4] != MAGIC4 {
-            return SegmentedVaq::load(path);
-        }
-        let index = mapped_from_region(&region)?;
-        crate::obs::counter_add("persist.mapped_opens", 1);
-        Ok(index)
-    }
-}
-
-/// Frames an explicit `(set, next_id)` pair as a `VAQ3` manifest — the
-/// body of [`SegmentedVaq::to_manifest_bytes`], split out so durable
-/// checkpoints (which already hold the writer lock and must not re-take
-/// it through `persist_snapshot`) can serialize the state they pinned.
-pub(crate) fn manifest_from_set(
-    model: &Model,
-    policy: &SegmentPolicy,
-    set: &SegmentSet,
-    next_id: u32,
-    wal_seq: u64,
-) -> Vec<u8> {
-    let mut extents = Vec::with_capacity(set.segments.len() + 2);
-    let mut mp = BytesMut::with_capacity(4096);
-    put_model_policy(&mut mp, model, policy, next_id);
-    extents.push(mp.to_vec());
-    for seg in &set.segments {
-        let mut e = BytesMut::with_capacity(64 + seg.core.codes.len() * 2);
-        put_segment(&mut e, seg);
-        extents.push(e.to_vec());
-    }
-    let mut be = BytesMut::with_capacity(64 + set.buffer.codes.len() * 2);
-    put_buffer(&mut be, &set.buffer);
-    extents.push(be.to_vec());
-    vaq3_wrap(KIND_SEGMENTED, wal_seq, &extents)
+/// Reads an index file with the container header validated *first*: the
+/// 29-byte header is pulled in alone and checked — magic, checksum, and
+/// the claimed extent count against the real file length — before the
+/// body is read, so a corrupt or hostile header is rejected without a
+/// file-sized read behind it.
+fn read_index_file(path: &Path) -> Result<Vec<u8>, VaqError> {
+    use std::io::Read;
+    let mut f = std::fs::File::open(path).map_err(|e| io_at(path, e))?;
+    let flen = narrow(f.metadata().map_err(|e| io_at(path, e))?.len(), "file length")?;
+    let mut data = Vec::new();
+    f.by_ref().take(wide(HEADER_LEN)).read_to_end(&mut data).map_err(|e| io_at(path, e))?;
+    get_header(&data, flen)?;
+    data.reserve(flen.saturating_sub(data.len()));
+    f.read_to_end(&mut data).map_err(|e| io_at(path, e))?;
+    Ok(data)
 }
 
 // ---------------------------------------------------------------------------
-// VAQ4: the page-aligned out-of-core container
+// Writing: extent payloads → one streamed container
 // ---------------------------------------------------------------------------
-//
-// ```text
-// magic "VAQ4" | version u32 | kind u8 (2=segmented) | wal_seq u64 |
-// extent count u64 | header crc32c u32
-// extent table: [offset u64 | len u64 | crc32c u32] × count | table crc32c u32
-// payloads at their absolute offsets, each aligned to 4096 bytes
-// ```
-//
-// Extent order: `[model+policy+next_id]`, then per sealed segment exactly
-// `[meta, ids u32, codes u16, packed u8, tombstone words u64,
-// ti member ids u32, ti member dists f32]` (the TI extents are length 0
-// when the segment has no partition), then `[buffer]`. All scalars are
-// little-endian; the payload extents are the raw arrays, so a 64-bit LE
-// host can map them and read typed slices in place with no parsing.
-//
-// The segment meta extent holds the row count, tombstone dead counter,
-// and the TI partition's small parts (centroid matrix, cluster
-// boundaries, prefix info) — everything needed to build typed views of
-// the big extents without touching them.
 
-/// One extent's bytes on the write side: either an owned blob (meta /
-/// model / buffer) or a borrowed typed array streamed as little-endian.
+/// One extent's bytes on the write side: either an owned blob (model /
+/// meta / buffer) or a borrowed typed array streamed as little-endian.
 enum ExtPayload<'a> {
     Own(Vec<u8>),
     U8s(&'a [u8]),
@@ -719,22 +225,11 @@ enum ExtPayload<'a> {
 }
 
 impl ExtPayload<'_> {
-    fn byte_len(&self) -> usize {
-        match self {
-            ExtPayload::Own(v) => v.len(),
-            ExtPayload::U8s(s) => s.len(),
-            ExtPayload::U16s(s) => s.len() * 2,
-            ExtPayload::U32s(s) => s.len() * 4,
-            ExtPayload::U64s(s) => s.len() * 8,
-            ExtPayload::F32s(s) => s.len() * 4,
-        }
-    }
-
-    /// Streams the payload into `out`, returning its CRC32C. Typed
-    /// slices are converted through a bounded scratch buffer, so writing
-    /// a multi-gigabyte extent never doubles it in RAM.
-    fn write_into<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<u32> {
-        let mut w = CrcWriter { out, state: !0u32 };
+    /// Streams the payload into `out`, returning its byte length and
+    /// CRC32C. Typed slices are converted through a bounded scratch
+    /// buffer, so writing a multi-gigabyte extent never doubles it in RAM.
+    fn write_into<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<(usize, u32)> {
+        let mut w = CrcWriter { out, len: 0, state: !0u32 };
         match self {
             ExtPayload::Own(v) => w.put(v)?,
             ExtPayload::U8s(s) => w.put(s)?,
@@ -743,18 +238,21 @@ impl ExtPayload<'_> {
             ExtPayload::U64s(s) => w.put_scalars(s.iter().map(|v| v.to_le_bytes()))?,
             ExtPayload::F32s(s) => w.put_scalars(s.iter().map(|v| v.to_le_bytes()))?,
         }
-        Ok(w.state ^ !0u32)
+        Ok((w.len, w.state ^ !0u32))
     }
 }
 
-/// A writer that folds everything it forwards into a running CRC32C.
+/// A writer that counts everything it forwards and folds it into a
+/// running CRC32C.
 struct CrcWriter<'a, W: std::io::Write> {
     out: &'a mut W,
+    len: usize,
     state: u32,
 }
 
 impl<W: std::io::Write> CrcWriter<'_, W> {
     fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.len += bytes.len();
         self.state = crate::crc::update(self.state, bytes);
         self.out.write_all(bytes)
     }
@@ -780,21 +278,462 @@ impl<W: std::io::Write> CrcWriter<'_, W> {
     }
 }
 
-/// Serializes one segment's meta extent: row count, tombstone dead
-/// counter, and the TI partition's small parts.
-fn put_seg_meta(buf: &mut BytesMut, core: &SegmentCore, tombstones: &Tombstones) {
-    buf.put_u64_le(wide(core.n));
-    buf.put_u64_le(wide(tombstones.dead()));
-    match &core.ti {
-        None => buf.put_u8(0),
-        Some(ti) => {
-            buf.put_u8(1);
-            put_matrix(buf, &ti.centroids);
-            put_usize_slice(buf, &ti.offsets);
-            buf.put_u64_le(wide(ti.prefix_subspaces));
-            buf.put_u64_le(wide(ti.prefix_dim));
-        }
+/// Streams the whole container into `w` and returns its length: header,
+/// a table placeholder, every payload at its page-aligned offset, then
+/// the extent table back-patched once the payload CRCs are known.
+fn write_container<W: std::io::Write + std::io::Seek>(
+    w: &mut W,
+    kind: u8,
+    wal_seq: u64,
+    extents: &[ExtPayload<'_>],
+) -> std::io::Result<u64> {
+    let mut header = BytesMut::with_capacity(HEADER_LEN);
+    header.put_slice(MAGIC);
+    header.put_u32_le(VERSION);
+    header.put_u8(kind);
+    header.put_u64_le(wal_seq);
+    header.put_u64_le(wide(extents.len()));
+    let header_crc = crate::crc::crc32c(&header);
+    header.put_u32_le(header_crc);
+    let table_len = extents.len() * TABLE_ENTRY + 4;
+
+    w.write_all(&header)?;
+    w.write_all(&vec![0u8; table_len])?;
+    let mut cursor = HEADER_LEN + table_len;
+    let mut table = BytesMut::with_capacity(table_len);
+    for e in extents {
+        let aligned = cursor.next_multiple_of(PAGE_ALIGN);
+        w.write_all(&[0u8; PAGE_ALIGN][..aligned - cursor])?;
+        let (len, crc) = e.write_into(w)?;
+        table.put_u64_le(wide(aligned));
+        table.put_u64_le(wide(len));
+        table.put_u32_le(crc);
+        cursor = aligned + len;
     }
+    let table_crc = crate::crc::crc32c(&table);
+    table.put_u32_le(table_crc);
+    w.seek(std::io::SeekFrom::Start(wide(HEADER_LEN)))?;
+    w.write_all(&table)?;
+    w.flush()?;
+    Ok(wide(cursor))
+}
+
+/// The container as one in-memory buffer — the `to_bytes` side of the
+/// streaming writer.
+fn render(kind: u8, wal_seq: u64, extents: &[ExtPayload<'_>]) -> Vec<u8> {
+    let mut out = std::io::Cursor::new(Vec::new());
+    // A `Vec` sink cannot fail, so there is no error to surface.
+    let _ = write_container(&mut out, kind, wal_seq, extents);
+    out.into_inner()
+}
+
+/// The borrowed arrays of one sealed segment (or of a monolithic index),
+/// in extent order.
+struct SegRef<'a> {
+    n: usize,
+    dead: usize,
+    ti: Option<&'a TiPartition>,
+    ids: &'a [u32],
+    codes: &'a [u16],
+    packed: &'a [u8],
+    words: ExtPayload<'a>,
+}
+
+/// Frames an index as its extent list: the model extent, seven extents
+/// per segment, the buffer extent.
+fn frame<'a>(
+    model: BytesMut,
+    segments: impl Iterator<Item = SegRef<'a>>,
+    buffer: &Buffer,
+) -> Vec<ExtPayload<'a>> {
+    let mut extents = vec![ExtPayload::Own(model.to_vec())];
+    for seg in segments {
+        let mut meta = BytesMut::with_capacity(256);
+        meta.put_u64_le(wide(seg.n));
+        meta.put_u64_le(wide(seg.dead));
+        let (idx, dist): (&[u32], &[f32]) = match seg.ti {
+            None => {
+                meta.put_u8(0);
+                (&[], &[])
+            }
+            Some(ti) => {
+                meta.put_u8(1);
+                put_matrix(&mut meta, &ti.centroids);
+                put_usize_slice(&mut meta, &ti.offsets);
+                meta.put_u64_le(wide(ti.prefix_subspaces));
+                meta.put_u64_le(wide(ti.prefix_dim));
+                (ti.member_idx.as_slice(), ti.member_dist.as_slice())
+            }
+        };
+        extents.extend([
+            ExtPayload::Own(meta.to_vec()),
+            ExtPayload::U32s(seg.ids),
+            ExtPayload::U16s(seg.codes),
+            ExtPayload::U8s(seg.packed),
+            seg.words,
+            ExtPayload::U32s(idx),
+            ExtPayload::F32s(dist),
+        ]);
+    }
+    let mut be = BytesMut::with_capacity(64 + buffer.codes.len() * 2);
+    put_buffer(&mut be, buffer);
+    extents.push(ExtPayload::Own(be.to_vec()));
+    extents
+}
+
+/// The extent list of a segmented snapshot. `with_packed` materialises
+/// the blocked packing (the mapped layout); without it the packed
+/// extents stay empty and loaders re-derive them.
+fn set_extents<'a>(
+    model: &Model,
+    policy: &SegmentPolicy,
+    set: &'a SegmentSet,
+    next_id: u32,
+    with_packed: bool,
+) -> Vec<ExtPayload<'a>> {
+    let mut mp = BytesMut::with_capacity(4096);
+    put_model(&mut mp, &model.pca, &model.layout, &model.encoder, model.default_strategy);
+    put_policy(&mut mp, model.ti_prefix_subspaces, model.seed, policy, next_id);
+    let segments = set.segments.iter().map(|seg| SegRef {
+        n: seg.core.n,
+        dead: seg.tombstones.dead(),
+        ti: seg.core.ti.as_ref(),
+        ids: seg.core.ids.as_slice(),
+        codes: seg.core.codes.as_slice(),
+        packed: if with_packed { seg.core.packed.data() } else { &[] },
+        words: ExtPayload::U64s(seg.tombstones.words()),
+    });
+    frame(mp, segments, &set.buffer)
+}
+
+/// Commits an explicit `(set, next_id)` pair without the packed extents —
+/// what durable checkpoints (which already hold the writer lock and must
+/// not re-take it through `persist_snapshot`) write for the state they
+/// pinned.
+pub(crate) fn commit_set(
+    path: &Path,
+    model: &Model,
+    policy: &SegmentPolicy,
+    set: &SegmentSet,
+    next_id: u32,
+    wal_seq: u64,
+) -> Result<(), VaqError> {
+    commit(path, KIND_SEGMENTED, wal_seq, &set_extents(model, policy, set, next_id, false))
+}
+
+impl Vaq {
+    /// The extent list of a monolithic index: the model (framed with the
+    /// defaults [`SegmentedVaq::from_vaq`] would give it, so the file
+    /// also loads as a one-segment segmented index), one segment with no
+    /// id column, no tombstones and no packed extent, and an empty
+    /// buffer.
+    fn extents(&self) -> Vec<ExtPayload<'_>> {
+        let mut mp = BytesMut::with_capacity(4096);
+        put_model(&mut mp, &self.pca, &self.layout, &self.encoder, self.default_strategy);
+        put_policy(
+            &mut mp,
+            crate::segment::ti_prefix_of(self.ti.as_ref(), self.encoder.num_subspaces()),
+            crate::segment::DEFAULT_SEED,
+            &SegmentPolicy::default(),
+            u32::try_from(self.n).unwrap_or(u32::MAX),
+        );
+        let segment = SegRef {
+            n: self.n,
+            dead: 0,
+            ti: self.ti.as_ref(),
+            ids: &[],
+            codes: &self.codes,
+            packed: &[],
+            words: ExtPayload::Own(vec![0u8; self.n.div_ceil(64) * 8]),
+        };
+        frame(mp, std::iter::once(segment), &Buffer::default())
+    }
+
+    /// Serializes the trained index to bytes — exactly what
+    /// [`Vaq::save`] writes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        render(KIND_MONOLITHIC, 0, &self.extents())
+    }
+
+    /// Deserializes an index previously produced by [`Vaq::to_bytes`] or
+    /// [`Vaq::save`]. Every checksum is verified, every field validated,
+    /// and the full structural audit must pass.
+    pub fn from_bytes(data: &[u8]) -> Result<Vaq, VaqError> {
+        let parsed = parse_owned(data)?;
+        if parsed.kind != KIND_MONOLITHIC {
+            return Err(bad("file holds a segmented index, not a monolithic one"));
+        }
+        let [seg] = <[OwnedSegment; 1]>::try_from(parsed.segments)
+            .map_err(|_| bad("monolithic file must hold exactly one segment"))?;
+        if seg.tombstones.dead() != 0 || !parsed.buffer.ids.is_empty() {
+            return Err(bad("monolithic file holds tombstones or buffered rows"));
+        }
+        let Model { pca, layout, bits, encoder, default_strategy, .. } = parsed.model;
+        let OwnedSegment { codes, n, packed, ti, .. } = seg;
+        let vaq = Vaq { pca, layout, bits, encoder, codes, n, ti, default_strategy, packed };
+        audited(&vaq, "load")?;
+        Ok(vaq)
+    }
+
+    /// Atomically writes the index to a file (tmp + fsync + rename; see
+    /// the module docs). An interrupted save leaves any previous file
+    /// intact.
+    pub fn save(&self, path: &Path) -> Result<(), VaqError> {
+        commit(path, KIND_MONOLITHIC, 0, &self.extents())
+    }
+
+    /// Loads an index from a file. The container header is validated
+    /// before the body is read, so a corrupt header fails fast.
+    pub fn load(path: &Path) -> Result<Vaq, VaqError> {
+        let data = read_index_file(path)?;
+        Vaq::from_bytes(&data)
+    }
+}
+
+impl SegmentedVaq {
+    /// Serializes the segmented index to bytes — exactly what
+    /// [`SegmentedVaq::save`] writes: the shared model once, then seven
+    /// extents per sealed segment and the write buffer. The snapshot and
+    /// id counter are captured atomically, so serializing during
+    /// concurrent ingest yields *some* consistent state; pending
+    /// buffered rows are persisted as-is and re-sealed on load.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let (set, next_id) = self.persist_snapshot();
+        let extents = set_extents(self.shared_model(), self.policy(), &set, next_id, false);
+        render(KIND_SEGMENTED, 0, &extents)
+    }
+
+    /// Deserializes a segmented index of either kind: a segmented file
+    /// restores segments, buffer, tombstones, and policy exactly; a
+    /// monolithic file (a saved [`Vaq`]) loads as one sealed segment
+    /// with ids `0..n` under a default [`SegmentPolicy`], returning
+    /// byte-identical search results to the original index. Every
+    /// checksum and field is validated, the quiescence invariant is
+    /// restored (an over-threshold buffer is sealed), and the full
+    /// structural audit must pass before the index is returned.
+    pub fn from_bytes(data: &[u8]) -> Result<SegmentedVaq, VaqError> {
+        Ok(Self::from_bytes_with_seq(data)?.0)
+    }
+
+    /// [`SegmentedVaq::from_bytes`] plus the file's recorded WAL sequence
+    /// number — the replay cursor durable recovery
+    /// ([`SegmentedVaq::open_durable`]) resumes from.
+    ///
+    /// [`SegmentedVaq::open_durable`]: crate::segment::SegmentedVaq::open_durable
+    fn from_bytes_with_seq(data: &[u8]) -> Result<(SegmentedVaq, u64), VaqError> {
+        let parsed = parse_owned(data)?;
+        let segments = parsed.segments.into_iter().map(OwnedSegment::into_segment).collect();
+        let index = SegmentedVaq::from_parts(
+            parsed.model,
+            parsed.policy,
+            segments,
+            parsed.buffer,
+            parsed.next_id,
+        );
+        // The audit's quiescence check requires a drained buffer, so an
+        // over-threshold buffer is sealed first — sealing only rearranges
+        // data that was already field-validated.
+        index.normalize_after_load();
+        audited(&index, "load")?;
+        Ok((index, parsed.wal_seq))
+    }
+
+    /// Atomically writes the segmented index to a file (tmp + fsync +
+    /// rename; see the module docs). An interrupted save leaves any
+    /// previous file intact. For a crash-recoverable index with a
+    /// write-ahead log, see [`SegmentedVaq::make_durable`].
+    ///
+    /// [`SegmentedVaq::make_durable`]: crate::segment::SegmentedVaq::make_durable
+    pub fn save(&self, path: &Path) -> Result<(), VaqError> {
+        let (set, next_id) = self.persist_snapshot();
+        commit_set(path, self.shared_model(), self.policy(), &set, next_id, 0)
+    }
+
+    /// Loads a segmented index from a file (either kind; see
+    /// [`SegmentedVaq::from_bytes`]). Does **not** replay a write-ahead
+    /// log — use [`SegmentedVaq::open_durable`] for that.
+    ///
+    /// [`SegmentedVaq::open_durable`]: crate::segment::SegmentedVaq::open_durable
+    pub fn load(path: &Path) -> Result<SegmentedVaq, VaqError> {
+        Ok(Self::load_with_seq(path)?.0)
+    }
+
+    /// [`SegmentedVaq::load`] plus the file's recorded WAL sequence
+    /// number.
+    pub(crate) fn load_with_seq(path: &Path) -> Result<(SegmentedVaq, u64), VaqError> {
+        let data = read_index_file(path)?;
+        Self::from_bytes_with_seq(&data)
+    }
+
+    /// Atomically writes the index with the packed extents materialised,
+    /// so every big array (ids, codes, packed bytes, tombstone bitmaps,
+    /// TI member tables) can be memory-mapped and scanned in place by
+    /// [`SegmentedVaq::open_mapped`].
+    pub fn save_mapped(&self, path: &Path) -> Result<(), VaqError> {
+        let (set, next_id) = self.persist_snapshot();
+        let extents = set_extents(self.shared_model(), self.policy(), &set, next_id, true);
+        commit(path, KIND_SEGMENTED, 0, &extents)
+    }
+
+    /// Opens a file written by [`SegmentedVaq::save_mapped`] out-of-core:
+    /// the file is memory-mapped and the sealed segments borrow their
+    /// arrays from the mapping instead of copying. Small/structural
+    /// extents (header, extent table, model, per-segment meta, tombstone
+    /// bitmaps, buffer) are checksum-verified eagerly; the big scan
+    /// extents are verified lazily, on the first search that touches them
+    /// (see `LazyExtents`). Answers are byte-identical to
+    /// [`SegmentedVaq::load`].
+    ///
+    /// Degrades to a fully-owned [`SegmentedVaq::load`] when the platform
+    /// cannot map files or the mapping fails (recorded at the
+    /// `persist.mmap` fault site), or when the file leaves derived state
+    /// out (a monolithic file has no id column, a plain `save` no packed
+    /// extents) and so has nothing to scan in place.
+    pub fn open_mapped(path: &Path) -> Result<SegmentedVaq, VaqError> {
+        let _span = crate::obs::span("persist.open_mapped");
+        if crate::faults::fired("persist.mmap") {
+            crate::faults::note_degradation(
+                "persist.mmap: injected mapping failure, loading an owned copy",
+            );
+            return SegmentedVaq::load(path);
+        }
+        let f = std::fs::File::open(path).map_err(|e| io_at(path, e))?;
+        let Some(region) = MappedRegion::map_file(&f) else {
+            crate::faults::note_degradation(
+                "persist.mmap: mapping unavailable, loading an owned copy",
+            );
+            return SegmentedVaq::load(path);
+        };
+        // The mapping outlives the descriptor; the region owns the pages.
+        drop(f);
+        let Some(index) = mapped_from_region(&region)? else {
+            return SegmentedVaq::load(path);
+        };
+        crate::obs::counter_add("persist.mapped_opens", 1);
+        Ok(index)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reading: header, extent table, per-segment layout (shared), then the
+// owned parser and the mapped reader
+// ---------------------------------------------------------------------------
+
+/// Parses and verifies the header against the real file length `flen`:
+/// magic, version, checksum, kind, and that the claimed extent count's
+/// table at least fits — so a fabricated count dies here instead of
+/// driving a table-sized allocation. Returns `(kind, wal_seq, extent
+/// count)`.
+fn get_header(head: &[u8], flen: usize) -> Result<(u8, u64, usize), VaqError> {
+    let truncated = || VaqError::BadConfig("corrupt index file: truncated".into());
+    if head.get(..4).ok_or_else(truncated)? != MAGIC {
+        return Err(bad("unrecognized index file magic"));
+    }
+    let mut buf = Bytes::copy_from_slice(head.get(4..HEADER_LEN).ok_or_else(truncated)?);
+    let version = buf.get_u32_le();
+    let kind = buf.get_u8();
+    let wal_seq = buf.get_u64_le();
+    let nextents = buf.get_u64_le();
+    if crate::crc::crc32c(&head[..HEADER_CRC_SPAN]) != buf.get_u32_le() {
+        return Err(bad("header checksum mismatch"));
+    }
+    if version != VERSION {
+        return Err(bad(&format!("unsupported version {version}")));
+    }
+    if kind != KIND_MONOLITHIC && kind != KIND_SEGMENTED {
+        return Err(bad(&format!("unknown index kind {kind}")));
+    }
+    nextents
+        .checked_mul(wide(TABLE_ENTRY))
+        .and_then(|t| t.checked_add(wide(HEADER_LEN + 4)))
+        .filter(|&table_end| table_end <= wide(flen))
+        .ok_or_else(|| bad("extent count larger than the file can hold"))?;
+    Ok((kind, wal_seq, narrow(nextents, "extent count")?))
+}
+
+/// The verified extent table: spans (absolute offset + byte length) and
+/// stored CRCs, parallel by extent index.
+struct Table {
+    kind: u8,
+    wal_seq: u64,
+    extents: Vec<ExtentSpan>,
+    crcs: Vec<u32>,
+}
+
+impl Table {
+    /// First byte after the table — where the first extent's padding
+    /// starts.
+    fn end(&self) -> usize {
+        HEADER_LEN + self.extents.len() * TABLE_ENTRY + 4
+    }
+
+    /// The bytes of extent `i` (bounds proven by [`get_table`]).
+    fn ext<'d>(&self, data: &'d [u8], i: usize) -> &'d [u8] {
+        let s = self.extents[i];
+        &data[s.offset..s.offset + s.len]
+    }
+
+    fn verify_crc(&self, data: &[u8], i: usize, what: &str) -> Result<(), VaqError> {
+        if crate::crc::crc32c(self.ext(data, i)) != self.crcs[i] {
+            return Err(bad(&format!("{what} extent checksum mismatch")));
+        }
+        Ok(())
+    }
+
+    /// Extent count → sealed segment count.
+    fn num_segments(&self) -> Result<usize, VaqError> {
+        let body = self
+            .extents
+            .len()
+            .checked_sub(2)
+            .ok_or_else(|| bad("file needs model and buffer extents"))?;
+        if !body.is_multiple_of(SEG_EXTENTS) {
+            return Err(bad("extent count is not 2 + 7 per segment"));
+        }
+        Ok(body / SEG_EXTENTS)
+    }
+}
+
+/// Parses and verifies the header and extent table against the real file
+/// length: a span escaping the file dies here, before any per-extent
+/// work. Also enforces the layout invariants the mapped reader relies
+/// on — page-aligned, non-overlapping, ascending extents that end
+/// exactly at the end of the file (VAQ113).
+fn get_table(data: &[u8]) -> Result<Table, VaqError> {
+    let (kind, wal_seq, nextents) = get_header(&data[..data.len().min(HEADER_LEN)], data.len())?;
+    let mut t = Table {
+        kind,
+        wal_seq,
+        extents: Vec::with_capacity(nextents),
+        crcs: Vec::with_capacity(nextents),
+    };
+    let (entries, stored) =
+        data[HEADER_LEN..HEADER_LEN + nextents * TABLE_ENTRY + 4].split_at(nextents * TABLE_ENTRY);
+    if crate::crc::crc32c(entries) != Bytes::copy_from_slice(stored).get_u32_le() {
+        return Err(bad("extent table checksum mismatch"));
+    }
+    let mut tb = Bytes::copy_from_slice(entries);
+    let mut prev_end = HEADER_LEN + entries.len() + 4;
+    for i in 0..nextents {
+        let offset = narrow(tb.get_u64_le(), "extent offset")?;
+        let len = narrow(tb.get_u64_le(), "extent length")?;
+        t.crcs.push(tb.get_u32_le());
+        if !offset.is_multiple_of(PAGE_ALIGN) {
+            return Err(bad(&format!("extent {i} is not page aligned")));
+        }
+        if offset < prev_end {
+            return Err(bad(&format!("extent {i} overlaps its predecessor")));
+        }
+        prev_end = offset
+            .checked_add(len)
+            .filter(|&e| e <= data.len())
+            .ok_or_else(|| bad(&format!("extent {i} escapes the file bounds")))?;
+        t.extents.push(ExtentSpan { offset, len });
+    }
+    if prev_end != data.len() {
+        return Err(bad("trailing bytes after the last extent"));
+    }
+    Ok(t)
 }
 
 /// The parsed segment meta extent.
@@ -846,240 +785,43 @@ fn get_seg_meta(buf: &mut Bytes, model: &Model) -> Result<SegMeta, VaqError> {
     Ok(SegMeta { n, dead, ti })
 }
 
-/// Streams a `VAQ4` container to `path` with the same atomic-commit
-/// protocol as `commit_bytes` (tmp → fsync → rename → fsync dir, gated
-/// by the `persist.commit` / `persist.fsync` fault sites). The extent
-/// table is back-patched after the payload CRCs are known.
-fn commit_vaq4(path: &Path, wal_seq: u64, extents: &[ExtPayload<'_>]) -> Result<(), VaqError> {
-    use std::io::{Seek, SeekFrom, Write};
-    let tmp = tmp_path(path);
-    if crate::faults::fired("persist.commit") {
-        // Simulated power loss mid-write: header-only debris in the
-        // staging file; the destination is untouched.
-        let _ = std::fs::write(&tmp, MAGIC4);
-        return Err(abandoned(&tmp, "persist.commit"));
-    }
-
-    let mut header = BytesMut::with_capacity(HEADER_CRC_SPAN + 4);
-    header.put_slice(MAGIC4);
-    header.put_u32_le(VERSION4);
-    header.put_u8(KIND_SEGMENTED);
-    header.put_u64_le(wal_seq);
-    header.put_u64_le(wide(extents.len()));
-    let header_crc = crate::crc::crc32c(&header);
-    header.put_u32_le(header_crc);
-    let table_off = header.len();
-    let table_len = extents.len() * VAQ4_TABLE_ENTRY + 4;
-
-    let f = std::fs::File::create(&tmp).map_err(|e| io_at(&tmp, e))?;
-    let mut w = std::io::BufWriter::new(f);
-    w.write_all(&header).map_err(|e| io_at(&tmp, e))?;
-    // Table placeholder; the real entries are seeked back in below.
-    w.write_all(&vec![0u8; table_len]).map_err(|e| io_at(&tmp, e))?;
-    let mut cursor = table_off + table_len;
-    let mut table: Vec<(usize, usize, u32)> = Vec::with_capacity(extents.len());
-    for e in extents {
-        let aligned = cursor.next_multiple_of(PAGE_ALIGN);
-        if aligned > cursor {
-            w.write_all(&vec![0u8; aligned - cursor]).map_err(|e| io_at(&tmp, e))?;
+/// Parses the meta extent of the segment whose extents start at `base`
+/// and checks every array extent's length against it — the part of a
+/// segment parse the owned and the mapped readers share. The packed
+/// extent is sized by [`PackedCodes::from_parts`].
+fn get_seg_layout(data: &[u8], t: &Table, base: usize, model: &Model) -> Result<SegMeta, VaqError> {
+    let mut me = Bytes::copy_from_slice(t.ext(data, base));
+    let meta = get_seg_meta(&mut me, model)?;
+    expect_drained(&me, "segment meta extent")?;
+    let n = meta.n;
+    let rows_by = |elem: usize| checked_size(n, elem);
+    let expect = |slot: usize, len: usize, what: &str| {
+        if t.extents[base + slot].len == len {
+            Ok(())
+        } else {
+            Err(bad(&format!("{what} extent sized wrong")))
         }
-        let crc = e.write_into(&mut w).map_err(|e| io_at(&tmp, e))?;
-        table.push((aligned, e.byte_len(), crc));
-        cursor = aligned + e.byte_len();
-    }
-    w.flush().map_err(|e| io_at(&tmp, e))?;
-    let mut f = w.into_inner().map_err(|e| io_at(&tmp, e.into_error()))?;
-    f.seek(SeekFrom::Start(wide(table_off))).map_err(|e| io_at(&tmp, e))?;
-    let mut tb = BytesMut::with_capacity(table_len);
-    for &(off, len, crc) in &table {
-        tb.put_u64_le(wide(off));
-        tb.put_u64_le(wide(len));
-        tb.put_u32_le(crc);
-    }
-    let table_crc = crate::crc::crc32c(&tb);
-    tb.put_u32_le(table_crc);
-    f.write_all(&tb).map_err(|e| io_at(&tmp, e))?;
-    fsync_file(&f, &tmp)?;
-    drop(f);
-    if crate::faults::fired("persist.commit") {
-        return Err(abandoned(path, "persist.commit"));
-    }
-    std::fs::rename(&tmp, path).map_err(|e| io_at(path, e))?;
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        fsync_dir(parent)?;
-    }
-    crate::obs::counter_add("persist.commits", 1);
-    Ok(())
+    };
+    expect(IDS, if t.kind == KIND_MONOLITHIC { 0 } else { rows_by(4)? }, "segment ids")?;
+    expect(CODES, checked_size(rows_by(model.encoder.num_subspaces())?, 2)?, "segment codes")?;
+    expect(WORDS, checked_size(n.div_ceil(64), 8)?, "segment tombstone words")?;
+    let ti_len = if meta.ti.is_some() { rows_by(4)? } else { 0 };
+    expect(TI_IDX, ti_len, "TI member ids")?;
+    expect(TI_DIST, ti_len, "TI member distances")?;
+    Ok(meta)
 }
 
-/// Assembles and commits the `VAQ4` extent list for `(set, next_id)` —
-/// the body of [`SegmentedVaq::save_mapped`].
-pub(crate) fn write_vaq4(
-    path: &Path,
-    model: &Model,
-    policy: &SegmentPolicy,
-    set: &SegmentSet,
-    next_id: u32,
-    wal_seq: u64,
-) -> Result<(), VaqError> {
-    let mut extents: Vec<ExtPayload<'_>> = Vec::with_capacity(2 + set.segments.len() * SEG_EXTENTS);
-    let mut mp = BytesMut::with_capacity(4096);
-    put_model_policy(&mut mp, model, policy, next_id);
-    extents.push(ExtPayload::Own(mp.to_vec()));
-    for seg in &set.segments {
-        let core = &seg.core;
-        let mut me = BytesMut::with_capacity(256);
-        put_seg_meta(&mut me, core, &seg.tombstones);
-        extents.push(ExtPayload::Own(me.to_vec()));
-        extents.push(ExtPayload::U32s(core.ids.as_slice()));
-        extents.push(ExtPayload::U16s(core.codes.as_slice()));
-        extents.push(ExtPayload::U8s(core.packed.data()));
-        extents.push(ExtPayload::U64s(seg.tombstones.words()));
-        match &core.ti {
-            None => {
-                extents.push(ExtPayload::U32s(&[]));
-                extents.push(ExtPayload::F32s(&[]));
-            }
-            Some(ti) => {
-                extents.push(ExtPayload::U32s(ti.member_idx.as_slice()));
-                extents.push(ExtPayload::F32s(ti.member_dist.as_slice()));
-            }
-        }
-    }
-    let mut be = BytesMut::with_capacity(64 + set.buffer.codes.len() * 2);
-    put_buffer(&mut be, &set.buffer);
-    extents.push(ExtPayload::Own(be.to_vec()));
-    commit_vaq4(path, wal_seq, &extents)
-}
-
-/// The verified `VAQ4` extent table: spans (absolute offset + byte
-/// length) and stored CRCs, parallel by extent index.
-struct Vaq4Table {
-    wal_seq: u64,
-    extents: Vec<ExtentSpan>,
-    crcs: Vec<u32>,
-}
-
-/// Parses and verifies the `VAQ4` header and extent table against the
-/// real file length: a fabricated extent count or a span escaping the
-/// file dies here, before any per-extent work (and before any
-/// table-sized allocation). Also enforces the layout invariants the
-/// mapped reader relies on — page-aligned, non-overlapping, ascending
-/// extents that end exactly at the end of the file (VAQ113).
-fn get_vaq4_table(data: &[u8]) -> Result<Vaq4Table, VaqError> {
-    let head_len = HEADER_CRC_SPAN + 4;
-    if data.len() < head_len {
-        return Err(VaqError::BadConfig("corrupt index file: truncated".into()));
-    }
-    let mut head = Bytes::copy_from_slice(&data[4..head_len]);
-    let version = head.get_u32_le();
-    if version != VERSION4 {
-        return Err(bad(&format!("unsupported manifest version {version}")));
-    }
-    if head.get_u8() != KIND_SEGMENTED {
-        return Err(bad("VAQ4 manifests hold only segmented indexes"));
-    }
-    let wal_seq = head.get_u64_le();
-    let nextents = narrow(head.get_u64_le(), "extent count")?;
-    let stored = head.get_u32_le();
-    if crate::crc::crc32c(&data[..HEADER_CRC_SPAN]) != stored {
-        return Err(bad("manifest header checksum mismatch"));
-    }
-    let table_len = nextents
-        .checked_mul(VAQ4_TABLE_ENTRY)
-        .and_then(|t| t.checked_add(4))
-        .ok_or_else(|| bad("extent table size overflow"))?;
-    let table_end =
-        head_len.checked_add(table_len).ok_or_else(|| bad("extent table size overflow"))?;
-    if table_end > data.len() {
-        return Err(bad("extent table past the end of the file"));
-    }
-    let table = &data[head_len..table_end];
-    let (entries, stored_tc) = table.split_at(table_len - 4);
-    let mut tc = Bytes::copy_from_slice(stored_tc);
-    if crate::crc::crc32c(entries) != tc.get_u32_le() {
-        return Err(bad("extent table checksum mismatch"));
-    }
-    let mut tb = Bytes::copy_from_slice(entries);
-    let mut extents = Vec::with_capacity(nextents);
-    let mut crcs = Vec::with_capacity(nextents);
-    let mut prev_end = table_end;
-    for i in 0..nextents {
-        let offset = narrow(tb.get_u64_le(), "extent offset")?;
-        let len = narrow(tb.get_u64_le(), "extent length")?;
-        crcs.push(tb.get_u32_le());
-        if !offset.is_multiple_of(PAGE_ALIGN) {
-            return Err(bad(&format!("extent {i} is not page aligned")));
-        }
-        if offset < prev_end {
-            return Err(bad(&format!("extent {i} overlaps its predecessor")));
-        }
-        let end = offset
-            .checked_add(len)
-            .filter(|&e| e <= data.len())
-            .ok_or_else(|| bad(&format!("extent {i} escapes the file bounds")))?;
-        prev_end = end;
-        extents.push(ExtentSpan { offset, len });
-    }
-    if prev_end != data.len() {
-        return Err(bad("trailing bytes after the last extent"));
-    }
-    Ok(Vaq4Table { wal_seq, extents, crcs })
-}
-
-/// The bytes of extent `i` (bounds proven by [`get_vaq4_table`]).
-fn ext<'d>(data: &'d [u8], t: &Vaq4Table, i: usize) -> &'d [u8] {
-    let s = t.extents[i];
-    &data[s.offset..s.offset + s.len]
-}
-
-fn verify_ext_crc(data: &[u8], t: &Vaq4Table, i: usize, what: &str) -> Result<(), VaqError> {
-    if crate::crc::crc32c(ext(data, t, i)) != t.crcs[i] {
-        return Err(bad(&format!("{what} extent checksum mismatch")));
-    }
-    Ok(())
-}
-
-/// `VAQ4` extent count → sealed segment count.
-fn seg_count(nextents: usize) -> Result<usize, VaqError> {
-    let body = nextents
-        .checked_sub(2)
-        .ok_or_else(|| bad("VAQ4 manifest needs model and buffer extents"))?;
-    if !body.is_multiple_of(SEG_EXTENTS) {
-        return Err(bad("VAQ4 extent count is not 2 + 7 per segment"));
-    }
-    Ok(body / SEG_EXTENTS)
-}
-
-fn u16s_from_le(bytes: &[u8], n: usize, what: &str) -> Result<Vec<u16>, VaqError> {
-    if bytes.len() != checked_size(n, 2)? {
-        return Err(bad(&format!("{what} extent sized wrong")));
-    }
-    Ok(bytes.chunks_exact(2).map(|c| u16::from_le_bytes([c[0], c[1]])).collect())
-}
-
-fn u32s_from_le(bytes: &[u8], n: usize, what: &str) -> Result<Vec<u32>, VaqError> {
-    if bytes.len() != checked_size(n, 4)? {
-        return Err(bad(&format!("{what} extent sized wrong")));
-    }
-    Ok(bytes.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-}
-
-fn u64s_from_le(bytes: &[u8], n: usize, what: &str) -> Result<Vec<u64>, VaqError> {
-    if bytes.len() != checked_size(n, 8)? {
-        return Err(bad(&format!("{what} extent sized wrong")));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-        .collect())
-}
-
-fn f32s_from_le(bytes: &[u8], n: usize, what: &str) -> Result<Vec<f32>, VaqError> {
-    if bytes.len() != checked_size(n, 4)? {
-        return Err(bad(&format!("{what} extent sized wrong")));
-    }
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
+/// Decodes a little-endian scalar array whose byte length the caller has
+/// checked.
+fn le_vec<T, const N: usize>(bytes: &[u8], decode: fn([u8; N]) -> T) -> Vec<T> {
+    bytes
+        .chunks_exact(N)
+        .map(|chunk| {
+            let mut le = [0u8; N];
+            le.copy_from_slice(chunk);
+            decode(le)
+        })
+        .collect()
 }
 
 /// Shared tombstone-bitmap invariants: sizing, popcount agreement with
@@ -1102,80 +844,197 @@ fn check_tombstone_words(words: &[u64], dead: usize, n: usize) -> Result<(), Vaq
     Ok(())
 }
 
-/// Fully-owned parse of a `VAQ4` stream: every extent checksum is
-/// verified eagerly, every array is copied out and field-validated, and
-/// the full structural audit runs — the same trust posture as `VAQ3`.
-/// This is what `vaq_cli audit`, the chaos harness, and the
-/// `persist.mmap` degrade path go through.
-fn vaq4_to_segmented(data: &[u8]) -> Result<(SegmentedVaq, u64), VaqError> {
-    let t = get_vaq4_table(data)?;
-    for (i, what) in (0..t.extents.len()).map(|i| (i, "VAQ4")) {
-        verify_ext_crc(data, &t, i, what)?;
+/// One sealed segment as the owned parser produces it: plain `Vec`s, so
+/// it can become either a [`Segment`] or the body of a [`Vaq`].
+struct OwnedSegment {
+    ids: Vec<u32>,
+    codes: Vec<u16>,
+    n: usize,
+    packed: PackedCodes,
+    ti: Option<TiPartition>,
+    tombstones: Tombstones,
+}
+
+impl OwnedSegment {
+    fn into_segment(self) -> Segment {
+        let OwnedSegment { ids, codes, n, packed, ti, tombstones } = self;
+        let core = SegmentCore { ids: ids.into(), codes: codes.into(), n, packed, ti, lazy: None };
+        Segment { core: Arc::new(core), tombstones }
     }
-    let nsegs = seg_count(t.extents.len())?;
-    let mut mp = Bytes::copy_from_slice(ext(data, &t, 0));
+}
+
+/// Everything an index file holds, fully owned and field-validated.
+struct Parsed {
+    kind: u8,
+    wal_seq: u64,
+    model: Model,
+    policy: SegmentPolicy,
+    next_id: u32,
+    segments: Vec<OwnedSegment>,
+    buffer: Buffer,
+}
+
+impl Parsed {
+    /// One line on what the file held — the `persist.load` event, which
+    /// `vaq_cli audit` / `info` print.
+    fn describe(&self) -> String {
+        let rows: usize = self.segments.iter().map(|s| s.n).sum();
+        let dead: usize = self.segments.iter().map(|s| s.tombstones.dead()).sum();
+        format!(
+            "{} file, bits {:?}: {} sealed segment(s) holding {rows} rows ({dead} tombstoned), \
+             {} buffered rows ({} tombstoned), next id {}, wal_seq {}",
+            if self.kind == KIND_MONOLITHIC { "monolithic" } else { "segmented" },
+            self.model.bits,
+            self.segments.len(),
+            self.buffer.ids.len(),
+            self.buffer.tombstones.dead(),
+            self.next_id,
+            self.wal_seq,
+        )
+    }
+}
+
+/// The shared tail of every owned load and of WAL recovery. Files and
+/// replayed records are untrusted input: a payload can parse
+/// field-by-field yet still violate the index's structural invariants
+/// (bit budget, TI ordering, ...), so the full audit (VAQ101–VAQ112) must
+/// pass before the index is returned — in every build profile, not just
+/// debug.
+pub(crate) fn audited(index: &impl crate::audit::Audit, after: &str) -> Result<(), VaqError> {
+    let report = index.audit();
+    if !report.is_ok() {
+        let n = report.issues().len();
+        return Err(bad(&format!("audit found {n} invariant violation(s) after {after}")));
+    }
+    Ok(())
+}
+
+/// The one owned parser: every extent checksum is verified and the
+/// inter-extent padding required to be zero before any field is read,
+/// then every array is copied out and field-validated. The callers run
+/// the full structural audit on what they assemble from it. This is what
+/// every load, `vaq_cli audit`, the chaos harness, and the
+/// `persist.mmap` degrade path go through.
+fn parse_owned(data: &[u8]) -> Result<Parsed, VaqError> {
+    if crate::faults::fired("persist.from_bytes") {
+        return Err(VaqError::Injected { site: "persist.from_bytes" });
+    }
+    let t = get_table(data)?;
+    let mut prev_end = t.end();
+    for (i, span) in t.extents.iter().enumerate() {
+        if data[prev_end..span.offset].iter().any(|&b| b != 0) {
+            return Err(bad(&format!("non-zero padding before extent {i}")));
+        }
+        t.verify_crc(data, i, "index")?;
+        prev_end = span.offset + span.len;
+    }
+    let nsegs = t.num_segments()?;
+    let mut mp = Bytes::copy_from_slice(t.ext(data, 0));
     let (model, policy, next_id) = get_model_policy(&mut mp)?;
     expect_drained(&mp, "model extent")?;
     let sizes: Vec<usize> = model.encoder.table_sizes().collect();
-    let m = model.encoder.num_subspaces();
     let mut segments = Vec::with_capacity(nsegs);
     for s in 0..nsegs {
-        let base = 1 + s * SEG_EXTENTS;
-        let mut me = Bytes::copy_from_slice(ext(data, &t, base));
-        let meta = get_seg_meta(&mut me, &model)?;
-        expect_drained(&me, "segment meta extent")?;
-        let n = meta.n;
-        let ids = u32s_from_le(ext(data, &t, base + 1), n, "segment ids")?;
-        if !ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(bad("ids are not strictly ascending"));
-        }
-        let codes = u16s_from_le(ext(data, &t, base + 2), checked_size(n, m)?, "segment codes")?;
-        for (i, &c) in codes.iter().enumerate() {
-            if usize::from(c) >= sizes[i % m] {
-                return Err(bad("code exceeds dictionary size"));
-            }
-        }
-        let packed = PackedCodes::from_parts(ext(data, &t, base + 3).to_vec().into(), &sizes, n)
-            .ok_or_else(|| bad(&format!("segment {s} packed extent sized wrong")))?;
-        crate::obs::note_truncated_packing(&packed, "persist.segment_load");
-        let words =
-            u64s_from_le(ext(data, &t, base + 4), n.div_ceil(64), "segment tombstone words")?;
-        check_tombstone_words(&words, meta.dead, n)?;
-        let tombstones = Tombstones::from_raw(words, meta.dead);
-        let ti = match meta.ti {
-            None => {
-                if t.extents[base + 5].len != 0 || t.extents[base + 6].len != 0 {
-                    return Err(bad("TI extents present without a TI partition"));
-                }
-                None
-            }
-            Some((centroids, offsets, prefix_subspaces, prefix_dim)) => {
-                let idx = u32s_from_le(ext(data, &t, base + 5), n, "TI member ids")?;
-                let dist = f32s_from_le(ext(data, &t, base + 6), n, "TI member distances")?;
-                for &i in &idx {
-                    if u64::from(i) >= wide(n) {
-                        return Err(bad("TI member out of range"));
-                    }
-                }
-                let ti = TiPartition::from_parts(
-                    centroids,
-                    offsets,
-                    idx.into(),
-                    dist.into(),
-                    prefix_subspaces,
-                    prefix_dim,
-                )
-                .ok_or_else(|| bad("TI boundaries are inconsistent"))?;
-                Some(ti)
-            }
-        };
-        let core = SegmentCore { ids: ids.into(), codes: codes.into(), n, packed, ti, lazy: None };
-        segments.push(Segment { core: Arc::new(core), tombstones });
+        segments.push(get_segment(data, &t, 1 + s * SEG_EXTENTS, &model, &sizes)?);
     }
-    let mut be = Bytes::copy_from_slice(ext(data, &t, t.extents.len() - 1));
-    let buffer = get_buffer(&mut be, &model)?;
+    let mut be = Bytes::copy_from_slice(t.ext(data, t.extents.len() - 1));
+    let buffer = get_buffer(&mut be, &sizes)?;
     expect_drained(&be, "buffer extent")?;
-    Ok((finish_segmented_load(model, policy, segments, buffer, next_id)?, t.wal_seq))
+    let parsed =
+        Parsed { kind: t.kind, wal_seq: t.wal_seq, model, policy, next_id, segments, buffer };
+    if crate::obs::enabled() {
+        crate::obs::event("persist.load", &parsed.describe());
+    }
+    Ok(parsed)
+}
+
+/// Copies out and validates the sealed segment whose extents start at
+/// `base`. An empty packed extent is re-derived from the codes (derived
+/// state the writer left out); an empty id column of a monolithic file
+/// is the row numbers.
+fn get_segment(
+    data: &[u8],
+    t: &Table,
+    base: usize,
+    model: &Model,
+    sizes: &[usize],
+) -> Result<OwnedSegment, VaqError> {
+    let meta = get_seg_layout(data, t, base, model)?;
+    let n = meta.n;
+    let ids: Vec<u32> = if t.kind == KIND_MONOLITHIC {
+        (0..u32::try_from(n).map_err(|_| bad("row count exceeds the id space"))?).collect()
+    } else {
+        le_vec(t.ext(data, base + IDS), u32::from_le_bytes)
+    };
+    let codes: Vec<u16> = le_vec(t.ext(data, base + CODES), u16::from_le_bytes);
+    let words: Vec<u64> = le_vec(t.ext(data, base + WORDS), u64::from_le_bytes);
+    check_tombstone_words(&words, meta.dead, n)?;
+    let ti = match meta.ti {
+        None => None,
+        Some((centroids, offsets, prefix_subspaces, prefix_dim)) => {
+            let idx: Vec<u32> = le_vec(t.ext(data, base + TI_IDX), u32::from_le_bytes);
+            let dist: Vec<f32> = le_vec(t.ext(data, base + TI_DIST), f32::from_le_bytes);
+            let ti = TiPartition::from_parts(
+                centroids,
+                offsets,
+                idx.into(),
+                dist.into(),
+                prefix_subspaces,
+                prefix_dim,
+            )
+            .ok_or_else(|| bad("TI boundaries are inconsistent"))?;
+            Some(ti)
+        }
+    };
+    check_scan_content(&ids, &codes, ti.as_ref(), sizes)?;
+    let packed = match t.ext(data, base + PACKED) {
+        [] => PackedCodes::pack(&codes, sizes, n),
+        bytes => PackedCodes::from_parts(bytes.to_vec().into(), sizes, n)
+            .ok_or_else(|| bad("segment packed extent sized wrong"))?,
+    };
+    crate::obs::note_truncated_packing(&packed, "persist.load");
+    Ok(OwnedSegment {
+        ids,
+        codes,
+        n,
+        packed,
+        ti,
+        tombstones: Tombstones::from_storage(words.into(), meta.dead),
+    })
+}
+
+/// The content invariants of the arrays every scan path reads — scans
+/// index dictionaries by code, map results through `ids`, and
+/// binary-search the sorted TI distances — so hostile bytes must be
+/// rejected before any of that: eagerly by the owned parser, on first
+/// touch by a mapped segment.
+fn check_scan_content(
+    ids: &[u32],
+    codes: &[u16],
+    ti: Option<&TiPartition>,
+    sizes: &[usize],
+) -> Result<(), VaqError> {
+    if !ids.windows(2).all(|w| w[0] < w[1]) {
+        return Err(bad("ids are not strictly ascending"));
+    }
+    let m = sizes.len();
+    if codes.iter().enumerate().any(|(i, &c)| usize::from(c) >= sizes[i % m]) {
+        return Err(bad("code exceeds dictionary size"));
+    }
+    if let Some(ti) = ti {
+        for c in 0..ti.num_clusters() {
+            let dists = ti.cluster_dist(c);
+            if !dists.iter().all(|d| d.is_finite() && *d >= 0.0)
+                || !dists.windows(2).all(|w| w[0] <= w[1])
+            {
+                return Err(bad("TI cluster distances are unsorted or non-finite"));
+            }
+        }
+        if !ti.covers_exactly(ids.len()) {
+            return Err(bad("TI clusters do not partition the segment"));
+        }
+    }
+    Ok(())
 }
 
 /// Deferred verification state for one mapped segment, plus its prefetch
@@ -1255,55 +1114,20 @@ impl LazyExtents {
         Ok(())
     }
 
-    /// CRCs + content invariants for the extents every strategy reads:
-    /// the scan paths index dictionaries by code and map results through
-    /// `ids`, so hostile bytes must be rejected before any of that.
+    /// CRCs + content invariants for the extents every strategy reads.
     fn verify_scan(&self, core: &SegmentCore) -> Result<(), VaqError> {
         self.check_crc(self.ids, "segment ids")?;
         self.check_crc(self.codes, "segment codes")?;
         self.check_crc(self.ti_idx, "TI member ids")?;
         self.check_crc(self.ti_dist, "TI member distances")?;
-        if !core.ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(bad("ids are not strictly ascending"));
-        }
-        let m = self.sizes.len();
-        for (i, &c) in core.codes.iter().enumerate() {
-            if usize::from(c) >= self.sizes[i % m] {
-                return Err(bad("code exceeds dictionary size"));
-            }
-        }
-        if let Some(ti) = &core.ti {
-            for c in 0..ti.num_clusters() {
-                let dists = ti.cluster_dist(c);
-                if !dists.iter().all(|d| d.is_finite() && *d >= 0.0)
-                    || !dists.windows(2).all(|w| w[0] <= w[1])
-                {
-                    return Err(bad("TI cluster distances are unsorted or non-finite"));
-                }
-                for &i in ti.cluster_idx(c) {
-                    if u64::from(i) >= wide(core.n) {
-                        return Err(bad("TI member out of range"));
-                    }
-                }
-            }
-            if !ti.covers_exactly(core.n) {
-                return Err(bad("TI clusters do not partition the segment"));
-            }
-        }
-        Ok(())
+        check_scan_content(&core.ids, &core.codes, core.ti.as_ref(), &self.sizes)
     }
 
     /// CRC + VAQ110 consistency for the packed extent: the quantized scan
     /// prunes with bounds computed from these bytes, so a packing that
     /// disagrees with the code array would silently drop true neighbours.
-    /// An *inactive* packing is tolerated (files written before nibble
-    /// packing could refuse to pack wholesale): the engine then degrades
-    /// to the exact scan instead of pruning with stale bounds.
     fn verify_packed(&self, core: &SegmentCore) -> Result<(), VaqError> {
         self.check_crc(self.packed, "packed codes")?;
-        if !core.packed.is_active() {
-            return Ok(());
-        }
         if PackedCodes::pack(&core.codes, &self.sizes, core.n) != core.packed {
             return Err(bad("packed codes disagree with the code array"));
         }
@@ -1311,76 +1135,63 @@ impl LazyExtents {
     }
 }
 
-/// Builds a mapped [`SegmentedVaq`] over a verified `VAQ4` region — the
-/// body of [`SegmentedVaq::open_mapped`]. Eagerly verified: header,
-/// extent table, model, per-segment meta, tombstone bitmaps (deletes
-/// mutate them, and the popcount check needs the words anyway), the
-/// buffer, and the cheap cross-segment id-range probes (first/last
-/// element of each mapped ids extent — two page faults per segment).
-/// Everything else is deferred to `LazyExtents`; the full structural
-/// audit is what `vaq_cli audit` runs through the owned parse.
-fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<SegmentedVaq, VaqError> {
+/// Builds a mapped [`SegmentedVaq`] over a mapped file — the body of
+/// [`SegmentedVaq::open_mapped`]; `None` when the file leaves derived
+/// state out (no id column, or no packed extents) and must be loaded
+/// owned. Eagerly verified: header, extent table, model, per-segment
+/// meta, tombstone bitmaps (deletes mutate them, and the popcount check
+/// needs the words anyway), the buffer, and the cheap cross-segment
+/// id-range probes (first/last element of each mapped ids extent — two
+/// page faults per segment). Everything else is deferred to
+/// `LazyExtents`; the full structural audit is what `vaq_cli audit` runs
+/// through the owned parse.
+fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>, VaqError> {
     let data = region.as_bytes();
-    let t = get_vaq4_table(data)?;
-    let nsegs = seg_count(t.extents.len())?;
-    verify_ext_crc(data, &t, 0, "model")?;
-    let mut mp = Bytes::copy_from_slice(ext(data, &t, 0));
+    let t = get_table(data)?;
+    if t.kind == KIND_MONOLITHIC {
+        return Ok(None);
+    }
+    let nsegs = t.num_segments()?;
+    t.verify_crc(data, 0, "model")?;
+    let mut mp = Bytes::copy_from_slice(t.ext(data, 0));
     let (model, policy, next_id) = get_model_policy(&mut mp)?;
     expect_drained(&mp, "model extent")?;
     let sizes: Vec<usize> = model.encoder.table_sizes().collect();
-    let m = model.encoder.num_subspaces();
+    let m = sizes.len();
     let mut segments = Vec::with_capacity(nsegs);
     let mut prev_last: Option<u32> = None;
     for s in 0..nsegs {
         let base = 1 + s * SEG_EXTENTS;
-        verify_ext_crc(data, &t, base, "segment meta")?;
-        let mut me = Bytes::copy_from_slice(ext(data, &t, base));
-        let meta = get_seg_meta(&mut me, &model)?;
-        expect_drained(&me, "segment meta extent")?;
+        t.verify_crc(data, base, "segment meta")?;
+        let meta = get_seg_layout(data, &t, base, &model)?;
         let n = meta.n;
-        let span = |i: usize| t.extents[i];
-        if span(base + 1).len != checked_size(n, 4)? {
-            return Err(bad("segment ids extent sized wrong"));
-        }
-        if span(base + 2).len != checked_size(checked_size(n, m)?, 2)? {
-            return Err(bad("segment codes extent sized wrong"));
-        }
+        let span = |slot: usize| t.extents[base + slot];
         let misaligned = || bad("mapped extent misaligned for its element type");
-        let ids = U32Storage::mapped(Arc::clone(region), span(base + 1).offset, n)
-            .ok_or_else(misaligned)?;
-        let codes =
-            U16Storage::mapped(Arc::clone(region), span(base + 2).offset, checked_size(n, m)?)
-                .ok_or_else(misaligned)?;
         let pstore =
-            CodesStorage::mapped(Arc::clone(region), span(base + 3).offset, span(base + 3).len)
+            CodesStorage::mapped(Arc::clone(region), span(PACKED).offset, span(PACKED).len)
                 .ok_or_else(misaligned)?;
-        let packed = PackedCodes::from_parts(pstore, &sizes, n)
-            .ok_or_else(|| bad(&format!("segment {s} packed extent sized wrong")))?;
+        let Some(packed) = PackedCodes::from_parts(pstore, &sizes, n) else {
+            if span(PACKED).len == 0 {
+                return Ok(None);
+            }
+            return Err(bad(&format!("segment {s} packed extent sized wrong")));
+        };
         crate::obs::note_truncated_packing(&packed, "persist.segment_map");
-        verify_ext_crc(data, &t, base + 4, "segment tombstone")?;
-        if span(base + 4).len != checked_size(n.div_ceil(64), 8)? {
-            return Err(bad("segment tombstone words extent sized wrong"));
-        }
-        let words = U64Storage::mapped(Arc::clone(region), span(base + 4).offset, n.div_ceil(64))
+        let ids =
+            U32Storage::mapped(Arc::clone(region), span(IDS).offset, n).ok_or_else(misaligned)?;
+        let codes = U16Storage::mapped(Arc::clone(region), span(CODES).offset, n * m)
+            .ok_or_else(misaligned)?;
+        t.verify_crc(data, base + WORDS, "segment tombstone")?;
+        let words = U64Storage::mapped(Arc::clone(region), span(WORDS).offset, n.div_ceil(64))
             .ok_or_else(misaligned)?;
         check_tombstone_words(&words, meta.dead, n)?;
         let tombstones = Tombstones::from_storage(words, meta.dead);
         let (ti, ti_idx_span, ti_dist_span) = match meta.ti {
-            None => {
-                if span(base + 5).len != 0 || span(base + 6).len != 0 {
-                    return Err(bad("TI extents present without a TI partition"));
-                }
-                (None, ExtentSpan::default(), ExtentSpan::default())
-            }
+            None => (None, ExtentSpan::default(), ExtentSpan::default()),
             Some((centroids, offsets, prefix_subspaces, prefix_dim)) => {
-                if span(base + 5).len != checked_size(n, 4)?
-                    || span(base + 6).len != checked_size(n, 4)?
-                {
-                    return Err(bad("TI member extents sized wrong"));
-                }
-                let idx = U32Storage::mapped(Arc::clone(region), span(base + 5).offset, n)
+                let idx = U32Storage::mapped(Arc::clone(region), span(TI_IDX).offset, n)
                     .ok_or_else(misaligned)?;
-                let dist = F32Storage::mapped(Arc::clone(region), span(base + 6).offset, n)
+                let dist = F32Storage::mapped(Arc::clone(region), span(TI_DIST).offset, n)
                     .ok_or_else(misaligned)?;
                 let ti = TiPartition::from_parts(
                     centroids,
@@ -1391,16 +1202,14 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<SegmentedVaq, VaqErr
                     prefix_dim,
                 )
                 .ok_or_else(|| bad("TI boundaries are inconsistent"))?;
-                (Some(ti), span(base + 5), span(base + 6))
+                (Some(ti), span(TI_IDX), span(TI_DIST))
             }
         };
         // Cross-segment ordering from the boundary elements only (the
         // full strict-ascent check is deferred with the ids extent).
         if let (Some(&first), Some(&last)) = (ids.first(), ids.last()) {
-            if let Some(pl) = prev_last {
-                if first <= pl {
-                    return Err(bad("segment id ranges overlap or are unsorted"));
-                }
+            if prev_last.is_some_and(|pl| first <= pl) {
+                return Err(bad("segment id ranges overlap or are unsorted"));
             }
             if last >= next_id {
                 return Err(bad("id counter behind the stored ids"));
@@ -1409,8 +1218,8 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<SegmentedVaq, VaqErr
         }
         let prefetch = ScanPrefetch::new(
             Arc::clone(region),
-            span(base + 2),
-            span(base + 3),
+            span(CODES),
+            span(PACKED),
             ti_idx_span,
             ti_dist_span,
         );
@@ -1418,11 +1227,11 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<SegmentedVaq, VaqErr
             state_scan: AtomicU8::new(0),
             state_packed: AtomicU8::new(0),
             region: Arc::clone(region),
-            ids: (span(base + 1), t.crcs[base + 1]),
-            codes: (span(base + 2), t.crcs[base + 2]),
-            packed: (span(base + 3), t.crcs[base + 3]),
-            ti_idx: (ti_idx_span, t.crcs[base + 5]),
-            ti_dist: (ti_dist_span, t.crcs[base + 6]),
+            ids: (span(IDS), t.crcs[base + IDS]),
+            codes: (span(CODES), t.crcs[base + CODES]),
+            packed: (span(PACKED), t.crcs[base + PACKED]),
+            ti_idx: (ti_idx_span, t.crcs[base + TI_IDX]),
+            ti_dist: (ti_dist_span, t.crcs[base + TI_DIST]),
             sizes: sizes.clone(),
             prefetch,
         };
@@ -1430,39 +1239,58 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<SegmentedVaq, VaqErr
         segments.push(Segment { core: Arc::new(core), tombstones });
     }
     let last = t.extents.len() - 1;
-    verify_ext_crc(data, &t, last, "buffer")?;
-    let mut be = Bytes::copy_from_slice(ext(data, &t, last));
-    let buffer = get_buffer(&mut be, &model)?;
+    t.verify_crc(data, last, "buffer")?;
+    let mut be = Bytes::copy_from_slice(t.ext(data, last));
+    let buffer = get_buffer(&mut be, &sizes)?;
     expect_drained(&be, "buffer extent")?;
     if let Some(&bl) = buffer.ids.last() {
         if bl >= next_id {
             return Err(bad("id counter behind the stored ids"));
         }
-        if let Some(pl) = prev_last {
-            if buffer.ids.first().is_some_and(|&bf| bf <= pl) {
-                return Err(bad("buffer ids overlap the sealed segments"));
-            }
+        if prev_last.is_some_and(|pl| buffer.ids.first().is_some_and(|&bf| bf <= pl)) {
+            return Err(bad("buffer ids overlap the sealed segments"));
         }
-        let _ = bl;
     }
     let index = SegmentedVaq::from_parts(model, policy, segments, buffer, next_id);
     index.normalize_after_load();
-    Ok(index)
+    Ok(Some(index))
 }
 
-/// Writes the shared model, maintenance policy, and id counter — the
-/// leading fields of both `VAQ2` and a `VAQ3` model extent.
-fn put_model_policy(buf: &mut BytesMut, model: &Model, policy: &SegmentPolicy, next_id: u32) {
-    put_pca(buf, &model.pca);
-    put_layout(buf, &model.layout);
-    put_usize_slice(buf, &model.bits);
-    buf.put_u64_le(wide(model.encoder.codebooks.len()));
-    for cb in &model.encoder.codebooks {
+// ---------------------------------------------------------------------------
+// Field vocabulary
+// ---------------------------------------------------------------------------
+
+/// Writes the trained model: projection, layout, bit plan, codebooks,
+/// default strategy — the fields a monolithic and a segmented index
+/// share.
+fn put_model(
+    buf: &mut BytesMut,
+    pca: &Pca,
+    layout: &SubspaceLayout,
+    encoder: &Encoder,
+    strategy: SearchStrategy,
+) {
+    put_pca(buf, pca);
+    put_layout(buf, layout);
+    put_usize_slice(buf, encoder.bits());
+    buf.put_u64_le(wide(encoder.codebooks.len()));
+    for cb in &encoder.codebooks {
         put_matrix(buf, cb);
     }
-    put_strategy(buf, model.default_strategy);
-    buf.put_u64_le(wide(model.ti_prefix_subspaces));
-    buf.put_u64_le(model.seed);
+    put_strategy(buf, strategy);
+}
+
+/// Writes the rest of the model extent: per-segment TI build settings,
+/// the maintenance policy, and the id counter.
+fn put_policy(
+    buf: &mut BytesMut,
+    ti_prefix_subspaces: usize,
+    seed: u64,
+    policy: &SegmentPolicy,
+    next_id: u32,
+) {
+    buf.put_u64_le(wide(ti_prefix_subspaces));
+    buf.put_u64_le(seed);
 
     buf.put_u64_le(wide(policy.seal_threshold));
     buf.put_u64_le(wide(policy.compact_min_segments));
@@ -1473,7 +1301,7 @@ fn put_model_policy(buf: &mut BytesMut, model: &Model, policy: &SegmentPolicy, n
     buf.put_u32_le(next_id);
 }
 
-/// Reads and validates what [`put_model_policy`] wrote.
+/// Reads and validates what [`put_model`] + [`put_policy`] wrote.
 fn get_model_policy(buf: &mut Bytes) -> Result<(Model, SegmentPolicy, u32), VaqError> {
     let pca = get_pca(buf)?;
     let layout = get_layout(buf)?;
@@ -1513,37 +1341,6 @@ fn get_model_policy(buf: &mut Bytes) -> Result<(Model, SegmentPolicy, u32), VaqE
     Ok((model, policy, next_id))
 }
 
-/// Writes one sealed segment (row count, ids, codes, tombstones, TI).
-fn put_segment(buf: &mut BytesMut, seg: &Segment) {
-    let core = &seg.core;
-    buf.put_u64_le(wide(core.n));
-    for &id in core.ids.iter() {
-        buf.put_u32_le(id);
-    }
-    for &c in core.codes.iter() {
-        buf.put_u16_le(c);
-    }
-    put_tombstones(buf, &seg.tombstones);
-    put_ti(buf, core.ti.as_ref());
-}
-
-/// Reads and validates one sealed segment (`s` is its ordinal, for error
-/// messages only); the packed code layout is derived state and rebuilt.
-fn get_segment(buf: &mut Bytes, model: &Model, s: usize) -> Result<Segment, VaqError> {
-    let n = take_len(buf, "row count")?;
-    if n == 0 {
-        return Err(bad(&format!("segment {s} is empty")));
-    }
-    let ids = get_id_slice(buf, n)?;
-    let codes = get_codes(buf, n, &model.encoder)?;
-    let tombstones = get_tombstones(buf, n)?;
-    let ti = get_ti(buf, n)?;
-    let packed = PackedCodes::pack(&codes, &model.encoder.table_sizes().collect::<Vec<_>>(), n);
-    crate::obs::note_truncated_packing(&packed, "persist.segment_parse");
-    let core = SegmentCore { ids: ids.into(), codes: codes.into(), n, packed, ti, lazy: None };
-    Ok(Segment { core: Arc::new(core), tombstones })
-}
-
 /// Writes the unsealed write buffer.
 fn put_buffer(buf: &mut BytesMut, buffer: &Buffer) {
     buf.put_u64_le(wide(buffer.ids.len()));
@@ -1553,85 +1350,37 @@ fn put_buffer(buf: &mut BytesMut, buffer: &Buffer) {
     for &c in &buffer.codes {
         buf.put_u16_le(c);
     }
-    put_tombstones(buf, &buffer.tombstones);
-}
-
-/// Reads and validates the write buffer.
-fn get_buffer(buf: &mut Bytes, model: &Model) -> Result<Buffer, VaqError> {
-    let brows = take_len(buf, "buffer row count")?;
-    Ok(Buffer {
-        ids: get_id_slice(buf, brows)?,
-        codes: get_codes(buf, brows, &model.encoder)?,
-        tombstones: get_tombstones(buf, brows)?,
-    })
-}
-
-/// Assembles the parsed parts, restores the quiescence invariant, and
-/// runs the full structural audit — the shared tail of every segmented
-/// load path. The file is untrusted input: a payload can parse
-/// field-by-field yet still violate structural invariants, so the audit
-/// (VAQ101–VAQ112) must pass before the index is returned. The audit's
-/// quiescence check requires a drained buffer, so an over-threshold
-/// buffer is sealed first — sealing only rearranges data that was
-/// already field-validated.
-fn finish_segmented_load(
-    model: Model,
-    policy: SegmentPolicy,
-    segments: Vec<Segment>,
-    buffer: Buffer,
-    next_id: u32,
-) -> Result<SegmentedVaq, VaqError> {
-    let index = SegmentedVaq::from_parts(model, policy, segments, buffer, next_id);
-    index.normalize_after_load();
-    let report = crate::audit::Audit::audit(&index);
-    if !report.is_ok() {
-        return Err(bad(&format!(
-            "audit found {} invariant violation(s) after load",
-            report.issues().len()
-        )));
-    }
-    Ok(index)
-}
-
-fn put_tombstones(buf: &mut BytesMut, t: &Tombstones) {
-    buf.put_u64_le(wide(t.dead()));
-    buf.put_u64_le(wide(t.words().len()));
-    for &w in t.words() {
+    buf.put_u64_le(wide(buffer.tombstones.dead()));
+    buf.put_u64_le(wide(buffer.tombstones.words().len()));
+    for &w in buffer.tombstones.words() {
         buf.put_u64_le(w);
     }
 }
 
-fn get_tombstones(buf: &mut Bytes, n: usize) -> Result<Tombstones, VaqError> {
+/// Reads and validates the write buffer. Each array's bytes are taken
+/// *before* it is allocated: the counts are untrusted, and a fabricated
+/// one must fail the length check, not reserve memory.
+fn get_buffer(buf: &mut Bytes, sizes: &[usize]) -> Result<Buffer, VaqError> {
+    let rows = take_len(buf, "buffer row count")?;
+    let ids: Vec<u32> = le_vec(&take(buf, checked_size(rows, 4)?)?, u32::from_le_bytes);
+    let code_bytes = checked_size(checked_size(rows, sizes.len())?, 2)?;
+    let codes: Vec<u16> = le_vec(&take(buf, code_bytes)?, u16::from_le_bytes);
+    check_scan_content(&ids, &codes, None, sizes)?;
     let dead = take_len(buf, "tombstone dead count")?;
     let nwords = take_len(buf, "tombstone word count")?;
-    if nwords != n.div_ceil(64) || dead > n {
-        return Err(bad("tombstone bitmap sized wrong"));
-    }
-    let mut bytes = take(buf, checked_size(nwords, 8)?)?;
-    let words: Vec<u64> = (0..nwords).map(|_| bytes.get_u64_le()).collect();
-    let popcount: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-    if popcount != wide(dead) {
-        return Err(bad("tombstone popcount disagrees with dead counter"));
-    }
-    if !n.is_multiple_of(64) {
-        if let Some(&last) = words.last() {
-            if last >> (n % 64) != 0 {
-                return Err(bad("tombstone bits set past the row count"));
-            }
-        }
-    }
-    Ok(Tombstones::from_raw(words, dead))
+    let words: Vec<u64> = le_vec(&take(buf, checked_size(nwords, 8)?)?, u64::from_le_bytes);
+    check_tombstone_words(&words, dead, rows)?;
+    Ok(Buffer { ids, codes, tombstones: Tombstones::from_storage(words.into(), dead) })
 }
 
-/// Reads exactly `n` little-endian `u32` ids, requiring strict ascent —
-/// the segment search path binary-searches and maps through this array.
-fn get_id_slice(buf: &mut Bytes, n: usize) -> Result<Vec<u32>, VaqError> {
-    let mut bytes = take(buf, checked_size(n, 4)?)?;
-    let ids: Vec<u32> = (0..n).map(|_| bytes.get_u32_le()).collect();
-    if !ids.windows(2).all(|w| w[0] < w[1]) {
-        return Err(bad("ids are not strictly ascending"));
+/// Rejects unconsumed bytes at the end of an extent: a well-formed writer
+/// never leaves slack, so trailing bytes mean corruption that happened to
+/// keep the checksum intact (i.e. a hostile file).
+fn expect_drained(buf: &Bytes, what: &str) -> Result<(), VaqError> {
+    if buf.remaining() != 0 {
+        return Err(bad(&format!("{what} has trailing bytes")));
     }
-    Ok(ids)
+    Ok(())
 }
 
 fn take(buf: &mut Bytes, n: usize) -> Result<Bytes, VaqError> {
@@ -1751,112 +1500,6 @@ fn get_codebooks(
     Ok(codebooks)
 }
 
-/// Reads an `n × m` code array and range-checks every code against its
-/// dictionary — anything downstream (packing, TI builds, scans) may index
-/// dictionaries by code, so out-of-range values must die here.
-fn get_codes(buf: &mut Bytes, n: usize, encoder: &Encoder) -> Result<Vec<u16>, VaqError> {
-    let m = encoder.num_subspaces();
-    let total = n.checked_mul(m).ok_or_else(|| bad("code size overflow"))?;
-    let nbytes = total.checked_mul(2).ok_or_else(|| bad("code size overflow"))?;
-    // Take the bytes *before* allocating: the header is untrusted, and
-    // a fabricated count must fail the length check, not reserve memory.
-    let mut code_bytes = take(buf, nbytes)?;
-    let mut codes = Vec::with_capacity(total);
-    for _ in 0..total {
-        codes.push(code_bytes.get_u16_le());
-    }
-    for (i, &c) in codes.iter().enumerate() {
-        let s = i % m;
-        if usize::from(c) >= encoder.codebooks[s].rows() {
-            return Err(bad("code exceeds dictionary size"));
-        }
-    }
-    Ok(codes)
-}
-
-fn put_ti(buf: &mut BytesMut, ti: Option<&TiPartition>) {
-    match ti {
-        None => buf.put_u8(0),
-        Some(ti) => {
-            buf.put_u8(1);
-            put_matrix(buf, &ti.centroids);
-            buf.put_u64_le(wide(ti.num_clusters()));
-            for c in 0..ti.num_clusters() {
-                buf.put_u64_le(wide(ti.cluster_len(c)));
-                for (&idx, &dist) in ti.cluster_idx(c).iter().zip(ti.cluster_dist(c)) {
-                    buf.put_u32_le(idx);
-                    buf.put_f32_le(dist);
-                }
-            }
-            buf.put_u64_le(wide(ti.prefix_subspaces));
-            buf.put_u64_le(wide(ti.prefix_dim));
-        }
-    }
-}
-
-/// Reads an optional TI partition over an `n`-row database (monolithic
-/// index or one sealed segment), validating that it partitions exactly
-/// those rows.
-fn get_ti(buf: &mut Bytes, n: usize) -> Result<Option<TiPartition>, VaqError> {
-    match take(buf, 1)?.get_u8() {
-        0 => Ok(None),
-        1 => {
-            let centroids = get_matrix(buf)?;
-            let ncl = take_len(buf, "TI cluster count")?;
-            if ncl != centroids.rows() {
-                return Err(bad("TI cluster count mismatch"));
-            }
-            // More clusters than vectors is never produced by training
-            // (and would let a zero-width centroid matrix request an
-            // enormous cluster table).
-            if ncl > n {
-                return Err(bad("TI cluster count exceeds database size"));
-            }
-            let mut offsets = Vec::with_capacity(ncl + 1);
-            let mut member_idx: Vec<u32> = Vec::new();
-            let mut member_dist: Vec<f32> = Vec::new();
-            offsets.push(0);
-            let mut members_total = 0usize;
-            for _ in 0..ncl {
-                let len = take_len(buf, "length")?;
-                members_total =
-                    members_total.checked_add(len).ok_or_else(|| bad("TI member overflow"))?;
-                if members_total > n {
-                    return Err(bad("TI clusters exceed database size"));
-                }
-                member_idx.reserve(len);
-                member_dist.reserve(len);
-                for _ in 0..len {
-                    let idx = take(buf, 4)?.get_u32_le();
-                    let dist = take(buf, 4)?.get_f32_le();
-                    if u64::from(idx) >= wide(n) {
-                        return Err(bad("TI member out of range"));
-                    }
-                    member_idx.push(idx);
-                    member_dist.push(dist);
-                }
-                offsets.push(member_idx.len());
-            }
-            if members_total != n {
-                return Err(bad("TI clusters do not partition the database"));
-            }
-            let prefix_subspaces = take_len(buf, "TI prefix subspaces")?;
-            let prefix_dim = take_len(buf, "TI prefix dim")?;
-            TiPartition::from_parts(
-                centroids,
-                offsets,
-                member_idx.into(),
-                member_dist.into(),
-                prefix_subspaces,
-                prefix_dim,
-            )
-            .ok_or_else(|| bad("TI boundaries are inconsistent"))
-            .map(Some)
-        }
-        _ => Err(bad("bad TI flag")),
-    }
-}
-
 fn put_strategy(buf: &mut BytesMut, strategy: SearchStrategy) {
     match strategy {
         SearchStrategy::FullScan => buf.put_u8(0),
@@ -1944,7 +1587,9 @@ fn get_usize_slice(buf: &mut Bytes) -> Result<Vec<usize>, VaqError> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{SearchStrategy, Vaq, VaqConfig};
+    use super::{get_table, HEADER_LEN, TABLE_ENTRY};
+    use crate::segment::{SegmentPolicy, SegmentedVaq};
+    use crate::{SearchStrategy, Vaq, VaqConfig, VaqError};
     use vaq_linalg::Matrix;
 
     fn toy_data(n: usize) -> Matrix {
@@ -1962,78 +1607,119 @@ mod tests {
         Matrix::from_rows(&rows)
     }
 
-    #[test]
-    fn round_trip_preserves_search_results() {
-        let data = toy_data(400);
-        let vaq = Vaq::train(&data, &VaqConfig::new(24, 4).with_ti_clusters(16)).unwrap();
-        let bytes = vaq.to_bytes();
-        let back = Vaq::from_bytes(&bytes).unwrap();
-        assert_eq!(back.bits(), vaq.bits());
-        assert_eq!(back.len(), vaq.len());
-        for i in (0..400).step_by(37) {
-            let a = vaq.search(data.row(i), 7);
-            let b = back.search(data.row(i), 7);
-            assert_eq!(a, b, "row {i}");
-            for strat in [
-                SearchStrategy::FullScan,
-                SearchStrategy::EarlyAbandon,
-                SearchStrategy::TiEa { visit_frac: 0.5 },
-            ] {
-                assert_eq!(
-                    vaq.search_with(data.row(i), 5, strat).unwrap().0,
-                    back.search_with(data.row(i), 5, strat).unwrap().0
-                );
-            }
+    fn policy() -> SegmentPolicy {
+        SegmentPolicy::default()
+            .with_seal_threshold(40)
+            .with_compact_min_segments(3)
+            .with_ti_clusters(6)
+            .sequential()
+    }
+
+    /// A segmented index with several sealed segments, tombstones in
+    /// both a segment and the buffer, and a non-empty buffer.
+    fn populated() -> (SegmentedVaq, Matrix) {
+        let data = toy_data(300);
+        let train = data.select_rows(&(0..150).collect::<Vec<_>>());
+        let rest = data.select_rows(&(150..300).collect::<Vec<_>>());
+        let seg =
+            SegmentedVaq::train(&train, &VaqConfig::new(24, 4).with_ti_clusters(16), policy())
+                .unwrap();
+        // Chunks of 15 against a threshold of 40: two seals fire and
+        // the last 15 rows stay in the write buffer.
+        for chunk in rest.as_slice().chunks(15 * rest.cols()) {
+            let m = Matrix::from_vec(chunk.len() / rest.cols(), rest.cols(), chunk.to_vec());
+            seg.add(&m).unwrap();
+        }
+        seg.delete(7); // sealed row
+        seg.delete(295); // buffered row
+        (seg, data)
+    }
+
+    fn tmp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("vaq-persist-tests").join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Recomputes every extent CRC and the table CRC of a patched file,
+    /// so a test can reach the field validation *behind* the checksums
+    /// (what a hostile writer, not a bit flip, would exercise).
+    fn reseal(bytes: &mut [u8]) {
+        let word = |b: &[u8], at: usize| {
+            usize::try_from(u64::from_le_bytes(b[at..at + 8].try_into().unwrap())).unwrap()
+        };
+        let nextents = word(bytes, 17);
+        let table_end = HEADER_LEN + nextents * TABLE_ENTRY;
+        for entry in (HEADER_LEN..table_end).step_by(TABLE_ENTRY) {
+            let (off, len) = (word(bytes, entry), word(bytes, entry + 8));
+            let crc = crate::crc::crc32c(&bytes[off..off + len]);
+            bytes[entry + 16..entry + 20].copy_from_slice(&crc.to_le_bytes());
+        }
+        let table_crc = crate::crc::crc32c(&bytes[HEADER_LEN..table_end]);
+        bytes[table_end..table_end + 4].copy_from_slice(&table_crc.to_le_bytes());
+    }
+
+    fn err_text<T>(r: Result<T, VaqError>) -> String {
+        match r {
+            Err(VaqError::BadConfig(msg)) => msg,
+            Err(other) => panic!("expected BadConfig, got {other:?}"),
+            Ok(_) => panic!("corrupt file accepted"),
         }
     }
 
     #[test]
-    fn round_trip_without_ti_partition() {
-        let data = toy_data(120);
-        let vaq = Vaq::train(&data, &VaqConfig::new(16, 4).with_ti_clusters(0)).unwrap();
-        let back = Vaq::from_bytes(&vaq.to_bytes()).unwrap();
-        assert!(back.ti().is_none());
-        assert_eq!(vaq.search(data.row(3), 5), back.search(data.row(3), 5));
-    }
-
-    #[test]
-    fn save_load_file() {
-        let data = toy_data(150);
-        let vaq = Vaq::train(&data, &VaqConfig::new(16, 4).with_ti_clusters(8)).unwrap();
-        let dir = std::env::temp_dir().join("vaq-persist-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.vaq");
-        vaq.save(&path).unwrap();
-        let back = Vaq::load(&path).unwrap();
-        assert_eq!(vaq.search(data.row(0), 3), back.search(data.row(0), 3));
+    fn round_trip_preserves_search_results() {
+        let data = toy_data(400);
+        // With a TI partition and without one (empty TI extents).
+        for ti_clusters in [16, 0] {
+            let cfg = VaqConfig::new(24, 4).with_ti_clusters(ti_clusters);
+            let vaq = Vaq::train(&data, &cfg).unwrap();
+            let bytes = vaq.to_bytes();
+            let back = Vaq::from_bytes(&bytes).unwrap();
+            assert_eq!(back.bits(), vaq.bits());
+            assert_eq!(back.len(), vaq.len());
+            assert_eq!(back.ti().is_some(), ti_clusters > 0);
+            assert_eq!(back.to_bytes(), bytes, "re-serialization is not byte-stable");
+            for i in (0..400).step_by(37) {
+                assert_eq!(vaq.search(data.row(i), 7), back.search(data.row(i), 7), "row {i}");
+                for strat in [
+                    SearchStrategy::FullScan,
+                    SearchStrategy::EarlyAbandon,
+                    SearchStrategy::TiEa { visit_frac: 0.5 },
+                ] {
+                    assert_eq!(
+                        vaq.search_with(data.row(i), 5, strat).unwrap().0,
+                        back.search_with(data.row(i), 5, strat).unwrap().0
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn rejects_corrupted_files() {
         let data = toy_data(100);
         let vaq = Vaq::train(&data, &VaqConfig::new(16, 4).with_ti_clusters(8)).unwrap();
-        let mut bytes = vaq.to_bytes();
+        for mut bytes in [vaq.to_bytes(), populated().0.to_bytes()] {
+            let load =
+                |b: &[u8]| (Vaq::from_bytes(b).is_err(), SegmentedVaq::from_bytes(b).is_err());
 
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(Vaq::from_bytes(&bad).is_err());
+            // Bad magic.
+            let mut bad = bytes.clone();
+            bad[3] = b'9';
+            assert_eq!(load(&bad), (true, true));
 
-        // Truncation at every 97th byte must error, never panic.
-        let mut at = 5;
-        while at < bytes.len() {
-            assert!(Vaq::from_bytes(&bytes[..at]).is_err(), "truncated at {at}");
-            at += 97;
+            // Truncation at every 89th byte must error, never panic.
+            for at in (5..bytes.len()).step_by(89) {
+                assert_eq!(load(&bytes[..at]), (true, true), "truncated at {at}");
+            }
+
+            // Wholesale byte shift cannot parse cleanly.
+            for b in bytes.iter_mut() {
+                *b = b.wrapping_add(13);
+            }
+            assert_eq!(load(&bytes), (true, true));
         }
-
-        // Flipping a code to an out-of-dictionary value must be caught.
-        // (Codes sit after the header; find a u16 region by corrupting the
-        // tail region before the TI flag — easiest robust check: flip all
-        // bytes, which cannot parse cleanly.)
-        for b in bytes.iter_mut() {
-            *b = b.wrapping_add(13);
-        }
-        assert!(Vaq::from_bytes(&bytes).is_err());
     }
 
     #[test]
@@ -2042,23 +1728,24 @@ mod tests {
         let mut vaq = Vaq::train(&data, &VaqConfig::new(16, 4).with_ti_clusters(8)).unwrap();
         let mut clean = vaq.to_bytes();
 
-        // Locate `codes[0]` in the stream without hard-coding the layout:
+        // Locate `codes[0]` in the file without hard-coding the layout:
         // re-serialize with that code nudged to a different in-range value
-        // and diff. The first differing byte is the low byte of its LE u16.
+        // and diff. The first differing byte past the extent table (whose
+        // CRC entries differ too) is the low byte of its LE u16.
         let rows = vaq.encoder.codebooks()[0].rows() as u16;
         vaq.codes[0] = (vaq.codes[0] + 1) % rows;
         let nudged = vaq.to_bytes();
-        let off = clean.iter().zip(&nudged).position(|(a, b)| a != b).unwrap();
+        let body = get_table(&clean).unwrap().end();
+        let off =
+            body + clean[body..].iter().zip(&nudged[body..]).position(|(a, b)| a != b).unwrap();
 
-        // Patch the clean file so the code points past every dictionary.
+        // Patch the clean file so the code points past every dictionary,
+        // with checksums a bit flip could never produce.
         clean[off] = 0xff;
         clean[off + 1] = 0xff;
-        match Vaq::from_bytes(&clean).unwrap_err() {
-            crate::VaqError::BadConfig(msg) => {
-                assert!(msg.contains("code exceeds dictionary size"), "{msg}");
-            }
-            other => panic!("expected BadConfig, got {other:?}"),
-        }
+        assert!(err_text(Vaq::from_bytes(&clean)).contains("checksum mismatch"));
+        reseal(&mut clean);
+        assert!(err_text(Vaq::from_bytes(&clean)).contains("code exceeds dictionary size"));
     }
 
     #[test]
@@ -2079,313 +1766,171 @@ mod tests {
         assert!(Vaq::load(std::path::Path::new("/nonexistent/vaq.idx")).is_err());
     }
 
-    mod segmented {
-        use super::toy_data;
-        use crate::segment::{SegmentPolicy, SegmentedVaq};
-        use crate::{SearchStrategy, Vaq, VaqConfig};
-        use vaq_linalg::Matrix;
-
-        fn policy() -> SegmentPolicy {
-            SegmentPolicy::default()
-                .with_seal_threshold(40)
-                .with_compact_min_segments(3)
-                .with_ti_clusters(6)
-                .sequential()
-        }
-
-        /// A segmented index with several sealed segments, tombstones in
-        /// both a segment and the buffer, and a non-empty buffer.
-        fn populated() -> (SegmentedVaq, Matrix) {
-            let data = toy_data(300);
-            let train = data.select_rows(&(0..150).collect::<Vec<_>>());
-            let rest = data.select_rows(&(150..300).collect::<Vec<_>>());
-            let seg =
-                SegmentedVaq::train(&train, &VaqConfig::new(24, 4).with_ti_clusters(16), policy())
-                    .unwrap();
-            // Chunks of 15 against a threshold of 40: two seals fire and
-            // the last 15 rows stay in the write buffer.
-            for chunk in rest.as_slice().chunks(15 * rest.cols()) {
-                let m = Matrix::from_vec(chunk.len() / rest.cols(), rest.cols(), chunk.to_vec());
-                seg.add(&m).unwrap();
-            }
-            seg.delete(7); // sealed row
-            seg.delete(295); // buffered row
-            (seg, data)
-        }
-
-        #[test]
-        fn vaq2_round_trip_preserves_state_and_results() {
-            let (seg, data) = populated();
-            let bytes = seg.to_bytes();
-            let back = SegmentedVaq::from_bytes(&bytes).unwrap();
-            assert_eq!(back.len(), seg.len());
-            assert_eq!(back.snapshot().num_segments(), seg.snapshot().num_segments());
-            assert_eq!(back.snapshot().buffer_len(), seg.snapshot().buffer_len());
-            assert_eq!(back.policy().seal_threshold, 40);
-            assert_eq!(back.policy().compact_min_segments, 3);
-            assert!(!back.policy().background);
-            assert!(!back.contains(7) && !back.contains(295));
-            for i in (0..300).step_by(41) {
-                for strat in [
-                    SearchStrategy::FullScan,
-                    SearchStrategy::TiEa { visit_frac: 1.0 },
-                    SearchStrategy::Quantized,
-                ] {
-                    assert_eq!(
-                        seg.search_with(data.row(i), 7, strat).unwrap().0,
-                        back.search_with(data.row(i), 7, strat).unwrap().0,
-                        "row {i} {strat:?}"
-                    );
-                }
-            }
-            // Appends keep working on the loaded index (next_id restored).
-            let pre = back.len();
-            let ids = back.add(&toy_data(3)).unwrap();
-            assert!(ids.iter().all(|&id| id >= 300), "{ids:?}");
-            assert_eq!(back.len(), pre + 3);
-        }
-
-        #[test]
-        fn legacy_vaq1_file_loads_as_one_sealed_segment() {
-            let data = toy_data(250);
-            let vaq = Vaq::train(&data, &VaqConfig::new(24, 4).with_ti_clusters(16)).unwrap();
-            let back = SegmentedVaq::from_bytes(&vaq.to_bytes()).unwrap();
-            assert_eq!(back.len(), 250);
-            assert_eq!(back.snapshot().num_segments(), 1);
-            assert_eq!(back.snapshot().buffer_len(), 0);
-            for i in (0..250).step_by(23) {
-                for strat in [
-                    SearchStrategy::FullScan,
-                    SearchStrategy::EarlyAbandon,
-                    SearchStrategy::TiEa { visit_frac: 0.5 },
-                    SearchStrategy::Quantized,
-                ] {
-                    assert_eq!(
-                        vaq.search_with(data.row(i), 9, strat).unwrap().0,
-                        back.search_with(data.row(i), 9, strat).unwrap().0,
-                        "row {i} {strat:?}"
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn save_load_file_round_trips() {
-            let (seg, data) = populated();
-            let dir = std::env::temp_dir().join("vaq-persist-tests");
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("index.vaq2");
-            seg.save(&path).unwrap();
-            let back = SegmentedVaq::load(&path).unwrap();
-            assert_eq!(seg.search(data.row(9), 5).unwrap(), back.search(data.row(9), 5).unwrap());
-        }
-
-        #[test]
-        fn rejects_corrupted_manifests() {
-            let (seg, _) = populated();
-            let mut bytes = seg.to_bytes();
-
-            // Bad magic.
-            let mut bad = bytes.clone();
-            bad[3] = b'9';
-            assert!(SegmentedVaq::from_bytes(&bad).is_err());
-
-            // Truncation at every 89th byte must error, never panic.
-            let mut at = 5;
-            while at < bytes.len() {
-                assert!(SegmentedVaq::from_bytes(&bytes[..at]).is_err(), "truncated at {at}");
-                at += 89;
-            }
-
-            // Wholesale byte shift cannot parse cleanly.
-            for b in bytes.iter_mut() {
-                *b = b.wrapping_add(13);
-            }
-            assert!(SegmentedVaq::from_bytes(&bytes).is_err());
-        }
-
-        #[test]
-        fn over_threshold_buffer_is_sealed_on_load() {
-            // A manifest can carry a buffer at or above the seal threshold
-            // (serialized mid-ingest, or with a policy edit). Use a marker
-            // threshold value, locate its unique encoding in the stream,
-            // and shrink it below the buffered row count.
-            let marker = 0x00DE_AD17u64;
-            let data = toy_data(120);
-            let seg = SegmentedVaq::train(
-                &data,
-                &VaqConfig::new(24, 4).with_ti_clusters(8),
-                SegmentPolicy::default()
-                    .with_seal_threshold(marker as usize)
-                    .with_ti_clusters(4)
-                    .sequential(),
-            )
-            .unwrap();
-            seg.add(&toy_data(50)).unwrap();
-            assert_eq!(seg.snapshot().buffer_len(), 50);
-            let mut bytes = seg.to_bytes();
-            let needle = marker.to_le_bytes();
-            let hits: Vec<usize> = bytes
-                .windows(8)
-                .enumerate()
-                .filter(|(_, w)| *w == needle)
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(hits.len(), 1, "marker threshold must appear exactly once");
-            bytes[hits[0]..hits[0] + 8].copy_from_slice(&8u64.to_le_bytes());
-
-            let back = SegmentedVaq::from_bytes(&bytes).unwrap();
-            assert_eq!(back.policy().seal_threshold, 8);
-            assert!(back.snapshot().buffer_len() < 8, "loader must re-seal the buffer");
-            assert_eq!(back.len(), seg.len());
-            assert_eq!(seg.search(data.row(5), 6).unwrap(), back.search(data.row(5), 6).unwrap());
-        }
-
-        #[test]
-        fn tombstone_accounting_corruption_is_rejected() {
-            let (seg, _) = populated();
-            let clean = seg.to_bytes();
-            // Nudge the buffer's trailing tombstone word (the very end of
-            // the stream holds the buffer bitmap): flipping a bit there
-            // breaks the popcount/dead agreement.
-            let mut bytes = clean.clone();
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0x40;
-            let err = SegmentedVaq::from_bytes(&bytes);
-            assert!(err.is_err(), "corrupted tombstone bitmap accepted");
-        }
-
-        #[test]
-        fn huge_claimed_extent_count_is_rejected_before_the_body_read() {
-            use bytes::BufMut;
-            // A tiny file whose correctly-checksummed header claims an
-            // absurd extent count: the loaders must reject it from the
-            // header-vs-length check, before any body-sized work.
-            for (magic, name) in [(*b"VAQ3", "huge.vaq3"), (*b"VAQ4", "huge.vaq4")] {
-                let mut head = bytes::BytesMut::new();
-                head.put_slice(&magic);
-                head.put_u32_le(1); // version
-                head.put_u8(2); // segmented
-                head.put_u64_le(0); // wal_seq
-                head.put_u64_le(u64::MAX / 32); // claimed extents
-                let crc = crate::crc::crc32c(&head);
-                head.put_u32_le(crc);
-                let path = vaq4_dir("hostile").join(name);
-                std::fs::write(&path, &head).unwrap();
-                let err = SegmentedVaq::load(&path).expect_err("hostile header accepted");
-                assert!(
-                    format!("{err}").contains("extent count"),
-                    "wrong rejection for {name}: {err}"
+    #[test]
+    fn segmented_round_trip_preserves_state_and_results() {
+        let (seg, data) = populated();
+        let bytes = seg.to_bytes();
+        let back = SegmentedVaq::from_bytes(&bytes).unwrap();
+        assert_eq!(back.to_bytes(), bytes, "re-serialization is not byte-stable");
+        assert_eq!(back.len(), seg.len());
+        assert_eq!(back.snapshot().num_segments(), seg.snapshot().num_segments());
+        assert_eq!(back.snapshot().buffer_len(), seg.snapshot().buffer_len());
+        assert_eq!(back.policy().seal_threshold, 40);
+        assert_eq!(back.policy().compact_min_segments, 3);
+        assert!(!back.policy().background);
+        assert!(!back.contains(7) && !back.contains(295));
+        for i in (0..300).step_by(41) {
+            for strat in [
+                SearchStrategy::FullScan,
+                SearchStrategy::TiEa { visit_frac: 1.0 },
+                SearchStrategy::Quantized,
+            ] {
+                assert_eq!(
+                    seg.search_with(data.row(i), 7, strat).unwrap().0,
+                    back.search_with(data.row(i), 7, strat).unwrap().0,
+                    "row {i} {strat:?}"
                 );
-                assert!(SegmentedVaq::open_durable(&path).is_err());
-                assert!(Vaq::load(&path).is_err());
-            }
-            // Garbage magic is rejected without reading the body either.
-            let path = vaq4_dir("hostile").join("junk.idx");
-            std::fs::write(&path, b"ZZZZ here is not an index").unwrap();
-            assert!(SegmentedVaq::load(&path).is_err());
-        }
-
-        fn vaq4_dir(name: &str) -> std::path::PathBuf {
-            let dir = std::env::temp_dir().join("vaq-persist-vaq4").join(name);
-            std::fs::create_dir_all(&dir).unwrap();
-            dir
-        }
-
-        #[test]
-        fn vaq4_mapped_answers_match_owned() {
-            let (seg, data) = populated();
-            let path = vaq4_dir("parity").join("index.vaq4");
-            seg.save_mapped(&path).unwrap();
-            let mapped = SegmentedVaq::open_mapped(&path).unwrap();
-            // `load` on a VAQ4 file takes the owned parse (eager CRCs +
-            // full audit) — the reference the mapped path must match.
-            let owned = SegmentedVaq::load(&path).unwrap();
-            assert_eq!(mapped.len(), seg.len());
-            assert_eq!(mapped.snapshot().num_segments(), seg.snapshot().num_segments());
-            assert!(!mapped.contains(7) && !mapped.contains(295));
-            for i in (0..300).step_by(29) {
-                for strat in [
-                    SearchStrategy::FullScan,
-                    SearchStrategy::EarlyAbandon,
-                    SearchStrategy::TiEa { visit_frac: 1.0 },
-                    SearchStrategy::TiEa { visit_frac: 0.4 },
-                    SearchStrategy::Quantized,
-                ] {
-                    let (mn, ms) = mapped.search_with(data.row(i), 7, strat).unwrap();
-                    let (on, os) = owned.search_with(data.row(i), 7, strat).unwrap();
-                    assert_eq!(mn, on, "row {i} {strat:?}");
-                    assert_eq!(ms, os, "row {i} {strat:?} stats");
-                    assert_eq!(mn, seg.search_with(data.row(i), 7, strat).unwrap().0);
-                }
             }
         }
+        // Appends keep working on the loaded index (next_id restored).
+        let pre = back.len();
+        let ids = back.add(&toy_data(3)).unwrap();
+        assert!(ids.iter().all(|&id| id >= 300), "{ids:?}");
+        assert_eq!(back.len(), pre + 3);
+        // A segmented file has no monolithic reading.
+        assert!(err_text(Vaq::from_bytes(&bytes)).contains("segmented index"));
+    }
 
-        #[test]
-        fn vaq4_mapped_index_audits_clean_and_stays_writable() {
-            use crate::audit::Audit;
-            let (seg, data) = populated();
-            let path = vaq4_dir("mutate").join("index.vaq4");
-            seg.save_mapped(&path).unwrap();
-            let mapped = SegmentedVaq::open_mapped(&path).unwrap();
-            let report = mapped.audit();
-            assert!(report.is_ok(), "{report}");
-            // Deletes copy the mapped bitmap out (copy-on-write) and
-            // appends land in the owned buffer; neither touches the file.
-            assert!(mapped.delete(11));
-            assert!(!mapped.contains(11));
-            let ids = mapped.add(&toy_data(3)).unwrap();
-            assert!(ids.iter().all(|&id| id >= 300), "{ids:?}");
-            let before = std::fs::read(&path).unwrap();
-            assert_eq!(seg.search(data.row(3), 5).unwrap().len(), 5);
-            assert_eq!(std::fs::read(&path).unwrap(), before, "file mutated");
-        }
-
-        #[test]
-        fn vaq4_open_mapped_on_legacy_file_degrades_to_owned() {
-            let (seg, data) = populated();
-            let path = vaq4_dir("legacy").join("index.vaq2");
-            seg.save(&path).unwrap();
-            let back = SegmentedVaq::open_mapped(&path).unwrap();
-            assert_eq!(seg.search(data.row(9), 5).unwrap(), back.search(data.row(9), 5).unwrap());
-        }
-
-        #[test]
-        fn vaq4_rejects_corruption_in_every_extent() {
-            let (seg, _) = populated();
-            let path = vaq4_dir("corrupt").join("index.vaq4");
-            seg.save_mapped(&path).unwrap();
-            let clean = std::fs::read(&path).unwrap();
-            // Flip one byte at a stride of 512, skipping only the
-            // inter-extent alignment padding (those zeros carry no data
-            // and no checksum). Whatever a flip lands on — header, table,
-            // or any extent — the owned parse must reject it, and the
-            // mapped path must reject it either at open or at first
-            // search (lazy verification), never mis-answer.
-            let t = super::super::get_vaq4_table(&clean).unwrap();
-            let covered = |at: usize| {
-                at < super::super::HEADER_CRC_SPAN
-                    + 4
-                    + t.extents.len() * super::super::VAQ4_TABLE_ENTRY
-                    + 4
-                    || t.extents.iter().any(|e| (e.offset..e.offset + e.len).contains(&at))
-            };
-            for at in (0..clean.len()).step_by(512).filter(|&at| covered(at)) {
-                let mut bytes = clean.clone();
-                bytes[at] ^= 0x20;
-                assert!(
-                    SegmentedVaq::from_bytes(&bytes).is_err(),
-                    "owned parse accepted a flip at {at}"
+    #[test]
+    fn monolithic_file_loads_as_one_sealed_segment() {
+        let data = toy_data(250);
+        let vaq = Vaq::train(&data, &VaqConfig::new(24, 4).with_ti_clusters(16)).unwrap();
+        let back = SegmentedVaq::from_bytes(&vaq.to_bytes()).unwrap();
+        assert_eq!(back.len(), 250);
+        assert_eq!(back.snapshot().num_segments(), 1);
+        assert_eq!(back.snapshot().buffer_len(), 0);
+        assert_eq!(back.live_ids(), (0..250).collect::<Vec<u32>>());
+        for i in (0..250).step_by(23) {
+            for strat in [
+                SearchStrategy::FullScan,
+                SearchStrategy::EarlyAbandon,
+                SearchStrategy::TiEa { visit_frac: 0.5 },
+                SearchStrategy::Quantized,
+            ] {
+                assert_eq!(
+                    vaq.search_with(data.row(i), 9, strat).unwrap().0,
+                    back.search_with(data.row(i), 9, strat).unwrap().0,
+                    "row {i} {strat:?}"
                 );
-                std::fs::write(&path, &bytes).unwrap();
-                let searched = SegmentedVaq::open_mapped(&path)
-                    .and_then(|m| m.search_with(&[0.0; 16], 5, SearchStrategy::Quantized));
-                assert!(searched.is_err(), "mapped open searched a flip at {at}");
-            }
-            // Truncations must be rejected up front by the table check.
-            for at in (1..clean.len()).step_by(997) {
-                assert!(SegmentedVaq::from_bytes(&clean[..at]).is_err(), "truncated at {at}");
             }
         }
+    }
+
+    #[test]
+    fn over_threshold_buffer_is_sealed_on_load() {
+        // A file can carry a buffer at or above the seal threshold
+        // (serialized mid-ingest, or with a policy edit). Use a marker
+        // threshold value, locate its unique encoding in the file, and
+        // shrink it below the buffered row count.
+        let marker = 0x00DE_AD17usize;
+        let data = toy_data(120);
+        let seg = SegmentedVaq::train(
+            &data,
+            &VaqConfig::new(24, 4).with_ti_clusters(8),
+            SegmentPolicy::default().with_seal_threshold(marker).with_ti_clusters(4).sequential(),
+        )
+        .unwrap();
+        seg.add(&toy_data(50)).unwrap();
+        assert_eq!(seg.snapshot().buffer_len(), 50);
+        let mut bytes = seg.to_bytes();
+        let needle = super::wide(marker).to_le_bytes();
+        let hits: Vec<usize> =
+            bytes.windows(8).enumerate().filter(|(_, w)| *w == needle).map(|(i, _)| i).collect();
+        assert_eq!(hits.len(), 1, "marker threshold must appear exactly once");
+        bytes[hits[0]..hits[0] + 8].copy_from_slice(&8u64.to_le_bytes());
+        reseal(&mut bytes);
+
+        let back = SegmentedVaq::from_bytes(&bytes).unwrap();
+        assert_eq!(back.policy().seal_threshold, 8);
+        assert!(back.snapshot().buffer_len() < 8, "loader must re-seal the buffer");
+        assert_eq!(back.len(), seg.len());
+        assert_eq!(seg.search(data.row(5), 6).unwrap(), back.search(data.row(5), 6).unwrap());
+    }
+
+    #[test]
+    fn tombstone_accounting_corruption_is_rejected() {
+        let (seg, _) = populated();
+        // The very end of the file holds the buffer's bitmap: setting a
+        // bit there breaks the popcount/dead agreement — behind a valid
+        // checksum, so the field check itself must catch it.
+        let mut bytes = seg.to_bytes();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x40;
+        reseal(&mut bytes);
+        assert!(err_text(SegmentedVaq::from_bytes(&bytes)).contains("tombstone"));
+    }
+
+    #[test]
+    fn huge_claimed_extent_count_is_rejected_before_the_body_read() {
+        use bytes::BufMut;
+        // A tiny file whose correctly-checksummed header claims an
+        // absurd extent count: the loaders must reject it from the
+        // header-vs-length check, before any body-sized work.
+        let dir = tmp_dir("hostile");
+        let mut head = bytes::BytesMut::new();
+        head.put_slice(super::MAGIC);
+        head.put_u32_le(super::VERSION);
+        head.put_u8(super::KIND_SEGMENTED);
+        head.put_u64_le(0); // wal_seq
+        head.put_u64_le(u64::MAX / 32); // claimed extents
+        let crc = crate::crc::crc32c(&head);
+        head.put_u32_le(crc);
+        let path = dir.join("huge.vaq");
+        std::fs::write(&path, &head).unwrap();
+        assert!(err_text(SegmentedVaq::load(&path)).contains("extent count"));
+        assert!(err_text(SegmentedVaq::open_mapped(&path)).contains("extent count"));
+        assert!(SegmentedVaq::open_durable(&path).is_err());
+        assert!(Vaq::load(&path).is_err());
+        // Garbage magic is rejected without reading the body either.
+        let path = dir.join("junk.idx");
+        std::fs::write(&path, b"ZZZZ here is not an index").unwrap();
+        assert!(err_text(SegmentedVaq::load(&path)).contains("magic"));
+    }
+
+    #[test]
+    fn mapped_index_audits_clean_and_stays_writable() {
+        use crate::audit::Audit;
+        let (seg, data) = populated();
+        let path = tmp_dir("mutate").join("index.vaq");
+        seg.save_mapped(&path).unwrap();
+        let mapped = SegmentedVaq::open_mapped(&path).unwrap();
+        let report = mapped.audit();
+        assert!(report.is_ok(), "{report}");
+        // Deletes copy the mapped bitmap out (copy-on-write) and
+        // appends land in the owned buffer; neither touches the file.
+        assert!(mapped.delete(11));
+        assert!(!mapped.contains(11));
+        let ids = mapped.add(&toy_data(3)).unwrap();
+        assert!(ids.iter().all(|&id| id >= 300), "{ids:?}");
+        let before = std::fs::read(&path).unwrap();
+        assert_eq!(seg.search(data.row(3), 5).unwrap().len(), 5);
+        assert_eq!(std::fs::read(&path).unwrap(), before, "file mutated");
+    }
+
+    #[test]
+    fn open_mapped_without_derived_extents_degrades_to_owned() {
+        let dir = tmp_dir("derived");
+        let (seg, data) = populated();
+        let want = seg.search(data.row(9), 5).unwrap();
+        // A plain `save` leaves the packed extents out.
+        let path = dir.join("seg.vaq");
+        seg.save(&path).unwrap();
+        assert_eq!(SegmentedVaq::open_mapped(&path).unwrap().search(data.row(9), 5).unwrap(), want);
+        // A monolithic file has no id column either.
+        let vaq = Vaq::train(&data, &VaqConfig::new(24, 4).with_ti_clusters(16)).unwrap();
+        let path = dir.join("mono.vaq");
+        vaq.save(&path).unwrap();
+        let back = SegmentedVaq::open_mapped(&path).unwrap();
+        assert_eq!(back.search(data.row(9), 5).unwrap(), vaq.search(data.row(9), 5).unwrap());
     }
 }

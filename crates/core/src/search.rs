@@ -1,8 +1,7 @@
 //! Query-execution vocabulary types (paper §III-E, Algorithm 4).
 //!
 //! The execution loop itself lives in [`crate::engine`]; this module keeps
-//! the types it speaks — results, strategies, and work counters — plus a
-//! deprecated free-function shim for callers of the old API.
+//! the types it speaks — results, strategies, and work counters.
 //!
 //! Three strategies, composable exactly as the Figure 7 ablation studies
 //! them:
@@ -29,9 +28,6 @@
 //!   [`SearchStrategy::EarlyAbandon`]); indexes whose subspaces all
 //!   exceed 8 bits transparently fall back to the early-abandon loop.
 
-use crate::encoder::Encoder;
-use crate::engine::{IndexView, QueryEngine};
-use crate::ti::TiPartition;
 use std::cmp::Ordering;
 use std::ops::{Add, AddAssign};
 
@@ -123,29 +119,6 @@ impl Add for SearchStats {
         self += rhs;
         self
     }
-}
-
-/// Executes a query against the encoded database.
-///
-/// `projected_query` must already be in VAQ's permuted PC space. `codes`
-/// is the `n × m` code array. Returns up to `k` neighbors, best first,
-/// plus work counters.
-#[deprecated(
-    since = "0.2.0",
-    note = "builds a throwaway lookup-table arena per call; hold a \
-            `QueryEngine` and search through an `IndexView` instead"
-)]
-pub fn execute(
-    encoder: &Encoder,
-    codes: &[u16],
-    n: usize,
-    ti: Option<&TiPartition>,
-    projected_query: &[f32],
-    k: usize,
-    strategy: SearchStrategy,
-) -> (Vec<Neighbor>, SearchStats) {
-    let view = IndexView::from_encoder(encoder, codes, n).with_ti(ti);
-    QueryEngine::for_view(&view).search_with(&view, projected_query, k, strategy)
 }
 
 #[cfg(test)]

@@ -175,6 +175,17 @@ pub(crate) struct Model {
     pub(crate) seed: u64,
 }
 
+/// The per-segment TI seed of an index wrapped by
+/// [`SegmentedVaq::from_vaq`] (which cannot see the training config).
+pub(crate) const DEFAULT_SEED: u64 = 0x5eed;
+
+/// The per-segment TI prefix [`SegmentedVaq::from_vaq`] derives for a
+/// monolithic index over `m` subspaces: its own partition's, else the
+/// config default.
+pub(crate) fn ti_prefix_of(ti: Option<&TiPartition>, m: usize) -> usize {
+    ti.map(|t| t.prefix_subspaces()).unwrap_or(8).clamp(1, m)
+}
+
 /// Tombstone bitmap over a segment's local rows plus a live-count cache.
 /// Cloned (O(n/64) words, or an `Arc` bump while mapped) whenever a
 /// delete produces a new snapshot. A mapped index borrows the words from
@@ -208,16 +219,10 @@ impl Tombstones {
         self.dead
     }
 
-    /// Rebuilds a bitmap from persisted parts. The caller (the loader)
-    /// checks the sizing; the popcount/tail invariants are re-verified by
-    /// the audit that runs after every load.
-    pub(crate) fn from_raw(words: Vec<u64>, dead: usize) -> Tombstones {
-        Tombstones { words: words.into(), dead }
-    }
-
-    /// Like [`Tombstones::from_raw`], but over any storage — the mapped
-    /// loader hands the bitmap a window of the file (it verified the
-    /// extent eagerly: deletes mutate the bitmap, so it cannot be lazy).
+    /// Rebuilds a bitmap from persisted parts, owned or a window of a
+    /// mapped file. The loader checks sizing, popcount and tail bits
+    /// first — eagerly even when mapped: deletes mutate the bitmap, so it
+    /// cannot be lazy.
     pub(crate) fn from_storage(words: U64Storage, dead: usize) -> Tombstones {
         Tombstones { words, dead }
     }
@@ -243,7 +248,7 @@ impl Tombstones {
 /// blocked packing, and the per-segment TI partition. Shared by `Arc`
 /// across snapshots; only the tombstone bitmap beside it ever changes.
 /// The arrays are [`U32Storage`]/[`U16Storage`] so an out-of-core index
-/// can borrow them from a mapped `VAQ4` file instead of copying.
+/// can borrow them from a mapped index file instead of copying.
 #[derive(Debug)]
 pub(crate) struct SegmentCore {
     /// Global ids, strictly ascending; `ids[local] = global`.
@@ -473,20 +478,16 @@ impl SegmentedVaq {
     /// exactly what the monolithic index returned.
     pub fn from_vaq(vaq: Vaq, policy: SegmentPolicy) -> SegmentedVaq {
         let Vaq { pca, layout, bits, encoder, codes, n, ti, default_strategy, packed } = vaq;
-        let ti_prefix_subspaces = ti
-            .as_ref()
-            .map(|t| t.prefix_subspaces())
-            .unwrap_or(8)
-            .clamp(1, encoder.num_subspaces());
-        let model = Arc::new(Model {
+        let ti_prefix_subspaces = ti_prefix_of(ti.as_ref(), encoder.num_subspaces());
+        let model = Model {
             pca,
             layout,
             bits,
             encoder,
             default_strategy,
             ti_prefix_subspaces,
-            seed: 0x5eed,
-        });
+            seed: DEFAULT_SEED,
+        };
         let segments = if n > 0 {
             let ids: Vec<u32> = (0..n as u32).collect();
             let core =
@@ -495,20 +496,10 @@ impl SegmentedVaq {
         } else {
             Vec::new()
         };
-        let set = SegmentSet { segments, buffer: Arc::new(Buffer::default()) };
-        SegmentedVaq {
-            shared: Arc::new(Shared {
-                model,
-                policy,
-                version: AtomicU64::new(0),
-                current: RwLock::new(Arc::new(set)),
-                writer: Mutex::new(WriterState { next_id: n as u32, ..WriterState::default() }),
-                journal: Mutex::new(None),
-            }),
-        }
+        SegmentedVaq::from_parts(model, policy, segments, Buffer::default(), n as u32)
     }
 
-    /// Reconstructs from persisted parts (see `crate::persist`).
+    /// Assembles an index from its parts (see `crate::persist`).
     pub(crate) fn from_parts(
         model: Model,
         policy: SegmentPolicy,
@@ -852,7 +843,7 @@ impl SegmentedVaq {
     }
 
     /// Makes the index durable at `path`: atomically commits a
-    /// checksummed `VAQ3` manifest snapshot (see [`SegmentedVaq::save`])
+    /// checksummed manifest snapshot (see [`SegmentedVaq::save`])
     /// and attaches a fresh write-ahead log at `<path>.wal`. From this
     /// point every `add`/`delete`/`update` is logged *before* it is
     /// applied, so after a crash [`SegmentedVaq::open_durable`] recovers
@@ -869,14 +860,14 @@ impl SegmentedVaq {
         let mut jl = jlock(&self.shared);
         let last_seq = jl.as_ref().map(|j| j.wal.last_seq()).unwrap_or(0);
         let set = read_current(&self.shared);
-        let bytes = crate::persist::manifest_from_set(
+        crate::persist::commit_set(
+            path,
             &self.shared.model,
             &self.shared.policy,
             &set,
             st.next_id,
             last_seq,
-        );
-        crate::persist::commit_bytes(path, &bytes)?;
+        )?;
         // Manifest committed: restart the log. A crash between the two
         // leaves the old WAL in place, whose records all sit at or below
         // the manifest's watermark and are skipped on replay.
@@ -912,7 +903,7 @@ impl SegmentedVaq {
         self.make_durable(&path)
     }
 
-    /// Opens a durable index: loads the manifest at `path` (any format),
+    /// Opens a durable index: loads the manifest at `path` (either kind),
     /// replays the write-ahead-log suffix past the manifest's watermark
     /// (truncating a torn tail record instead of erroring — the op it
     /// logged never returned success), re-audits, and re-attaches the
@@ -921,8 +912,7 @@ impl SegmentedVaq {
     /// crash.
     pub fn open_durable(path: &Path) -> Result<SegmentedVaq, VaqError> {
         let _span = crate::obs::span("segment.recover");
-        let data = crate::persist::read_index_file(path)?;
-        let (index, manifest_seq) = SegmentedVaq::from_bytes_with_seq(&data)?;
+        let (index, manifest_seq) = SegmentedVaq::load_with_seq(path)?;
         // A stale staging file from an interrupted commit is dead weight;
         // the rename never happened, so it holds a torn manifest.
         if std::fs::remove_file(crate::persist::tmp_path(path)).is_ok() {
@@ -961,13 +951,7 @@ impl SegmentedVaq {
         index.normalize_after_load();
         // Replayed records are as untrusted as the manifest: re-run the
         // full structural audit on the recovered state.
-        let report = crate::audit::Audit::audit(&index);
-        if !report.is_ok() {
-            return Err(VaqError::BadConfig(format!(
-                "corrupt index file: audit found {} invariant violation(s) after recovery",
-                report.issues().len()
-            )));
-        }
+        crate::persist::audited(&index, "recovery")?;
         crate::obs::counter_add("wal.replayed", replayed);
         crate::obs::event(
             "segment.recover",

@@ -3,7 +3,7 @@
 //! the TI partition build).
 //!
 //! All three honor the `VAQ_THREADS` environment variable the same way
-//! [`vaq_linalg`]'s kernel dispatch honors `VAQ_FORCE_SCALAR`: set it to
+//! [`vaq_linalg`]'s kernel dispatch honors `VAQ_FORCE_KERNEL`: set it to
 //! a positive integer to pin the thread budget (e.g. `VAQ_THREADS=1` for
 //! deterministic single-threaded runs under a profiler), leave it unset
 //! (or set it to something unparsable) to fall back to

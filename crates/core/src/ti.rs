@@ -21,7 +21,7 @@
 //! distance array, both segmented by an `offsets` table (cluster `c` owns
 //! elements `offsets[c]..offsets[c + 1]`, sorted ascending by distance).
 //! The two flat arrays sit behind [`U32Storage`] / [`F32Storage`], so an
-//! out-of-core index can map them straight from a `VAQ4` extent instead
+//! out-of-core index can map them straight from a file extent instead
 //! of copying — the binary-search pruning reads the mapped distances in
 //! place.
 

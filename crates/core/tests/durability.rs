@@ -1,13 +1,16 @@
-//! Durability suite (ISSUE 8): corruption-injection over the `VAQ3`
-//! checksummed manifest and the write-ahead log, plus commit-protocol
-//! checks.
+//! Durability suite: corruption-injection over the index container (a
+//! monolithic file, a `save` file and a `save_mapped` file) and the
+//! write-ahead log, plus commit-protocol checks.
 //!
 //! The contract under test:
 //!
-//! * any single-byte mutation or truncation of a `VAQ3` manifest is
-//!   *detected* — the CRC32C framing turns silent corruption into a typed
-//!   error (a CRC detects every burst up to its width, so no 8-bit flip
-//!   can slip through);
+//! * any single-byte mutation or truncation of an index file is
+//!   *detected* by the owned parse — the CRC32C framing turns silent
+//!   corruption into a typed error (a CRC detects every burst up to its
+//!   width, so no 8-bit flip can slip through) and the padding between
+//!   extents must be zero; a mapped open rejects the same bytes at open
+//!   or first search, except padding, which it never reads;
+//! * mapped and owned storage answer every query identically;
 //! * a damaged WAL recovers to a **prefix-consistent** state: the live-id
 //!   set after recovery equals the state after some acknowledged prefix
 //!   of the logged ops — never a partial op, never an unacknowledged one;
@@ -18,9 +21,7 @@
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-#[cfg(feature = "faults")]
-use vaq_core::Vaq;
-use vaq_core::{SearchStrategy, SegmentPolicy, SegmentedVaq, VaqConfig};
+use vaq_core::{SearchStrategy, SegmentPolicy, SegmentedVaq, Vaq, VaqConfig};
 use vaq_linalg::Matrix;
 
 /// Serializes every test in this binary: with the `faults` feature on,
@@ -127,6 +128,16 @@ fn recover(name: &str, manifest: &[u8], wal: &[u8]) -> Result<SegmentedVaq, vaq_
     out
 }
 
+/// Writes a (possibly damaged) `save_mapped` file and opens it mapped.
+fn open_mapped(name: &str, file: &[u8]) -> Result<SegmentedVaq, vaq_core::VaqError> {
+    let dir = fresh_dir(name);
+    let path = dir.join("index.vaq");
+    std::fs::write(&path, file).unwrap();
+    let out = SegmentedVaq::open_mapped(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
 fn fuzz_cases() -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
 }
@@ -134,29 +145,60 @@ fn fuzz_cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
-    /// Any single-byte mutation of a `VAQ3` manifest is rejected with a
-    /// typed error: the header and every extent carry a CRC32C, and a CRC
-    /// detects all bursts up to its width — an 8-bit flip cannot pass.
+    /// Any single-byte mutation of an index file — monolithic, `save`,
+    /// `save_mapped`, or a durable manifest — is rejected by the owned
+    /// parse with a typed error: the header, the table and every extent
+    /// carry a CRC32C (a CRC detects all bursts up to its width, so an
+    /// 8-bit flip cannot pass) and the padding in between must be zero.
     #[test]
-    fn vaq3_byte_mutations_are_always_detected(pos_seed in 0usize..1_000_000, delta in 1u8..=255) {
+    fn byte_mutations_are_always_detected(pos_seed in 0usize..1_000_000, delta in 1u8..=255) {
         let _g = io_guard();
+        let mutated = |file: &[u8]| {
+            let mut bytes = file.to_vec();
+            let pos = pos_seed % bytes.len();
+            bytes[pos] = bytes[pos].wrapping_add(delta);
+            bytes
+        };
+        let fx = container_fixture();
+        for (name, file) in fx.files() {
+            let bytes = mutated(file);
+            prop_assert!(SegmentedVaq::from_bytes(&bytes).is_err(), "{} at {}", name, pos_seed);
+            prop_assert!(Vaq::from_bytes(&bytes).is_err(), "{} at {}", name, pos_seed);
+        }
         let fx = durable_fixture();
-        let mut bytes = fx.manifest.clone();
-        let pos = pos_seed % bytes.len();
-        bytes[pos] = bytes[pos].wrapping_add(delta);
-        prop_assert!(SegmentedVaq::from_bytes(&bytes).is_err(), "mutation at {pos} not detected");
-        prop_assert!(recover("vaq3-mut", &bytes, &fx.wal).is_err());
+        let bytes = mutated(&fx.manifest);
+        prop_assert!(SegmentedVaq::from_bytes(&bytes).is_err(), "manifest at {}", pos_seed);
+        prop_assert!(recover("manifest-mut", &bytes, &fx.wal).is_err());
     }
 
-    /// Every strict prefix of a `VAQ3` manifest is rejected with a typed
-    /// error (truncation lands mid-header, mid-extent, or drops extents —
-    /// all of which the length/CRC framing catches).
+    /// Every strict prefix of an index file is rejected with a typed
+    /// error — the extent table requires the last extent to end exactly
+    /// at the file end, so no truncation can look complete.
     #[test]
-    fn vaq3_truncations_always_error(cut_seed in 0usize..1_000_000) {
+    fn truncations_always_error(cut_seed in 0usize..1_000_000) {
         let _g = io_guard();
-        let fx = durable_fixture();
-        let cut = cut_seed % fx.manifest.len();
-        prop_assert!(SegmentedVaq::from_bytes(&fx.manifest[..cut]).is_err());
+        let fx = container_fixture();
+        for (name, file) in fx.files() {
+            let cut = cut_seed % file.len();
+            prop_assert!(SegmentedVaq::from_bytes(&file[..cut]).is_err(), "{} at {}", name, cut);
+            prop_assert!(Vaq::from_bytes(&file[..cut]).is_err(), "{} at {}", name, cut);
+        }
+        let cut = cut_seed % fx.mapped_file.len();
+        prop_assert!(open_mapped("mapped-cut", &fx.mapped_file[..cut]).is_err(), "mapped at {}", cut);
+    }
+
+    /// Splicing two random windows of a file (a torn write) never panics.
+    #[test]
+    fn spliced_windows_never_panic(a in 0usize..1_000_000, b in 0usize..1_000_000) {
+        let _g = io_guard();
+        for (_, file) in container_fixture().files() {
+            let (a, b) = (a % file.len(), b % file.len());
+            let mut spliced = file[..a.min(b)].to_vec();
+            spliced.extend_from_slice(&file[a.max(b)..]);
+            // Ok or Err both fine; panics are not.
+            let _ = SegmentedVaq::from_bytes(&spliced);
+            let _ = Vaq::from_bytes(&spliced);
+        }
     }
 
     /// Truncating the WAL at *any* byte boundary recovers to a
@@ -239,37 +281,52 @@ fn open_durable_replays_to_the_live_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `VAQ4` out-of-core fixture: one index saved in the page-aligned
-/// extent layout, opened both ways. The directory is kept alive for the
-/// whole process — the mapped instance borrows its bytes from the file.
-struct MappedFixture {
+/// One index in every on-disk shape: the training set as a monolithic
+/// file, the grown index (several sealed segments, tombstones in a
+/// segment and in the buffer, a non-empty buffer) as a `save` file and as
+/// a `save_mapped` file, the latter opened both ways. The directory is
+/// kept alive for the whole process — the mapped instance borrows its
+/// bytes from the file.
+struct ContainerFixture {
     data: Matrix,
-    file: Vec<u8>,
+    mono_file: Vec<u8>,
+    save_file: Vec<u8>,
+    mapped_file: Vec<u8>,
+    live: SegmentedVaq,
     mapped: SegmentedVaq,
     owned: SegmentedVaq,
 }
 
-fn mapped_fixture() -> &'static MappedFixture {
-    static FX: OnceLock<MappedFixture> = OnceLock::new();
+impl ContainerFixture {
+    fn files(&self) -> [(&'static str, &[u8]); 3] {
+        [("mono", &self.mono_file), ("save", &self.save_file), ("save_mapped", &self.mapped_file)]
+    }
+}
+
+fn container_fixture() -> &'static ContainerFixture {
+    static FX: OnceLock<ContainerFixture> = OnceLock::new();
     FX.get_or_init(|| {
-        let dir = fresh_dir("vaq4-fixture");
-        let path = dir.join("index.vaq4");
+        let dir = fresh_dir("container-fixture");
+        let path = dir.join("index.vaq");
         let data = toy_data(220, 10, 41);
-        let seg = SegmentedVaq::train(
-            &slice(&data, 0, 120),
-            &VaqConfig::new(24, 4).with_ti_clusters(8),
+        let cfg = VaqConfig::new(24, 4).with_ti_clusters(8);
+        let mono = Vaq::train(&slice(&data, 0, 120), &cfg).unwrap();
+        let seg = SegmentedVaq::from_vaq(
+            mono.clone(),
             SegmentPolicy::default().with_seal_threshold(32).with_ti_clusters(4).sequential(),
-        )
-        .unwrap();
+        );
         seg.add(&slice(&data, 120, 200)).unwrap();
         seg.delete(5); // sealed row → non-empty tombstone extent
         seg.delete(190); // buffered row
         seg.save_mapped(&path).unwrap();
-        MappedFixture {
+        ContainerFixture {
             data,
-            file: std::fs::read(&path).unwrap(),
+            mono_file: mono.to_bytes(),
+            save_file: seg.to_bytes(),
+            mapped_file: std::fs::read(&path).unwrap(),
             mapped: SegmentedVaq::open_mapped(&path).unwrap(),
             owned: SegmentedVaq::load(&path).unwrap(),
+            live: seg,
         }
     })
 }
@@ -290,70 +347,55 @@ proptest! {
     /// `Mapped` and `Owned` storage are interchangeable: for any query,
     /// `k`, and strategy, the neighbor lists *and* the work counters come
     /// out identical — the mapped scan paths read the same bytes the
-    /// owned paths copied out.
+    /// owned paths copied out — and both match the index that was saved.
     #[test]
-    fn vaq4_mapped_and_owned_answers_are_identical(
+    fn mapped_and_owned_answers_are_identical(
         qi in 0usize..220,
         k in 1usize..=12,
         pick in 0u8..10,
     ) {
         let _g = io_guard();
-        let fx = mapped_fixture();
+        let fx = container_fixture();
         let strat = strategy_from(pick);
         let q = fx.data.row(qi);
         let (mn, ms) = fx.mapped.search_with(q, k, strat).unwrap();
         let (on, os) = fx.owned.search_with(q, k, strat).unwrap();
         prop_assert_eq!(&mn, &on, "query {} k {} {:?}: neighbors diverge", qi, k, strat);
         prop_assert_eq!(ms, os, "query {} k {} {:?}: stats diverge", qi, k, strat);
+        let live = fx.live.search_with(q, k, strat).unwrap().0;
+        prop_assert_eq!(&mn, &live, "query {} k {} {:?}: reload changed answers", qi, k, strat);
     }
 
-    /// Any single-byte mutation of a `VAQ4` extent file is either
-    /// rejected with a typed error (owned parse up front; mapped open or
-    /// first search, via lazy verification) or — when the flip lands in
-    /// the unchecksummed inter-extent alignment padding — changes no
-    /// answer. Never a panic, never a silently wrong result.
+    /// A mapped open of a mutated `save_mapped` file rejects the byte
+    /// with a typed error — at open, or at the first search through lazy
+    /// verification — unless it sits in the inter-extent padding, which
+    /// a mapped open never reads: then no answer changes. Never a panic,
+    /// never a silently wrong result.
     #[test]
-    fn vaq4_byte_mutations_reject_or_leave_answers_unchanged(
+    fn mapped_open_mutations_reject_or_leave_answers_unchanged(
         pos_seed in 0usize..1_000_000,
         delta in 1u8..=255,
     ) {
         let _g = io_guard();
-        let fx = mapped_fixture();
-        let mut bytes = fx.file.clone();
+        let fx = container_fixture();
+        let mut bytes = fx.mapped_file.clone();
         let pos = pos_seed % bytes.len();
         bytes[pos] = bytes[pos].wrapping_add(delta);
         let q = fx.data.row(3);
-        let clean = fx.owned.search_with(q, 7, SearchStrategy::Quantized).unwrap().0;
-
-        if let Ok(back) = SegmentedVaq::from_bytes(&bytes) {
-            let got = back.search_with(q, 7, SearchStrategy::Quantized).unwrap().0;
-            prop_assert_eq!(got, clean.clone(), "owned parse at {} mis-answers", pos);
-        }
-        let dir = fresh_dir("vaq4-mut");
-        let path = dir.join("index.vaq4");
-        std::fs::write(&path, &bytes).unwrap();
-        let searched = SegmentedVaq::open_mapped(&path)
+        let in_padding = match SegmentedVaq::from_bytes(&bytes) {
+            Err(e) => e.to_string().contains("non-zero padding"),
+            Ok(_) => false,
+        };
+        let searched = open_mapped("mapped-mut", &bytes)
             .and_then(|m| m.search_with(q, 7, SearchStrategy::Quantized));
-        if let Ok((got, _)) = searched {
-            prop_assert_eq!(got, clean, "mapped open at {} mis-answers", pos);
+        match searched {
+            Ok((got, _)) => {
+                prop_assert!(in_padding, "mapped open accepted a checksummed flip at {}", pos);
+                let clean = fx.owned.search_with(q, 7, SearchStrategy::Quantized).unwrap().0;
+                prop_assert_eq!(got, clean, "mapped open at {} mis-answers", pos);
+            }
+            Err(_) => prop_assert!(!in_padding, "mapped open read the padding at {}", pos),
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Every strict prefix of a `VAQ4` file is rejected — the extent
-    /// table requires the last extent to end exactly at the file end, so
-    /// no truncation can look complete.
-    #[test]
-    fn vaq4_truncations_always_error(cut_seed in 0usize..1_000_000) {
-        let _g = io_guard();
-        let fx = mapped_fixture();
-        let cut = cut_seed % fx.file.len();
-        prop_assert!(SegmentedVaq::from_bytes(&fx.file[..cut]).is_err(), "owned at {}", cut);
-        let dir = fresh_dir("vaq4-cut");
-        let path = dir.join("index.vaq4");
-        std::fs::write(&path, &fx.file[..cut]).unwrap();
-        prop_assert!(SegmentedVaq::open_mapped(&path).is_err(), "mapped at {}", cut);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -376,6 +418,8 @@ fn interrupted_save_preserves_the_old_index() {
     let newer = Vaq::train(&slice(&data, 0, 60), &VaqConfig::new(24, 4)).unwrap();
     // Kill the commit at each protocol step in turn: mid staging write,
     // at the staging fsync, and at the rename.
+    let mut tmp = path.clone().into_os_string();
+    tmp.push(".tmp");
     for (site, trigger) in [
         ("persist.commit", Trigger::NthHit(1)),
         ("persist.fsync", Trigger::NthHit(1)),
@@ -386,6 +430,14 @@ fn interrupted_save_preserves_the_old_index() {
         let err = newer.save(&path).unwrap_err();
         assert!(matches!(err, vaq_core::VaqError::Io { .. }), "{site}: {err}");
         disarm_all();
+        if trigger == Trigger::NthHit(1) && site == "persist.commit" {
+            // Power loss mid-write leaves a torn prefix in the staging
+            // file: realistic debris, not a loadable index.
+            let debris = std::fs::read(&tmp).unwrap();
+            let whole = newer.to_bytes();
+            assert_eq!(debris, whole[..whole.len() / 2], "staging debris is not a torn prefix");
+            assert!(Vaq::from_bytes(&debris).is_err());
+        }
         assert_eq!(
             std::fs::read(&path).unwrap(),
             committed,

@@ -1,14 +1,14 @@
-//! Robustness suite (ISSUE 3): structured fuzzing of the persisted index
-//! format, a degenerate-dataset matrix pushed through the full training
-//! pipeline, and — when the `faults` feature is on — injected-fault
-//! recovery checks for every registered site.
+//! Robustness suite (ISSUE 3): a degenerate-dataset matrix pushed through
+//! the full training pipeline and a save/load round trip, and — when the
+//! `faults` feature is on — injected-fault recovery checks for every
+//! registered site. (Byte-level fuzzing of the index file lives in
+//! `durability.rs`.)
 //!
 //! The contract under test is uniform: every entry point returns a clean
 //! result or a typed [`VaqError`]; nothing panics, and nothing silently
 //! returns a wrong answer.
 
-use proptest::prelude::*;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use vaq_core::{
     Audit, IngressPolicy, SearchStrategy, SegmentPolicy, SegmentedVaq, Vaq, VaqConfig, VaqError,
 };
@@ -31,122 +31,6 @@ fn toy_data(n: usize, d: usize, seed: u64) -> Matrix {
         rows.push(row);
     }
     Matrix::from_rows(&rows)
-}
-
-/// One trained index serialized once and shared by every fuzz case —
-/// training dominates, mutation is cheap.
-fn trained_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let data = toy_data(300, 12, 9);
-        Vaq::train(&data, &VaqConfig::new(24, 4).with_ti_clusters(12)).unwrap().to_bytes()
-    })
-}
-
-/// A segmented (`VAQ2`) manifest — multiple sealed segments, a live write
-/// buffer, and tombstones in both — serialized once for the fuzz cases
-/// below, mirroring [`trained_bytes`] for the monolithic format.
-fn segmented_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let data = toy_data(300, 12, 9);
-        let slice = |lo: usize, hi: usize| {
-            Matrix::from_rows(&(lo..hi).map(|i| data.row(i).to_vec()).collect::<Vec<_>>())
-        };
-        let policy =
-            SegmentPolicy::default().with_seal_threshold(40).with_ti_clusters(6).sequential();
-        let seg = SegmentedVaq::train(
-            &slice(0, 200),
-            &VaqConfig::new(24, 4).with_ti_clusters(12),
-            policy,
-        )
-        .unwrap();
-        seg.add(&slice(200, 275)).unwrap(); // over threshold: sealed inline
-        seg.add(&slice(275, 300)).unwrap(); // 25 rows stay in the buffer
-        assert!(seg.delete(3)); // tombstone in a sealed segment
-        assert!(seg.delete(280)); // tombstone in the write buffer
-        seg.to_bytes()
-    })
-}
-
-fn fuzz_cases() -> u32 {
-    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
-
-    /// Any single-byte mutation of a serialized index either round-trips
-    /// to a structurally sound index or fails with a typed error. It must
-    /// never panic and never yield an index that fails its own audit.
-    #[test]
-    fn byte_mutations_never_panic(pos_seed in 0usize..1_000_000, delta in 1u8..=255) {
-        let mut bytes = trained_bytes().to_vec();
-        let pos = pos_seed % bytes.len();
-        bytes[pos] = bytes[pos].wrapping_add(delta);
-        if let Ok(vaq) = Vaq::from_bytes(&bytes) {
-            // Mutations that survive parsing (e.g. a flipped mantissa bit
-            // in a dictionary entry) must still satisfy every invariant —
-            // `from_bytes` audits before returning.
-            prop_assert!(vaq.audit().is_ok());
-            let q = vec![0.25f32; 12];
-            prop_assert_eq!(vaq.search(&q, 5).unwrap().len(), 5);
-        }
-    }
-
-    /// Every strict prefix of the file is rejected with a typed error.
-    #[test]
-    fn truncations_always_error(cut_seed in 0usize..1_000_000) {
-        let bytes = trained_bytes();
-        let cut = cut_seed % bytes.len(); // strictly shorter than the file
-        prop_assert!(Vaq::from_bytes(&bytes[..cut]).is_err());
-    }
-
-    /// Splicing two random windows of the file (a torn write) never panics.
-    #[test]
-    fn spliced_windows_never_panic(a in 0usize..1_000_000, b in 0usize..1_000_000) {
-        let bytes = trained_bytes();
-        let (a, b) = (a % bytes.len(), b % bytes.len());
-        let (lo, hi) = (a.min(b), a.max(b));
-        let mut spliced = bytes[..lo].to_vec();
-        spliced.extend_from_slice(&bytes[hi..]);
-        let _ = Vaq::from_bytes(&spliced); // Ok or Err both fine; panics are not
-    }
-
-    /// The segmented (`VAQ2`) manifest holds the same line: any single-byte
-    /// mutation either parses to an index that passes the full structural
-    /// audit (VAQ101–VAQ111) or is rejected with a typed error.
-    #[test]
-    fn vaq2_byte_mutations_never_panic(pos_seed in 0usize..1_000_000, delta in 1u8..=255) {
-        let mut bytes = segmented_bytes().to_vec();
-        let pos = pos_seed % bytes.len();
-        bytes[pos] = bytes[pos].wrapping_add(delta);
-        if let Ok(seg) = SegmentedVaq::from_bytes(&bytes) {
-            prop_assert!(seg.audit().is_ok());
-            let q = vec![0.25f32; 12];
-            prop_assert_eq!(seg.search(&q, 5).map(|hits| hits.len()), Ok(5));
-        }
-    }
-
-    /// Every strict prefix of a segmented manifest is rejected: the format
-    /// is purely sequential, so a torn tail always cuts a field short.
-    #[test]
-    fn vaq2_truncations_always_error(cut_seed in 0usize..1_000_000) {
-        let bytes = segmented_bytes();
-        let cut = cut_seed % bytes.len();
-        prop_assert!(SegmentedVaq::from_bytes(&bytes[..cut]).is_err());
-    }
-
-    /// Torn-write splices of the segmented manifest never panic.
-    #[test]
-    fn vaq2_spliced_windows_never_panic(a in 0usize..1_000_000, b in 0usize..1_000_000) {
-        let bytes = segmented_bytes();
-        let (a, b) = (a % bytes.len(), b % bytes.len());
-        let (lo, hi) = (a.min(b), a.max(b));
-        let mut spliced = bytes[..lo].to_vec();
-        spliced.extend_from_slice(&bytes[hi..]);
-        let _ = SegmentedVaq::from_bytes(&spliced);
-    }
 }
 
 /// Pushes one degenerate dataset through training and, when training
@@ -409,7 +293,7 @@ mod injected {
                 seg.add(&Matrix::from_rows(&[d.row(0).to_vec()]))?;
                 // The mapped reopen owns `persist.mmap`: an armed site
                 // degrades the open to the owned read path with a note.
-                let v4 = dir.join(format!("{site}.vaq4"));
+                let v4 = dir.join(format!("{site}.mapped.vaq"));
                 seg.save_mapped(&v4)?;
                 SegmentedVaq::open_mapped(&v4)?.search_with(
                     d.row(0),

@@ -1,7 +1,7 @@
 //! Read-only memory-mapped regions and the typed storages that let index
 //! payloads borrow their bytes from a map instead of owning them.
 //!
-//! The out-of-core path (persist format `VAQ4`) lays sealed-segment
+//! The index file (`vaq_core::persist`) lays sealed-segment
 //! payloads out as page-aligned extents so the scan kernels can read them
 //! straight from the page cache. Each payload is wrapped in a storage enum
 //! — [`CodesStorage`], [`U16Storage`], [`U32Storage`], [`F32Storage`],
@@ -32,7 +32,7 @@ use std::fmt;
 use std::fs::File;
 use std::sync::Arc;
 
-/// Page size assumed by the `VAQ4` extent layout. Real page size is
+/// Page size assumed by the index file's extent layout. Real page size is
 /// queried nowhere: 4096 divides every page size the supported targets
 /// use, so aligning extents to it keeps typed loads aligned and lets
 /// `madvise` round to real page boundaries itself.

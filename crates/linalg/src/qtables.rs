@@ -200,9 +200,7 @@ impl PackedCodes {
     /// (owned or mapped) plus the plan that produced them. Recomputes
     /// the packable-subspace selection and row structure from
     /// `table_sizes` (a pure function of the plan) and validates the
-    /// byte length; `None` on any mismatch. Bytes in the pre-nibble
-    /// legacy layout (one byte per packed subspace) are converted to the
-    /// paired layout, materializing an owned copy. Byte *content*
+    /// byte length; `None` on any mismatch. Byte *content*
     /// (`data[..] < sizes[j]`) is not validated here — mapped loaders
     /// defer that to the lazy per-segment verification, owned loaders
     /// check it eagerly.
@@ -214,24 +212,10 @@ impl PackedCodes {
             // fallback (exactly what `pack` would produce) round-trips.
             return data.is_empty().then(|| Self::inactive(m, n));
         }
-        if plan.truncated > 0 && data.is_empty() {
-            // A legacy file whose plan exceeded the accumulator budget:
-            // the old writer refused packing wholesale and stored no
-            // bytes. Load it inactive; the engine stays on the exact
-            // path exactly as it did when the file was written.
-            return Some(Self::inactive(m, n));
-        }
-        let (mp, nr) = (plan.subspaces.len(), plan.rows.len());
         let blocks = n.div_ceil(BLOCK).max(1);
-        let data = if data.len() == blocks * nr * BLOCK {
-            data
-        } else if nr != mp && data.len() == blocks * mp * BLOCK {
-            // Legacy layout: one byte per packed subspace, no nibble
-            // pairs. Re-pair into the current layout (owned copy).
-            convert_legacy_layout(&data, &plan, blocks).into()
-        } else {
+        if data.len() != blocks * plan.rows.len() * BLOCK {
             return None;
-        };
+        }
         Some(Self {
             data,
             subspaces: plan.subspaces,
@@ -398,34 +382,6 @@ fn encode_row_byte(row: PackedRow, codes: &[u16], subspaces: &[usize]) -> u8 {
         }
         PackedRow::Single(j) => u8::try_from(codes[subspaces[j]]).unwrap_or(u8::MAX),
     }
-}
-
-/// Re-pairs legacy one-byte-per-subspace blocked bytes into the nibble
-/// layout. Legacy nibble codes are `< 16` in well-formed files; the
-/// masks below only alter bytes that were already corrupt (and which the
-/// eager or lazy content verification rejects independently).
-fn convert_legacy_layout(data: &CodesStorage, plan: &PackPlan, blocks: usize) -> Vec<u8> {
-    let (mp, nr) = (plan.subspaces.len(), plan.rows.len());
-    let old = data.as_slice();
-    let mut out = vec![0u8; blocks * nr * BLOCK];
-    for b in 0..blocks {
-        for (r, &pr) in plan.rows.iter().enumerate() {
-            let dst = &mut out[(b * nr + r) * BLOCK..][..BLOCK];
-            match pr {
-                PackedRow::Pair { lo, hi } => {
-                    let src_lo = &old[(b * mp + lo) * BLOCK..][..BLOCK];
-                    let src_hi = &old[(b * mp + hi) * BLOCK..][..BLOCK];
-                    for (d, (&a, &c)) in dst.iter_mut().zip(src_lo.iter().zip(src_hi)) {
-                        *d = (a & 0x0f) | ((c & 0x0f) << 4);
-                    }
-                }
-                PackedRow::Single(j) => {
-                    dst.copy_from_slice(&old[(b * mp + j) * BLOCK..][..BLOCK]);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Per-query `u8` quantization of the exact `f32` lookup tables held by
@@ -700,8 +656,7 @@ pub fn kernel_supported(kernel: ScanKernel) -> bool {
 /// supported tier, unless overridden. `VAQ_FORCE_KERNEL` pins a specific
 /// tier (`scalar`/`ssse3`/`avx2`/`avx512`/`neon`; anything unsupported
 /// or unrecognized falls back to `scalar` so CI matrices fail loudly via
-/// the bench's `active_kernel` report rather than crashing), and the
-/// older `VAQ_FORCE_SCALAR` knob still forces the portable loop.
+/// the bench's `active_kernel` report rather than crashing).
 pub fn active_kernel() -> ScanKernel {
     static KERNEL: OnceLock<ScanKernel> = OnceLock::new();
     *KERNEL.get_or_init(detect_kernel)
@@ -724,10 +679,6 @@ fn detect_kernel() -> ScanKernel {
             _ => ScanKernel::Scalar,
         };
         return if kernel_supported(kernel) { kernel } else { ScanKernel::Scalar };
-    }
-    let scalar = std::env::var_os("VAQ_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
-    if scalar {
-        return ScanKernel::Scalar;
     }
     let s = support();
     if s.avx512 {
@@ -1590,39 +1541,25 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_roundtrips_and_converts_legacy_layout() {
+    fn from_parts_roundtrips_exact_lengths_only() {
         let (_, codes) = setup(MIXED_SIZES, 45, 21);
         let packed = PackedCodes::pack(&codes, MIXED_SIZES, 45);
         // Current-layout bytes round-trip untouched.
         let rebuilt =
             PackedCodes::from_parts(packed.data().to_vec().into(), MIXED_SIZES, 45).unwrap();
         assert_eq!(rebuilt, packed);
-        // Legacy bytes (one byte per packed subspace, no pairs) convert
-        // to the paired layout bit-exactly.
-        let (mp, m) = (packed.num_subspaces(), MIXED_SIZES.len());
-        let mut legacy = vec![0u8; packed.blocks() * mp * BLOCK];
-        for i in 0..45 {
-            let (b, lane) = (i / BLOCK, i % BLOCK);
-            for (j, &s) in packed.subspaces().iter().enumerate() {
-                legacy[(b * mp + j) * BLOCK + lane] = codes[i * m + s] as u8;
-            }
-        }
-        let converted = PackedCodes::from_parts(legacy.into(), MIXED_SIZES, 45).unwrap();
-        assert_eq!(converted, packed);
-        // Any other byte length is rejected.
+        // Any other byte length is rejected — one byte per packed
+        // subspace (no nibble pairs) included.
         let truncated = packed.data()[..packed.data().len() - 1].to_vec();
         assert!(PackedCodes::from_parts(truncated.into(), MIXED_SIZES, 45).is_none());
+        let unpaired = vec![0u8; packed.blocks() * packed.num_subspaces() * BLOCK];
+        assert!(PackedCodes::from_parts(unpaired.into(), MIXED_SIZES, 45).is_none());
+        assert!(PackedCodes::from_parts(CodesStorage::default(), MIXED_SIZES, 45).is_none());
         // Unpackable plans only round-trip the empty inactive form.
         let p = PackedCodes::from_parts(CodesStorage::default(), &[512], 9).unwrap();
         assert!(!p.is_active());
         assert_eq!(p.len(), 9);
         assert!(PackedCodes::from_parts(vec![0u8; 32].into(), &[512], 9).is_none());
-        // Legacy files whose plan overflowed the accumulator budget
-        // stored no bytes; they load as inactive rather than failing.
-        let sizes = vec![2usize; MAX_PACKED_SUBSPACES + 1];
-        let p = PackedCodes::from_parts(CodesStorage::default(), &sizes, 4).unwrap();
-        assert!(!p.is_active());
-        assert_eq!(p.len(), 4);
     }
 
     #[test]
@@ -1903,36 +1840,6 @@ mod tests {
                 }
                 std::fs::remove_file(path).unwrap();
             }
-        }
-
-        /// Legacy-layout bytes in a mapped file convert to an owned
-        /// packing (copy-on-write) with identical scan results.
-        #[test]
-        fn mapped_legacy_bytes_convert_and_scan_identically() {
-            let sizes = [4usize, 16, 256];
-            let n = 77;
-            let (arena, codes) = setup(&sizes, n, 57);
-            let packed = PackedCodes::pack(&codes, &sizes, n);
-            let mp = packed.num_subspaces();
-            let mut legacy = vec![0u8; packed.blocks() * mp * BLOCK];
-            for i in 0..n {
-                let (b, lane) = (i / BLOCK, i % BLOCK);
-                for (j, &s) in packed.subspaces().iter().enumerate() {
-                    legacy[(b * mp + j) * BLOCK + lane] = codes[i * sizes.len() + s] as u8;
-                }
-            }
-            let (path, storage) = tmp_storage(&legacy, "legacy");
-            let converted = PackedCodes::from_parts(storage, &sizes, n).unwrap();
-            // Conversion re-pairs into an owned buffer.
-            assert!(!converted.storage().is_mapped());
-            assert_eq!(converted, packed);
-            let mut qt = QuantizedTables::new();
-            qt.quantize(&arena, &packed);
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            accumulate_qsums(&packed, &qt, &mut a);
-            accumulate_qsums(&converted, &qt, &mut b);
-            assert_eq!(a, b);
-            std::fs::remove_file(path).unwrap();
         }
     }
 }

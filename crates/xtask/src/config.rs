@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn uncovered_violation_fails() {
-        let outcome = apply_allowlist(vec![viol("VAQ001", "b.rs", 7)], &[]);
+        let outcome = apply_allowlist(vec![viol("VAQ003", "b.rs", 7)], &[]);
         assert_eq!(outcome.unsuppressed.len(), 1);
     }
 

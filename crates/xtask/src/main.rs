@@ -26,7 +26,7 @@ USAGE:
   cargo run -p xtask -- lint [--update-allowlist] [--root DIR]
 
 `lint` scans every workspace .rs file (vendored shims and build output
-excluded) for the VAQ001–VAQ010 rules and checks the result against the
+excluded) for the VAQ002–VAQ011 rules and checks the result against the
 shrink-only allowlist in lint.toml. Exit code 1 on any violation not
 covered by an exact allowance, or on an allowance wider than reality.";
 

@@ -2,7 +2,6 @@
 //!
 //! | Code   | Rule |
 //! |--------|------|
-//! | VAQ001 | no new callers of the deprecated `lookup_tables` / `search::execute` shims outside their parity tests |
 //! | VAQ002 | no `Vec<Vec<f32>>` lookup-table pattern in `crates/core` / `crates/baselines` |
 //! | VAQ003 | no `partial_cmp(..).unwrap()` / `.unwrap_or(..)` and no `partial_cmp` inside sort/min/max comparators — use `total_cmp` |
 //! | VAQ004 | no `unwrap()` / `expect()` in library crates outside `#[cfg(test)]` |
@@ -22,7 +21,6 @@ use crate::lexer::{LexedFile, Token};
 /// `code → one-line summary`, printed by `xtask lint` so every CI log
 /// shows which rules were active for the run.
 pub const RULES: &[(&str, &str)] = &[
-    ("VAQ001", "no new callers of the deprecated `lookup_tables`/`search::execute` shims"),
     ("VAQ002", "no `Vec<Vec<f32>>` lookup tables in core/baselines — use the flat `TableArena`"),
     ("VAQ003", "no NaN-unsafe `partial_cmp` unwraps or comparators — use `total_cmp`"),
     ("VAQ004", "no `unwrap()`/`expect()` in library crates outside test code"),
@@ -261,31 +259,6 @@ pub fn check_file(class: FileClass<'_>, lexed: &LexedFile) -> Vec<Violation> {
 
         let prev = i.checked_sub(1).map(|p| toks[p].text.as_str());
 
-        // ---- VAQ001: deprecated shim callers.
-        if t.text == "lookup_tables" && prev != Some("fn") {
-            push(
-                &mut out,
-                "VAQ001",
-                t.line,
-                "call to deprecated `lookup_tables` shim; fill a `TableArena` via \
-                 `QueryEngine`/`fill_tables` instead"
-                    .into(),
-            );
-        }
-        if t.text == "execute"
-            && i >= 3
-            && toks[i - 1].text == ":"
-            && toks[i - 2].text == ":"
-            && toks[i - 3].text == "search"
-        {
-            push(
-                &mut out,
-                "VAQ001",
-                t.line,
-                "call to deprecated `search::execute` shim; use `QueryEngine::search_with`".into(),
-            );
-        }
-
         // ---- VAQ002: nested-Vec lookup tables in core/baselines.
         if class.in_table_banned_crate()
             && t.text == "Vec"
@@ -521,34 +494,6 @@ mod tests {
     const LIB: &str = "crates/core/src/example.rs";
 
     #[test]
-    fn deprecated_shim_call_is_vaq001() {
-        let v = check(LIB, "fn f(e: &Encoder, q: &[f32]) { let t = e.lookup_tables(q); }");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "VAQ001");
-        assert_eq!(v[0].line, 1);
-    }
-
-    #[test]
-    fn deprecated_execute_call_is_vaq001() {
-        assert_eq!(
-            codes(LIB, "fn f() { let hits = crate::search::execute(&view, q, 5); }"),
-            vec!["VAQ001"]
-        );
-    }
-
-    #[test]
-    fn shim_definition_is_exempt() {
-        assert!(codes(LIB, "pub fn lookup_tables(&self) {}").is_empty());
-        assert!(codes(LIB, "pub fn execute(view: &IndexView) {}").is_empty());
-    }
-
-    #[test]
-    fn shim_call_in_cfg_test_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n fn t(e: &Encoder) { e.lookup_tables(q); }\n}";
-        assert!(codes(LIB, src).is_empty());
-    }
-
-    #[test]
     fn nested_vec_tables_are_vaq002_in_core_only() {
         let src = "fn f() -> Vec<Vec<f32>> { vec![] }";
         // The definition line also trips no other rule.
@@ -780,7 +725,7 @@ mod tests {
         for (code, _) in RULES {
             assert!(code.starts_with("VAQ"), "{code}");
         }
-        assert_eq!(RULES.len(), 11);
+        assert_eq!(RULES.len(), 10);
     }
 
     #[test]
