@@ -85,9 +85,10 @@ USAGE:
                   [--visit 0.25] [--rss-budget-mb 0]]
 
 Vector FILEs may be .fvecs, .bvecs, or .csv (one vector per line).
-`audit` and `info` open a file of either kind — a monolithic `train`
-output, or a segmented index written by `save`, `save_mapped` or a
-durable checkpoint — and print its segment, buffer and tombstone counts.
+Every command that takes an INDEX opens any file the library writes —
+`train` output, `save`, `save_mapped` or a durable checkpoint; `audit`
+and `info` print its segment, TI, buffer and tombstone counts, `info`
+also the bit plan and variance shares.
 `audit` re-checks the index's structural invariants (bit budget C1–C4,
 importance monotonicity, code ranges, TI partition order, segment and
 tombstone accounting) and exits non-zero listing each VAQ1xx diagnostic
@@ -218,25 +219,35 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn load_index(opts: &Opts) -> Result<Vaq, String> {
+/// Opens any file the library writes (`train` output, `save`,
+/// `save_mapped`, a durable checkpoint) for querying.
+fn load_index(opts: &Opts) -> Result<SegmentedVaq, String> {
     let path = PathBuf::from(get(opts, "index")?);
-    Vaq::load(&path).map_err(|e| e.to_string())
+    SegmentedVaq::load(&path).map_err(|e| e.to_string())
+}
+
+/// The `--visit` fraction as a search strategy; train-time configs are
+/// validated to `(0, 1]` and so is this.
+fn visit_strategy(opts: &Opts) -> Result<SearchStrategy, String> {
+    let visit_frac: f64 = get_or(opts, "visit", 0.25)?;
+    if !(visit_frac > 0.0 && visit_frac <= 1.0) {
+        return Err(format!("--visit {visit_frac} outside (0, 1]"));
+    }
+    Ok(SearchStrategy::TiEa { visit_frac })
 }
 
 fn cmd_search(opts: &Opts) -> Result<(), String> {
-    let vaq = load_index(opts)?;
+    let mut searcher = load_index(opts)?.searcher();
     let queries_path = PathBuf::from(get(opts, "queries")?);
     let k: usize = get_or(opts, "k", 10)?;
-    let visit: f64 = get_or(opts, "visit", 0.25)?;
+    let strategy = visit_strategy(opts)?;
     let limit: usize = get_or(opts, "limit", 0)?;
     let queries = load_vectors(&queries_path, if limit > 0 { Some(limit) } else { None })?;
 
     let t0 = std::time::Instant::now();
     for q in 0..queries.rows() {
-        let hits = vaq
-            .search_with(queries.row(q), k, SearchStrategy::TiEa { visit_frac: visit })
-            .expect("search")
-            .0;
+        // A query file of the wrong width is a typed error, not a panic.
+        let hits = searcher.search_with(queries.row(q), k, strategy).map_err(|e| e.to_string())?.0;
         let ids: Vec<String> =
             hits.iter().map(|h| format!("{}:{:.4}", h.index, h.distance)).collect();
         println!("query {q}: {}", ids.join(" "));
@@ -246,11 +257,11 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_eval(opts: &Opts) -> Result<(), String> {
-    let vaq = load_index(opts)?;
+    let mut searcher = load_index(opts)?.searcher();
     let queries_path = PathBuf::from(get(opts, "queries")?);
     let truth_path = PathBuf::from(get(opts, "truth")?);
     let k: usize = get_or(opts, "k", 100)?;
-    let visit: f64 = get_or(opts, "visit", 0.25)?;
+    let strategy = visit_strategy(opts)?;
     let limit: usize = get_or(opts, "limit", 0)?;
     let queries = load_vectors(&queries_path, if limit > 0 { Some(limit) } else { None })?;
     let truth = read_ivecs(&truth_path, Some(queries.rows()))
@@ -266,14 +277,11 @@ fn cmd_eval(opts: &Opts) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let retrieved: Vec<Vec<u32>> = (0..queries.rows())
         .map(|q| {
-            vaq.search_with(queries.row(q), k, SearchStrategy::TiEa { visit_frac: visit })
-                .expect("search")
-                .0
-                .iter()
-                .map(|h| h.index)
-                .collect()
+            let (hits, _) = searcher.search_with(queries.row(q), k, strategy)?;
+            Ok(hits.iter().map(|h| h.index).collect())
         })
-        .collect();
+        .collect::<Result<_, vaq_core::VaqError>>()
+        .map_err(|e| e.to_string())?;
     let secs = t0.elapsed().as_secs_f64();
     println!("recall@{k} = {:.4}", recall_at_k(&retrieved, &truth[..queries.rows()], k));
     println!("MAP@{k}    = {:.4}", map_at_k(&retrieved, &truth[..queries.rows()], k));
@@ -285,10 +293,10 @@ fn cmd_eval(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads an index file of either kind through the owned parser (every
-/// checksum verified, full audit run), returning it with the loader's
-/// one-line account of what the file held — kind, bit plan, segment,
-/// buffer and tombstone counts (the `persist.load` obs event).
+/// Loads an index file through the owned parser (every checksum
+/// verified, full audit run), returning it with the loader's one-line
+/// account of what the file held — bit plan, segment, TI, buffer and
+/// tombstone counts (the `persist.load` obs event).
 fn load_any(opts: &Opts) -> Result<(PathBuf, SegmentedVaq, String), String> {
     let path = PathBuf::from(get(opts, "index")?);
     vaq_core::obs::set_enabled(true);
@@ -317,29 +325,18 @@ fn cmd_audit(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_info(opts: &Opts) -> Result<(), String> {
-    let (path, index, held) = load_any(opts)?;
+    let (_, index, held) = load_any(opts)?;
     let snap = index.snapshot();
     println!("vectors:        {} live", index.len());
     println!("segments:       {} sealed, {} buffered rows", snap.num_segments(), snap.buffer_len());
     println!("file:           {held}");
-    // Model details need the monolithic view; a segmented file has none.
-    let Ok(vaq) = Vaq::load(&path) else {
-        return Ok(());
-    };
-    println!("code bits:      {} ({} bytes/vector)", vaq.code_bits(), vaq.code_bits().div_ceil(8));
-    println!("subspaces:      {}", vaq.bits().len());
-    println!("bit allocation: {:?}", vaq.bits());
+    let code_bits: usize = index.bits().iter().sum();
+    println!("code bits:      {code_bits} ({} bytes/vector)", code_bits.div_ceil(8));
+    println!("subspaces:      {}", index.bits().len());
+    println!("bit allocation: {:?}", index.bits());
     let shares: Vec<String> =
-        vaq.layout().variance_share.iter().map(|v| format!("{:.3}", v)).collect();
+        index.layout().variance_share.iter().map(|v| format!("{:.3}", v)).collect();
     println!("variance share: [{}]", shares.join(", "));
-    match vaq.ti() {
-        Some(ti) => println!(
-            "TI partition:   {} clusters over the first {} subspaces",
-            ti.num_clusters(),
-            ti.prefix_subspaces()
-        ),
-        None => println!("TI partition:   none (EA-only queries)"),
-    }
     Ok(())
 }
 

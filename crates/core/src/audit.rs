@@ -14,6 +14,7 @@
 
 use crate::encoder::Encoder;
 use crate::pipeline::{BitPlan, DictionaryStage, SubspacePlan};
+use crate::segment::{Model, SegmentCore, SegmentIds};
 use crate::subspaces::SubspaceLayout;
 use crate::ti::TiPartition;
 use crate::vaq::{Vaq, VaqConfig};
@@ -189,7 +190,7 @@ impl Audit for SubspacePlan {
     }
 }
 
-/// Intrinsic bit-vector checks shared by [`BitPlan`] and [`Vaq`].
+/// Intrinsic bit-vector checks shared by [`BitPlan`] and the trained model.
 fn audit_bits(r: &mut AuditReport, bits: &[usize], num_subspaces: usize) {
     r.check(bits.len() == num_subspaces, "VAQ105", || {
         format!("{} bit entries for {num_subspaces} subspaces", bits.len())
@@ -383,164 +384,136 @@ impl Audit for DictionaryStage {
     }
 }
 
-impl Audit for Vaq {
-    fn audit(&self) -> AuditReport {
-        let mut r = self.layout.audit();
-        audit_bits(&mut r, &self.bits, self.layout.ranges.len());
-        r.merge(self.encoder.audit());
-        r.check(self.encoder.bits() == self.bits.as_slice(), "VAQ109", || {
-            "encoder bit widths disagree with the trained allocation".into()
-        });
-        audit_codes(&mut r, &self.codes, self.n, &self.encoder);
+/// The invariants of the trained model every index shares.
+fn audit_model(model: &Model) -> AuditReport {
+    let mut r = model.layout.audit();
+    audit_bits(&mut r, &model.bits, model.layout.ranges.len());
+    r.merge(model.encoder.audit());
+    r.check(model.encoder.bits() == model.bits.as_slice(), "VAQ109", || {
+        "encoder bit widths disagree with the trained allocation".into()
+    });
+    r
+}
 
-        if let Some(ti) = &self.ti {
-            r.merge(ti.audit());
-            // The partition must cover every database row exactly once —
-            // the exact-membership bitset check, not just a size sum (a
-            // double-assigned row plus an omitted one passes the sum).
-            r.check(ti.covers_exactly(self.n), "VAQ108", || {
+/// The invariants of sealed segment `s` on its own: ids (VAQ111), codes
+/// (VAQ106), TI partition (VAQ108), blocked packing (VAQ110) and, when
+/// mapped, extent placement (VAQ113).
+fn audit_core(r: &mut AuditReport, core: &SegmentCore, s: usize, encoder: &Encoder) {
+    r.check(core.n > 0, "VAQ111", || format!("segment {s} is empty"));
+    if let SegmentIds::Column(ids) = &core.ids {
+        r.check(ids.len() == core.n, "VAQ111", || {
+            format!("segment {s} holds {} ids for {} rows", ids.len(), core.n)
+        });
+        r.check(ids.windows(2).all(|w| w[0] < w[1]), "VAQ111", || {
+            format!("segment {s} ids are not strictly ascending")
+        });
+        audit_mapped_span(r, s, "ids", ids.mapped_span());
+    }
+    audit_codes(r, &core.codes, core.n, encoder);
+    if let Some(ti) = &core.ti {
+        r.merge(ti.audit());
+        // The partition must cover every row exactly once — the
+        // exact-membership bitset check, not just a size sum (a
+        // double-assigned row plus an omitted one passes the sum).
+        r.check(ti.covers_exactly(core.n), "VAQ108", || {
+            format!(
+                "segment {s}: TI partition does not cover every row in 0..{} exactly once \
+                 (duplicate, out-of-range, or omitted assignment)",
+                core.n
+            )
+        });
+        // The prefix space must end on a subspace boundary of the
+        // encoder.
+        let m = encoder.num_subspaces();
+        if ti.prefix_subspaces >= 1 && ti.prefix_subspaces <= m {
+            let end = encoder.ranges()[ti.prefix_subspaces - 1].1;
+            r.check(ti.prefix_dim == end, "VAQ108", || {
                 format!(
-                    "TI partition does not cover every row in 0..{} exactly once \
-                     (duplicate, out-of-range, or omitted assignment)",
-                    self.n
+                    "segment {s}: prefix dim {} does not match subspace boundary {end} \
+                     after {} subspaces",
+                    ti.prefix_dim, ti.prefix_subspaces
                 )
             });
-            // The prefix space must end on a subspace boundary of the
-            // encoder.
-            let m = self.encoder.num_subspaces();
-            if ti.prefix_subspaces >= 1 && ti.prefix_subspaces <= m {
-                let end = self.encoder.ranges()[ti.prefix_subspaces - 1].1;
-                r.check(ti.prefix_dim == end, "VAQ108", || {
-                    format!(
-                        "prefix dim {} does not match subspace boundary {end} after {} subspaces",
-                        ti.prefix_dim, ti.prefix_subspaces
-                    )
-                });
-            } else {
-                r.push("VAQ108", format!("prefix spans {} of {m} subspaces", ti.prefix_subspaces));
-            }
+        } else {
+            r.push(
+                "VAQ108",
+                format!("segment {s}: prefix spans {} of {m} subspaces", ti.prefix_subspaces),
+            );
         }
+        audit_mapped_span(r, s, "TI member ids", ti.member_idx.mapped_span());
+        audit_mapped_span(r, s, "TI member dists", ti.member_dist.mapped_span());
+    }
+    // VAQ110 — the blocked packing must mirror `codes` byte for byte: the
+    // quantized scan prunes with bounds computed from the packed bytes, so
+    // a stale packing (e.g. after an append that skipped re-packing) would
+    // silently produce wrong-answer pruning.
+    audit_packed(r, &core.packed, &core.codes, core.n, encoder);
+    audit_mapped_span(r, s, "codes", core.codes.mapped_span());
+    audit_mapped_span(r, s, "packed", core.packed.storage().mapped_span());
+}
 
-        // VAQ110 — the blocked packing must mirror `codes` byte for byte:
-        // the quantized scan prunes with bounds computed from the packed
-        // bytes, so a stale packing (e.g. after an append that skipped
-        // re-packing) would silently produce wrong-answer pruning.
-        audit_packed(&mut r, &self.packed, &self.codes, self.n, &self.encoder);
+/// A [`Vaq`] is the model plus one sealed segment.
+impl Audit for Vaq {
+    fn audit(&self) -> AuditReport {
+        let mut r = audit_model(&self.model);
+        audit_core(&mut r, &self.core, 0, &self.model.encoder);
         r
     }
 }
 
-/// VAQ111: segmented-index structural invariants — shared model
-/// consistency, per-segment id/tombstone/TI/packing integrity, pairwise
-/// disjoint ascending id ranges, buffer ids above every sealed id, and
-/// (when no maintenance pass is in flight) a buffer below the seal
-/// threshold.
+/// VAQ111: segmented-index structural invariants on top of the model's
+/// and each segment's own — tombstone accounting, pairwise disjoint
+/// ascending id ranges below the id counter, buffer ids above every
+/// sealed id, and (when no maintenance pass is in flight) a buffer below
+/// the seal threshold.
 impl Audit for crate::segment::SegmentedVaq {
     fn audit(&self) -> AuditReport {
         let model = self.shared_model();
         let set = self.snapshot();
         let (next_id, maintenance) = self.writer_probe();
 
-        // Shared model: same invariants a monolithic index carries.
-        let mut r = model.layout.audit();
-        audit_bits(&mut r, &model.bits, model.layout.ranges.len());
-        r.merge(model.encoder.audit());
-        r.check(model.encoder.bits() == model.bits.as_slice(), "VAQ109", || {
-            "encoder bit widths disagree with the trained allocation".into()
-        });
-
+        let mut r = audit_model(model);
         let mut prev_last: Option<u32> = None;
         for (s, seg) in set.segments.iter().enumerate() {
-            let core = &seg.core;
-            r.check(core.ids.len() == core.n, "VAQ111", || {
-                format!("segment {s} holds {} ids for {} rows", core.ids.len(), core.n)
-            });
-            r.check(core.n > 0, "VAQ111", || format!("segment {s} is empty"));
-            r.check(core.ids.windows(2).all(|w| w[0] < w[1]), "VAQ111", || {
-                format!("segment {s} ids are not strictly ascending")
-            });
-            if let (Some(&first), Some(last)) = (core.ids.first(), prev_last) {
-                r.check(first > last, "VAQ111", || {
-                    format!("segment {s} starts at id {first}, segment {} ends at {last}", s - 1)
+            audit_core(&mut r, &seg.core, s, &model.encoder);
+            if let Some((first, last)) = seg.core.id_span() {
+                r.check(prev_last.is_none_or(|pl| first > pl), "VAQ111", || {
+                    format!("segment {s} starts at id {first}, below the end of segment {}", s - 1)
                 });
-            }
-            if let Some(&last) = core.ids.last() {
                 r.check(last < next_id, "VAQ111", || {
                     format!("segment {s} holds id {last} >= next_id {next_id}")
                 });
                 prev_last = Some(last);
             }
-            audit_codes(&mut r, &core.codes, core.n, &model.encoder);
-            audit_tombstones(&mut r, seg.tombstones.words(), seg.tombstones.dead(), core.n, s);
-            if let Some(ti) = &core.ti {
-                r.merge(ti.audit());
-                r.check(ti.covers_exactly(core.n), "VAQ108", || {
-                    format!("segment {s}: TI partition does not cover 0..{} exactly once", core.n)
-                });
-                let m = model.encoder.num_subspaces();
-                if ti.prefix_subspaces >= 1 && ti.prefix_subspaces <= m {
-                    let end = model.encoder.ranges()[ti.prefix_subspaces - 1].1;
-                    r.check(ti.prefix_dim == end, "VAQ108", || {
-                        format!(
-                            "segment {s}: prefix dim {} does not match subspace boundary {end}",
-                            ti.prefix_dim
-                        )
-                    });
-                } else {
-                    r.push(
-                        "VAQ108",
-                        format!(
-                            "segment {s}: prefix spans {} of {m} subspaces",
-                            ti.prefix_subspaces
-                        ),
-                    );
-                }
-            }
-            audit_packed(&mut r, &core.packed, &core.codes, core.n, &model.encoder);
-            audit_mapped_span(&mut r, s, "ids", core.ids.mapped_span());
-            audit_mapped_span(&mut r, s, "codes", core.codes.mapped_span());
-            audit_mapped_span(&mut r, s, "packed", core.packed.storage().mapped_span());
+            audit_tombstones(&mut r, seg.tombstones.words(), seg.tombstones.dead(), seg.core.n, s);
             audit_mapped_span(&mut r, s, "tombstone", seg.tombstones.mapped_span());
-            if let Some(ti) = &core.ti {
-                audit_mapped_span(&mut r, s, "TI member ids", ti.member_idx.mapped_span());
-                audit_mapped_span(&mut r, s, "TI member dists", ti.member_dist.mapped_span());
-            }
         }
 
         let buf = &set.buffer;
-        r.check(buf.ids.windows(2).all(|w| w[0] < w[1]), "VAQ111", || {
-            "buffer ids are not strictly ascending".into()
-        });
-        if let (Some(&first), Some(last)) = (buf.ids.first(), prev_last) {
-            r.check(first > last, "VAQ111", || {
-                format!("buffer starts at id {first}, below sealed id {last}")
+        if let Some((first, last)) = buf.id_span() {
+            r.check(prev_last.is_none_or(|pl| first > pl), "VAQ111", || {
+                format!("buffer starts at id {first}, below the last sealed id")
             });
-        }
-        if let Some(&last) = buf.ids.last() {
             r.check(last < next_id, "VAQ111", || {
                 format!("buffer holds id {last} >= next_id {next_id}")
             });
         }
-        audit_codes(&mut r, &buf.codes, buf.ids.len(), &model.encoder);
+        audit_codes(&mut r, &buf.codes, buf.rows, &model.encoder);
         audit_tombstones(
             &mut r,
             buf.tombstones.words(),
             buf.tombstones.dead(),
-            buf.ids.len(),
+            buf.rows,
             usize::MAX,
         );
-        r.check(
-            maintenance || buf.ids.len() < self.policy().seal_threshold.max(1),
-            "VAQ111",
-            || {
-                format!(
-                    "buffer holds {} rows, at or above the seal threshold {} with no \
-                     maintenance pass in flight",
-                    buf.ids.len(),
-                    self.policy().seal_threshold
-                )
-            },
-        );
+        r.check(maintenance || buf.rows < self.policy().seal_threshold.max(1), "VAQ111", || {
+            format!(
+                "buffer holds {} rows, at or above the seal threshold {} with no \
+                 maintenance pass in flight",
+                buf.rows,
+                self.policy().seal_threshold
+            )
+        });
 
         // VAQ112 — write-ahead-log discipline (durable indexes only):
         // logged add ranges must be strictly ascending and contiguous
@@ -692,6 +665,11 @@ mod tests {
         Vaq::train(&ds.data, &cfg).unwrap()
     }
 
+    /// The index's one segment, for corrupting in place.
+    fn core_mut(vaq: &mut Vaq) -> &mut SegmentCore {
+        crate::sync::Arc::make_mut(&mut vaq.core)
+    }
+
     #[test]
     fn trained_index_is_clean() {
         let vaq = trained();
@@ -704,7 +682,7 @@ mod tests {
         let mut vaq = trained();
         // Force a code past its dictionary: subspace 0's codebook has at
         // most 2^13 rows, u16::MAX is always out of range.
-        vaq.codes[0] = u16::MAX;
+        core_mut(&mut vaq).codes.to_mut()[0] = u16::MAX;
         let report = vaq.audit();
         assert!(report.has_code("VAQ106"), "{report}");
     }
@@ -712,7 +690,7 @@ mod tests {
     #[test]
     fn truncated_codes_are_vaq106() {
         let mut vaq = trained();
-        vaq.codes.pop();
+        core_mut(&mut vaq).codes.to_mut().pop();
         let report = vaq.audit();
         assert!(report.has_code("VAQ106"), "{report}");
     }
@@ -720,11 +698,12 @@ mod tests {
     #[test]
     fn stale_packing_content_is_vaq110() {
         let mut vaq = trained();
-        assert!(vaq.packed.is_active(), "40-bit/8-subspace plan must pack");
+        assert!(vaq.core.packed.is_active(), "40-bit/8-subspace plan must pack");
         // Mutate one code *within* its dictionary range without
         // re-packing: VAQ106 stays clean, but the packed bytes now lie.
-        let rows = vaq.encoder.codebooks()[0].rows() as u16;
-        vaq.codes[0] = (vaq.codes[0] + 1) % rows;
+        let rows = vaq.encoder().codebooks()[0].rows() as u16;
+        let codes = core_mut(&mut vaq).codes.to_mut();
+        codes[0] = (codes[0] + 1) % rows;
         let report = vaq.audit();
         assert!(report.has_code("VAQ110"), "{report}");
         assert!(!report.has_code("VAQ106"), "{report}");
@@ -733,11 +712,12 @@ mod tests {
     #[test]
     fn short_packing_is_vaq110() {
         let mut vaq = trained();
-        let m = vaq.encoder.num_subspaces();
-        let sizes: Vec<usize> = vaq.encoder.table_sizes().collect();
+        let m = vaq.encoder().num_subspaces();
+        let sizes: Vec<usize> = vaq.encoder().table_sizes().collect();
         // A packing built over a truncated database.
-        vaq.packed =
-            vaq_linalg::PackedCodes::pack(&vaq.codes[..(vaq.n - 1) * m], &sizes, vaq.n - 1);
+        let core = core_mut(&mut vaq);
+        core.packed =
+            vaq_linalg::PackedCodes::pack(&core.codes[..(core.n - 1) * m], &sizes, core.n - 1);
         let report = vaq.audit();
         assert!(report.has_code("VAQ110"), "{report}");
     }
@@ -745,7 +725,7 @@ mod tests {
     #[test]
     fn missing_packing_is_vaq110() {
         let mut vaq = trained();
-        vaq.packed = vaq_linalg::PackedCodes::default();
+        core_mut(&mut vaq).packed = vaq_linalg::PackedCodes::default();
         let report = vaq.audit();
         assert!(report.has_code("VAQ110"), "{report}");
     }
@@ -753,7 +733,7 @@ mod tests {
     #[test]
     fn unsorted_ti_cluster_is_vaq108() {
         let mut vaq = trained();
-        let ti = vaq.ti.as_mut().unwrap();
+        let ti = core_mut(&mut vaq).ti.as_mut().unwrap();
         let c = (0..ti.num_clusters())
             .find(|&c| ti.cluster_len(c) >= 2)
             .expect("some cluster has two members");
@@ -771,7 +751,7 @@ mod tests {
     #[test]
     fn duplicated_ti_member_is_vaq108() {
         let mut vaq = trained();
-        let ti = vaq.ti.as_mut().unwrap();
+        let ti = core_mut(&mut vaq).ti.as_mut().unwrap();
         let first = ti.member_idx.as_slice()[0];
         for c in 0..ti.num_clusters() {
             if !ti.cluster_idx(c).contains(&first) {
@@ -822,7 +802,7 @@ mod tests {
     #[test]
     fn broken_importance_order_is_vaq104() {
         let vaq = trained();
-        let mut layout = vaq.layout.clone();
+        let mut layout = vaq.layout().clone();
         layout.variance_share.reverse();
         let report = layout.audit();
         assert!(report.has_code("VAQ104"), "{report}");
@@ -907,8 +887,9 @@ mod tests {
             #[test]
             fn any_corrupted_code_is_vaq106(pos_seed in 0usize..10_000) {
                 let mut vaq = shared().clone();
-                let pos = pos_seed % vaq.codes.len();
-                vaq.codes[pos] = u16::MAX;
+                let codes = core_mut(&mut vaq).codes.to_mut();
+                let pos = pos_seed % codes.len();
+                codes[pos] = u16::MAX;
                 let report = vaq.audit();
                 prop_assert!(report.has_code("VAQ106"), "{report}");
             }
@@ -917,8 +898,9 @@ mod tests {
             #[test]
             fn any_truncated_codes_are_vaq106(cut_seed in 1usize..10_000) {
                 let mut vaq = shared().clone();
-                let cut = 1 + cut_seed % (vaq.codes.len() - 1);
-                vaq.codes.truncate(vaq.codes.len() - cut);
+                let codes = core_mut(&mut vaq).codes.to_mut();
+                let cut = 1 + cut_seed % (codes.len() - 1);
+                codes.truncate(codes.len() - cut);
                 let report = vaq.audit();
                 prop_assert!(report.has_code("VAQ106"), "{report}");
             }

@@ -342,7 +342,7 @@ impl QueryEngine {
             ..SearchStats::default()
         };
         let n = view.len();
-        let k = k.max(1).min(n.max(1));
+        let k = k.min(n);
         let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(k + 1);
 
         match strategy {
@@ -475,7 +475,7 @@ impl QueryEngine {
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
         let n = view.len();
-        let k = k.max(1).min(n.max(1));
+        let k = k.min(n);
         let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(k + 1);
         let _rerank = crate::obs::span("query.rerank");
         let m = view.num_subspaces();
@@ -565,7 +565,7 @@ impl QueryEngine {
         ids: impl IntoIterator<Item = u32>,
         k: usize,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let k = k.max(1).min(view.len().max(1));
+        let k = k.min(view.len());
         let mut stats = SearchStats::default();
         let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(k + 1);
         for id in ids {
@@ -724,7 +724,7 @@ where
                 // Same degradation as the sequential Quantized arm: the
                 // exact early-abandon scan answers this query.
                 let n = view.len();
-                let kk = k.max(1).min(n.max(1));
+                let kk = k.min(n);
                 let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(kk + 1);
                 let _scan = crate::obs::span("query.scan");
                 for i in 0..n {

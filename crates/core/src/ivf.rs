@@ -75,7 +75,7 @@ impl VaqIvf {
 
         // Coarse clustering in the projected space (where ADC distances
         // live), so cell geometry matches query geometry.
-        let projected = vaq.pca.transform(data)?;
+        let projected = vaq.model.pca.transform(data)?;
         let km = KMeansConfig::new(cfg.coarse_cells.min(data.rows()))
             .with_seed(inner_cfg.seed ^ 0x1AF)
             .with_max_iters(cfg.coarse_iters);

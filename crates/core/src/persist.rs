@@ -1,6 +1,6 @@
 //! Binary persistence for trained [`Vaq`] and [`SegmentedVaq`] indexes:
-//! one checksummed, page-aligned extent container, atomic commits, and
-//! typed IO errors.
+//! one checksummed, page-aligned extent container holding one index
+//! shape, atomic commits, and typed IO errors.
 //!
 //! A trained index is expensive (dictionary learning dominates, as the
 //! paper's encoding-time measurements show), so a downstream system wants
@@ -10,34 +10,40 @@
 //! layout:
 //!
 //! ```text
-//! header: magic "VAQ4" | version u32 | kind u8 (1=monolithic, 2=segmented) |
-//!         wal_seq u64 | extent count u64 | header crc32c u32
+//! header: magic "VAQ4" | version u32 | wal_seq u64 | extent count u64 |
+//!         header crc32c u32
 //! table:  [offset u64 | len u64 | crc32c u32] × count | table crc32c u32
 //! payloads at their absolute offsets, each aligned to 4096 bytes,
 //! zero padding in between
 //!
 //! extent 0:        model — pca | layout | bits | codebooks | strategy |
 //!                  ti_prefix_subspaces u64 | seed u64 | policy | next_id u32
-//! 7 per segment:   meta (rows u64 | dead u64 | TI flag + centroids,
-//!                  cluster boundaries, prefix) | ids [u32] | codes [u16] |
-//!                  packed [u8] | tombstone words [u64] |
+//! 7 per segment:   meta (rows u64 | dead u64 | first id u32 | TI flag +
+//!                  centroids, cluster boundaries, prefix) | ids [u32] |
+//!                  codes [u16] | packed [u8] | tombstone words [u64] |
 //!                  TI member ids [u32] | TI member distances [f32]
-//! last extent:     buffer — rows u64 | ids [u32] | codes [u16] |
+//! last extent:     buffer — rows u64 | first id u32 | codes [u16] |
 //!                  dead u64 | word count u64 | words [u64]
 //! ```
 //!
-//! The array extents are the raw arrays, so a 64-bit little-endian host
-//! can map them and read typed slices in place with no parsing; the meta
-//! extent holds everything needed to build those typed views without
-//! touching the arrays. Three extents may be empty:
+//! There is one shape: a trained model, sealed segments, a write buffer.
+//! A [`Vaq`] is the case of one segment with ids `0..n`, no tombstone and
+//! an empty buffer, and [`Vaq::load`] accepts exactly the files of that
+//! shape, whoever wrote them. The array extents are the raw arrays, so a
+//! 64-bit little-endian host can map them and read typed slices in place
+//! with no parsing; the meta extent holds everything needed to build
+//! those typed views without touching the arrays. Three extents may be
+//! empty:
 //!
 //! * the **packed** extent — the blocked packing is a pure function of
 //!   the codes, so only [`SegmentedVaq::save_mapped`] materialises it
 //!   (+29 % file size on a 128-bit plan); every other writer leaves it at
 //!   length 0 and the owned parser re-derives it with
 //!   [`PackedCodes::pack`];
-//! * the **ids** extent of a `kind = 1` file — a monolithic index's ids
-//!   are its row numbers (an id column would add 6 % to the file);
+//! * the **ids** extent — an empty one means the dense range starting at
+//!   the meta's first id, which is what every segment holds until a
+//!   compaction drops rows from it (4 B/row saved; the buffer's ids are
+//!   always such a range);
 //! * both **TI** extents when the segment has no partition.
 //!
 //! The header, the table and **every extent** carry a CRC32C
@@ -67,7 +73,8 @@
 use crate::encoder::Encoder;
 use crate::search::SearchStrategy;
 use crate::segment::{
-    Buffer, Model, Segment, SegmentCore, SegmentPolicy, SegmentSet, SegmentedVaq, Tombstones,
+    Buffer, Model, Segment, SegmentCore, SegmentIds, SegmentPolicy, SegmentSet, SegmentedVaq,
+    Tombstones,
 };
 use crate::subspaces::SubspaceLayout;
 use crate::sync::atomic::{AtomicU8, Ordering};
@@ -84,11 +91,9 @@ use vaq_linalg::{
 
 const MAGIC: &[u8; 4] = b"VAQ4";
 const VERSION: u32 = 1;
-const KIND_MONOLITHIC: u8 = 1;
-const KIND_SEGMENTED: u8 = 2;
 /// Bytes of the header covered by the header CRC (everything before the
 /// CRC field itself), and the whole header.
-const HEADER_CRC_SPAN: usize = 4 + 4 + 1 + 8 + 8;
+const HEADER_CRC_SPAN: usize = 4 + 4 + 8 + 8;
 const HEADER_LEN: usize = HEADER_CRC_SPAN + 4;
 /// Bytes per extent-table entry: offset `u64` + length `u64` + CRC32C
 /// `u32`.
@@ -166,12 +171,12 @@ fn fsync_dir(dir: &Path) -> Result<(), VaqError> {
 /// a torn prefix *of the tmp only*, so recovery tests see realistic
 /// debris. The payloads are streamed (no whole-file buffer is
 /// materialized), so saving adds O(extent-table) memory, not O(file).
-fn commit(path: &Path, kind: u8, wal_seq: u64, extents: &[ExtPayload<'_>]) -> Result<(), VaqError> {
+fn commit(path: &Path, wal_seq: u64, extents: &[ExtPayload<'_>]) -> Result<(), VaqError> {
     let tmp = tmp_path(path);
     let torn = crate::faults::fired("persist.commit");
     let f = std::fs::File::create(&tmp).map_err(|e| io_at(&tmp, e))?;
     let mut w = std::io::BufWriter::new(f);
-    let len = write_container(&mut w, kind, wal_seq, extents).map_err(|e| io_at(&tmp, e))?;
+    let len = write_container(&mut w, wal_seq, extents).map_err(|e| io_at(&tmp, e))?;
     let f = w.into_inner().map_err(|e| io_at(&tmp, e.into_error()))?;
     if torn {
         // Simulated power loss mid-write: only a prefix of the staging
@@ -193,7 +198,7 @@ fn commit(path: &Path, kind: u8, wal_seq: u64, extents: &[ExtPayload<'_>]) -> Re
 }
 
 /// Reads an index file with the container header validated *first*: the
-/// 29-byte header is pulled in alone and checked — magic, checksum, and
+/// 28-byte header is pulled in alone and checked — magic, checksum, and
 /// the claimed extent count against the real file length — before the
 /// body is read, so a corrupt or hostile header is rejected without a
 /// file-sized read behind it.
@@ -283,14 +288,12 @@ impl<W: std::io::Write> CrcWriter<'_, W> {
 /// the extent table back-patched once the payload CRCs are known.
 fn write_container<W: std::io::Write + std::io::Seek>(
     w: &mut W,
-    kind: u8,
     wal_seq: u64,
     extents: &[ExtPayload<'_>],
 ) -> std::io::Result<u64> {
     let mut header = BytesMut::with_capacity(HEADER_LEN);
     header.put_slice(MAGIC);
     header.put_u32_le(VERSION);
-    header.put_u8(kind);
     header.put_u64_le(wal_seq);
     header.put_u64_le(wide(extents.len()));
     let header_crc = crate::crc::crc32c(&header);
@@ -318,40 +321,26 @@ fn write_container<W: std::io::Write + std::io::Seek>(
     Ok(wide(cursor))
 }
 
-/// The container as one in-memory buffer — the `to_bytes` side of the
-/// streaming writer.
-fn render(kind: u8, wal_seq: u64, extents: &[ExtPayload<'_>]) -> Vec<u8> {
-    let mut out = std::io::Cursor::new(Vec::new());
-    // A `Vec` sink cannot fail, so there is no error to surface.
-    let _ = write_container(&mut out, kind, wal_seq, extents);
-    out.into_inner()
-}
-
-/// The borrowed arrays of one sealed segment (or of a monolithic index),
-/// in extent order.
-struct SegRef<'a> {
-    n: usize,
-    dead: usize,
-    ti: Option<&'a TiPartition>,
-    ids: &'a [u32],
-    codes: &'a [u16],
-    packed: &'a [u8],
-    words: ExtPayload<'a>,
-}
-
-/// Frames an index as its extent list: the model extent, seven extents
-/// per segment, the buffer extent.
-fn frame<'a>(
-    model: BytesMut,
-    segments: impl Iterator<Item = SegRef<'a>>,
-    buffer: &Buffer,
+/// Frames a snapshot as its extent list: the model extent, seven extents
+/// per sealed segment, the buffer extent. `with_packed` materialises the
+/// blocked packing (the mapped layout); without it the packed extents
+/// stay empty and loaders re-derive them.
+fn set_extents<'a>(
+    model: &Model,
+    policy: &SegmentPolicy,
+    set: &'a SegmentSet,
+    next_id: u32,
+    with_packed: bool,
 ) -> Vec<ExtPayload<'a>> {
-    let mut extents = vec![ExtPayload::Own(model.to_vec())];
-    for seg in segments {
+    let mut mp = BytesMut::with_capacity(4096);
+    put_model(&mut mp, model, policy, next_id);
+    let mut extents = vec![ExtPayload::Own(mp.to_vec())];
+    for Segment { core, tombstones } in &set.segments {
         let mut meta = BytesMut::with_capacity(256);
-        meta.put_u64_le(wide(seg.n));
-        meta.put_u64_le(wide(seg.dead));
-        let (idx, dist): (&[u32], &[f32]) = match seg.ti {
+        meta.put_u64_le(wide(core.n));
+        meta.put_u64_le(wide(tombstones.dead()));
+        meta.put_u32_le(core.id_span().map_or(0, |(first, _)| first));
+        let (idx, dist): (&[u32], &[f32]) = match &core.ti {
             None => {
                 meta.put_u8(0);
                 (&[], &[])
@@ -367,43 +356,18 @@ fn frame<'a>(
         };
         extents.extend([
             ExtPayload::Own(meta.to_vec()),
-            ExtPayload::U32s(seg.ids),
-            ExtPayload::U16s(seg.codes),
-            ExtPayload::U8s(seg.packed),
-            seg.words,
+            ExtPayload::U32s(core.ids.column()),
+            ExtPayload::U16s(core.codes.as_slice()),
+            ExtPayload::U8s(if with_packed { core.packed.data() } else { &[] }),
+            ExtPayload::U64s(tombstones.words()),
             ExtPayload::U32s(idx),
             ExtPayload::F32s(dist),
         ]);
     }
-    let mut be = BytesMut::with_capacity(64 + buffer.codes.len() * 2);
-    put_buffer(&mut be, buffer);
+    let mut be = BytesMut::with_capacity(64 + set.buffer.codes.len() * 2);
+    put_buffer(&mut be, &set.buffer);
     extents.push(ExtPayload::Own(be.to_vec()));
     extents
-}
-
-/// The extent list of a segmented snapshot. `with_packed` materialises
-/// the blocked packing (the mapped layout); without it the packed
-/// extents stay empty and loaders re-derive them.
-fn set_extents<'a>(
-    model: &Model,
-    policy: &SegmentPolicy,
-    set: &'a SegmentSet,
-    next_id: u32,
-    with_packed: bool,
-) -> Vec<ExtPayload<'a>> {
-    let mut mp = BytesMut::with_capacity(4096);
-    put_model(&mut mp, &model.pca, &model.layout, &model.encoder, model.default_strategy);
-    put_policy(&mut mp, model.ti_prefix_subspaces, model.seed, policy, next_id);
-    let segments = set.segments.iter().map(|seg| SegRef {
-        n: seg.core.n,
-        dead: seg.tombstones.dead(),
-        ti: seg.core.ti.as_ref(),
-        ids: seg.core.ids.as_slice(),
-        codes: seg.core.codes.as_slice(),
-        packed: if with_packed { seg.core.packed.data() } else { &[] },
-        words: ExtPayload::U64s(seg.tombstones.words()),
-    });
-    frame(mp, segments, &set.buffer)
 }
 
 /// Commits an explicit `(set, next_id)` pair without the packed extents —
@@ -418,75 +382,56 @@ pub(crate) fn commit_set(
     next_id: u32,
     wal_seq: u64,
 ) -> Result<(), VaqError> {
-    commit(path, KIND_SEGMENTED, wal_seq, &set_extents(model, policy, set, next_id, false))
+    commit(path, wal_seq, &set_extents(model, policy, set, next_id, false))
 }
 
 impl Vaq {
-    /// The extent list of a monolithic index: the model (framed with the
-    /// defaults [`SegmentedVaq::from_vaq`] would give it, so the file
-    /// also loads as a one-segment segmented index), one segment with no
-    /// id column, no tombstones and no packed extent, and an empty
-    /// buffer.
-    fn extents(&self) -> Vec<ExtPayload<'_>> {
-        let mut mp = BytesMut::with_capacity(4096);
-        put_model(&mut mp, &self.pca, &self.layout, &self.encoder, self.default_strategy);
-        put_policy(
-            &mut mp,
-            crate::segment::ti_prefix_of(self.ti.as_ref(), self.encoder.num_subspaces()),
-            crate::segment::DEFAULT_SEED,
-            &SegmentPolicy::default(),
-            u32::try_from(self.n).unwrap_or(u32::MAX),
-        );
-        let segment = SegRef {
-            n: self.n,
-            dead: 0,
-            ti: self.ti.as_ref(),
-            ids: &[],
-            codes: &self.codes,
-            packed: &[],
-            words: ExtPayload::Own(vec![0u8; self.n.div_ceil(64) * 8]),
-        };
-        frame(mp, std::iter::once(segment), &Buffer::default())
+    /// This index as the one-segment [`SegmentedVaq`] sharing its rows —
+    /// what every save frames.
+    fn segmented(&self) -> SegmentedVaq {
+        SegmentedVaq::from_vaq(self.clone(), SegmentPolicy::default())
     }
 
     /// Serializes the trained index to bytes — exactly what
     /// [`Vaq::save`] writes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        render(KIND_MONOLITHIC, 0, &self.extents())
+        self.segmented().to_bytes()
     }
 
     /// Deserializes an index previously produced by [`Vaq::to_bytes`] or
-    /// [`Vaq::save`]. Every checksum is verified, every field validated,
+    /// [`Vaq::save`] — or by any other writer whose index has the shape
+    /// of a `Vaq`: one sealed segment with the implicit ids `0..n`, no
+    /// tombstone, no buffered row (so `SegmentedVaq::from_vaq(v, _).save()`
+    /// loads back). Every checksum is verified, every field validated,
     /// and the full structural audit must pass.
     pub fn from_bytes(data: &[u8]) -> Result<Vaq, VaqError> {
-        let parsed = parse_owned(data)?;
-        if parsed.kind != KIND_MONOLITHIC {
-            return Err(bad("file holds a segmented index, not a monolithic one"));
+        let index = SegmentedVaq::from_bytes(data)?;
+        let (set, next_id) = index.persist_snapshot();
+        match set.segments.as_slice() {
+            [Segment { core, tombstones }]
+                if matches!(core.ids, SegmentIds::Dense(0))
+                    && wide(core.n) == u64::from(next_id)
+                    && tombstones.dead() == 0
+                    && set.buffer.rows == 0 =>
+            {
+                Ok(Vaq { model: index.shared_model().clone(), core: Arc::clone(core) })
+            }
+            _ => Err(bad("file holds a segmented index: several segments, stored or offset ids, \
+                 tombstones or buffered rows")),
         }
-        let [seg] = <[OwnedSegment; 1]>::try_from(parsed.segments)
-            .map_err(|_| bad("monolithic file must hold exactly one segment"))?;
-        if seg.tombstones.dead() != 0 || !parsed.buffer.ids.is_empty() {
-            return Err(bad("monolithic file holds tombstones or buffered rows"));
-        }
-        let Model { pca, layout, bits, encoder, default_strategy, .. } = parsed.model;
-        let OwnedSegment { codes, n, packed, ti, .. } = seg;
-        let vaq = Vaq { pca, layout, bits, encoder, codes, n, ti, default_strategy, packed };
-        audited(&vaq, "load")?;
-        Ok(vaq)
     }
 
     /// Atomically writes the index to a file (tmp + fsync + rename; see
     /// the module docs). An interrupted save leaves any previous file
     /// intact.
     pub fn save(&self, path: &Path) -> Result<(), VaqError> {
-        commit(path, KIND_MONOLITHIC, 0, &self.extents())
+        self.segmented().save(path)
     }
 
     /// Loads an index from a file. The container header is validated
     /// before the body is read, so a corrupt header fails fast.
     pub fn load(path: &Path) -> Result<Vaq, VaqError> {
-        let data = read_index_file(path)?;
-        Vaq::from_bytes(&data)
+        Vaq::from_bytes(&read_index_file(path)?)
     }
 }
 
@@ -500,42 +445,21 @@ impl SegmentedVaq {
     pub fn to_bytes(&self) -> Vec<u8> {
         let (set, next_id) = self.persist_snapshot();
         let extents = set_extents(self.shared_model(), self.policy(), &set, next_id, false);
-        render(KIND_SEGMENTED, 0, &extents)
+        let mut out = std::io::Cursor::new(Vec::new());
+        // A `Vec` sink cannot fail, so there is no error to surface.
+        let _ = write_container(&mut out, 0, &extents);
+        out.into_inner()
     }
 
-    /// Deserializes a segmented index of either kind: a segmented file
-    /// restores segments, buffer, tombstones, and policy exactly; a
-    /// monolithic file (a saved [`Vaq`]) loads as one sealed segment
-    /// with ids `0..n` under a default [`SegmentPolicy`], returning
-    /// byte-identical search results to the original index. Every
+    /// Deserializes an index file, restoring segments, buffer,
+    /// tombstones, and policy exactly — a saved [`Vaq`] is one sealed
+    /// segment with ids `0..n` under a default [`SegmentPolicy`] and
+    /// returns byte-identical search results to the original. Every
     /// checksum and field is validated, the quiescence invariant is
     /// restored (an over-threshold buffer is sealed), and the full
     /// structural audit must pass before the index is returned.
     pub fn from_bytes(data: &[u8]) -> Result<SegmentedVaq, VaqError> {
-        Ok(Self::from_bytes_with_seq(data)?.0)
-    }
-
-    /// [`SegmentedVaq::from_bytes`] plus the file's recorded WAL sequence
-    /// number — the replay cursor durable recovery
-    /// ([`SegmentedVaq::open_durable`]) resumes from.
-    ///
-    /// [`SegmentedVaq::open_durable`]: crate::segment::SegmentedVaq::open_durable
-    fn from_bytes_with_seq(data: &[u8]) -> Result<(SegmentedVaq, u64), VaqError> {
-        let parsed = parse_owned(data)?;
-        let segments = parsed.segments.into_iter().map(OwnedSegment::into_segment).collect();
-        let index = SegmentedVaq::from_parts(
-            parsed.model,
-            parsed.policy,
-            segments,
-            parsed.buffer,
-            parsed.next_id,
-        );
-        // The audit's quiescence check requires a drained buffer, so an
-        // over-threshold buffer is sealed first — sealing only rearranges
-        // data that was already field-validated.
-        index.normalize_after_load();
-        audited(&index, "load")?;
-        Ok((index, parsed.wal_seq))
+        Ok(parse_owned(data)?.0)
     }
 
     /// Atomically writes the segmented index to a file (tmp + fsync +
@@ -549,7 +473,7 @@ impl SegmentedVaq {
         commit_set(path, self.shared_model(), self.policy(), &set, next_id, 0)
     }
 
-    /// Loads a segmented index from a file (either kind; see
+    /// Loads a segmented index from a file (see
     /// [`SegmentedVaq::from_bytes`]). Does **not** replay a write-ahead
     /// log — use [`SegmentedVaq::open_durable`] for that.
     ///
@@ -559,10 +483,9 @@ impl SegmentedVaq {
     }
 
     /// [`SegmentedVaq::load`] plus the file's recorded WAL sequence
-    /// number.
+    /// number — the replay cursor durable recovery resumes from.
     pub(crate) fn load_with_seq(path: &Path) -> Result<(SegmentedVaq, u64), VaqError> {
-        let data = read_index_file(path)?;
-        Self::from_bytes_with_seq(&data)
+        parse_owned(&read_index_file(path)?)
     }
 
     /// Atomically writes the index with the packed extents materialised,
@@ -571,8 +494,7 @@ impl SegmentedVaq {
     /// [`SegmentedVaq::open_mapped`].
     pub fn save_mapped(&self, path: &Path) -> Result<(), VaqError> {
         let (set, next_id) = self.persist_snapshot();
-        let extents = set_extents(self.shared_model(), self.policy(), &set, next_id, true);
-        commit(path, KIND_SEGMENTED, 0, &extents)
+        commit(path, 0, &set_extents(self.shared_model(), self.policy(), &set, next_id, true))
     }
 
     /// Opens a file written by [`SegmentedVaq::save_mapped`] out-of-core:
@@ -586,9 +508,9 @@ impl SegmentedVaq {
     ///
     /// Degrades to a fully-owned [`SegmentedVaq::load`] when the platform
     /// cannot map files or the mapping fails (recorded at the
-    /// `persist.mmap` fault site), or when the file leaves derived state
-    /// out (a monolithic file has no id column, a plain `save` no packed
-    /// extents) and so has nothing to scan in place.
+    /// `persist.mmap` fault site), or when the file leaves the packed
+    /// extents out (every writer but `save_mapped` does) and so has
+    /// nothing to scan in place.
     pub fn open_mapped(path: &Path) -> Result<SegmentedVaq, VaqError> {
         let _span = crate::obs::span("persist.open_mapped");
         if crate::faults::fired("persist.mmap") {
@@ -620,18 +542,16 @@ impl SegmentedVaq {
 // ---------------------------------------------------------------------------
 
 /// Parses and verifies the header against the real file length `flen`:
-/// magic, version, checksum, kind, and that the claimed extent count's
-/// table at least fits — so a fabricated count dies here instead of
-/// driving a table-sized allocation. Returns `(kind, wal_seq, extent
-/// count)`.
-fn get_header(head: &[u8], flen: usize) -> Result<(u8, u64, usize), VaqError> {
+/// magic, version, checksum, and that the claimed extent count's table at
+/// least fits — so a fabricated count dies here instead of driving a
+/// table-sized allocation. Returns `(wal_seq, extent count)`.
+fn get_header(head: &[u8], flen: usize) -> Result<(u64, usize), VaqError> {
     let truncated = || VaqError::BadConfig("corrupt index file: truncated".into());
     if head.get(..4).ok_or_else(truncated)? != MAGIC {
         return Err(bad("unrecognized index file magic"));
     }
     let mut buf = Bytes::copy_from_slice(head.get(4..HEADER_LEN).ok_or_else(truncated)?);
     let version = buf.get_u32_le();
-    let kind = buf.get_u8();
     let wal_seq = buf.get_u64_le();
     let nextents = buf.get_u64_le();
     if crate::crc::crc32c(&head[..HEADER_CRC_SPAN]) != buf.get_u32_le() {
@@ -640,21 +560,17 @@ fn get_header(head: &[u8], flen: usize) -> Result<(u8, u64, usize), VaqError> {
     if version != VERSION {
         return Err(bad(&format!("unsupported version {version}")));
     }
-    if kind != KIND_MONOLITHIC && kind != KIND_SEGMENTED {
-        return Err(bad(&format!("unknown index kind {kind}")));
-    }
     nextents
         .checked_mul(wide(TABLE_ENTRY))
         .and_then(|t| t.checked_add(wide(HEADER_LEN + 4)))
         .filter(|&table_end| table_end <= wide(flen))
         .ok_or_else(|| bad("extent count larger than the file can hold"))?;
-    Ok((kind, wal_seq, narrow(nextents, "extent count")?))
+    Ok((wal_seq, narrow(nextents, "extent count")?))
 }
 
 /// The verified extent table: spans (absolute offset + byte length) and
 /// stored CRCs, parallel by extent index.
 struct Table {
-    kind: u8,
     wal_seq: u64,
     extents: Vec<ExtentSpan>,
     crcs: Vec<u32>,
@@ -700,9 +616,8 @@ impl Table {
 /// on — page-aligned, non-overlapping, ascending extents that end
 /// exactly at the end of the file (VAQ113).
 fn get_table(data: &[u8]) -> Result<Table, VaqError> {
-    let (kind, wal_seq, nextents) = get_header(&data[..data.len().min(HEADER_LEN)], data.len())?;
+    let (wal_seq, nextents) = get_header(&data[..data.len().min(HEADER_LEN)], data.len())?;
     let mut t = Table {
-        kind,
         wal_seq,
         extents: Vec::with_capacity(nextents),
         crcs: Vec::with_capacity(nextents),
@@ -740,6 +655,9 @@ fn get_table(data: &[u8]) -> Result<Table, VaqError> {
 struct SegMeta {
     n: usize,
     dead: usize,
+    /// Id of row 0: where the dense range starts when the ids extent is
+    /// empty, and what a stored column must start with.
+    first_id: u32,
     /// `(centroids, cluster boundaries, prefix_subspaces, prefix_dim)`.
     ti: Option<(Matrix, Vec<usize>, usize, usize)>,
 }
@@ -753,6 +671,7 @@ fn get_seg_meta(buf: &mut Bytes, model: &Model) -> Result<SegMeta, VaqError> {
     if dead > n {
         return Err(bad("tombstone dead count exceeds the row count"));
     }
+    let first_id = take(buf, 4)?.get_u32_le();
     let ti = match take(buf, 1)?.get_u8() {
         0 => None,
         1 => {
@@ -782,7 +701,7 @@ fn get_seg_meta(buf: &mut Bytes, model: &Model) -> Result<SegMeta, VaqError> {
         }
         _ => return Err(bad("bad TI flag")),
     };
-    Ok(SegMeta { n, dead, ti })
+    Ok(SegMeta { n, dead, first_id, ti })
 }
 
 /// Parses the meta extent of the segment whose extents start at `base`
@@ -802,7 +721,9 @@ fn get_seg_layout(data: &[u8], t: &Table, base: usize, model: &Model) -> Result<
             Err(bad(&format!("{what} extent sized wrong")))
         }
     };
-    expect(IDS, if t.kind == KIND_MONOLITHIC { 0 } else { rows_by(4)? }, "segment ids")?;
+    if t.extents[base + IDS].len != 0 {
+        expect(IDS, rows_by(4)?, "segment ids")?;
+    }
     expect(CODES, checked_size(rows_by(model.encoder.num_subspaces())?, 2)?, "segment codes")?;
     expect(WORDS, checked_size(n.div_ceil(64), 8)?, "segment tombstone words")?;
     let ti_len = if meta.ti.is_some() { rows_by(4)? } else { 0 };
@@ -844,53 +765,23 @@ fn check_tombstone_words(words: &[u64], dead: usize, n: usize) -> Result<(), Vaq
     Ok(())
 }
 
-/// One sealed segment as the owned parser produces it: plain `Vec`s, so
-/// it can become either a [`Segment`] or the body of a [`Vaq`].
-struct OwnedSegment {
-    ids: Vec<u32>,
-    codes: Vec<u16>,
-    n: usize,
-    packed: PackedCodes,
-    ti: Option<TiPartition>,
-    tombstones: Tombstones,
-}
-
-impl OwnedSegment {
-    fn into_segment(self) -> Segment {
-        let OwnedSegment { ids, codes, n, packed, ti, tombstones } = self;
-        let core = SegmentCore { ids: ids.into(), codes: codes.into(), n, packed, ti, lazy: None };
-        Segment { core: Arc::new(core), tombstones }
+/// The ids of a segment whose ids extent holds `column`: an empty extent
+/// is the dense range from the meta's first id (which must stay inside
+/// the id space), a stored column must start there.
+fn seg_ids(meta: &SegMeta, column: U32Storage) -> Result<SegmentIds, VaqError> {
+    match column.first() {
+        None => check_id_range(meta.first_id, meta.n).map(|()| SegmentIds::Dense(meta.first_id)),
+        Some(&first) if first == meta.first_id => Ok(SegmentIds::Column(column)),
+        Some(_) => Err(bad("segment meta disagrees with its first stored id")),
     }
 }
 
-/// Everything an index file holds, fully owned and field-validated.
-struct Parsed {
-    kind: u8,
-    wal_seq: u64,
-    model: Model,
-    policy: SegmentPolicy,
-    next_id: u32,
-    segments: Vec<OwnedSegment>,
-    buffer: Buffer,
-}
-
-impl Parsed {
-    /// One line on what the file held — the `persist.load` event, which
-    /// `vaq_cli audit` / `info` print.
-    fn describe(&self) -> String {
-        let rows: usize = self.segments.iter().map(|s| s.n).sum();
-        let dead: usize = self.segments.iter().map(|s| s.tombstones.dead()).sum();
-        format!(
-            "{} file, bits {:?}: {} sealed segment(s) holding {rows} rows ({dead} tombstoned), \
-             {} buffered rows ({} tombstoned), next id {}, wal_seq {}",
-            if self.kind == KIND_MONOLITHIC { "monolithic" } else { "segmented" },
-            self.model.bits,
-            self.segments.len(),
-            self.buffer.ids.len(),
-            self.buffer.tombstones.dead(),
-            self.next_id,
-            self.wal_seq,
-        )
+/// Rejects an implicit id range `first..first + rows` that leaves the
+/// `u32` id space, before anything computes an id from it.
+fn check_id_range(first: u32, rows: usize) -> Result<(), VaqError> {
+    match u32::try_from(rows).ok().and_then(|rows| first.checked_add(rows)) {
+        Some(_) => Ok(()),
+        None => Err(bad("id range exceeds the id space")),
     }
 }
 
@@ -911,11 +802,11 @@ pub(crate) fn audited(index: &impl crate::audit::Audit, after: &str) -> Result<(
 
 /// The one owned parser: every extent checksum is verified and the
 /// inter-extent padding required to be zero before any field is read,
-/// then every array is copied out and field-validated. The callers run
-/// the full structural audit on what they assemble from it. This is what
-/// every load, `vaq_cli audit`, the chaos harness, and the
-/// `persist.mmap` degrade path go through.
-fn parse_owned(data: &[u8]) -> Result<Parsed, VaqError> {
+/// then every array is copied out and field-validated, and the full
+/// structural audit runs on the assembled index, which is returned with
+/// the file's `wal_seq`. This is what every load, `vaq_cli audit`, the
+/// chaos harness, and the `persist.mmap` degrade path go through.
+fn parse_owned(data: &[u8]) -> Result<(SegmentedVaq, u64), VaqError> {
     if crate::faults::fired("persist.from_bytes") {
         return Err(VaqError::Injected { site: "persist.from_bytes" });
     }
@@ -940,32 +831,52 @@ fn parse_owned(data: &[u8]) -> Result<Parsed, VaqError> {
     let mut be = Bytes::copy_from_slice(t.ext(data, t.extents.len() - 1));
     let buffer = get_buffer(&mut be, &sizes)?;
     expect_drained(&be, "buffer extent")?;
-    let parsed =
-        Parsed { kind: t.kind, wal_seq: t.wal_seq, model, policy, next_id, segments, buffer };
     if crate::obs::enabled() {
-        crate::obs::event("persist.load", &parsed.describe());
+        // One line on what the file held, which `vaq_cli audit` / `info`
+        // print.
+        let rows: usize = segments.iter().map(|s| s.core.n).sum();
+        let dead: usize = segments.iter().map(|s| s.tombstones.dead()).sum();
+        let stored = segments.iter().filter(|s| !s.core.ids.column().is_empty()).count();
+        let ti: Vec<usize> = segments
+            .iter()
+            .map(|s| s.core.ti.as_ref().map_or(0, TiPartition::num_clusters))
+            .collect();
+        let held = format!(
+            "bits {:?}: {} sealed segment(s), {stored} with stored ids, holding {rows} rows \
+             ({dead} tombstoned), \
+             TI clusters {ti:?} over the first {} subspaces, \
+             {} buffered rows ({} tombstoned), next id {next_id}, wal_seq {}",
+            model.bits,
+            segments.len(),
+            model.ti_prefix_subspaces,
+            buffer.rows,
+            buffer.tombstones.dead(),
+            t.wal_seq,
+        );
+        crate::obs::event("persist.load", &held);
     }
-    Ok(parsed)
+    let index = SegmentedVaq::from_parts(model, policy, segments, buffer, next_id);
+    // The audit's quiescence check requires a drained buffer, so an
+    // over-threshold buffer is sealed first — sealing only rearranges data
+    // that was already field-validated.
+    index.normalize_after_load();
+    audited(&index, "load")?;
+    Ok((index, t.wal_seq))
 }
 
 /// Copies out and validates the sealed segment whose extents start at
 /// `base`. An empty packed extent is re-derived from the codes (derived
-/// state the writer left out); an empty id column of a monolithic file
-/// is the row numbers.
+/// state the writer left out).
 fn get_segment(
     data: &[u8],
     t: &Table,
     base: usize,
     model: &Model,
     sizes: &[usize],
-) -> Result<OwnedSegment, VaqError> {
+) -> Result<Segment, VaqError> {
     let meta = get_seg_layout(data, t, base, model)?;
     let n = meta.n;
-    let ids: Vec<u32> = if t.kind == KIND_MONOLITHIC {
-        (0..u32::try_from(n).map_err(|_| bad("row count exceeds the id space"))?).collect()
-    } else {
-        le_vec(t.ext(data, base + IDS), u32::from_le_bytes)
-    };
+    let ids = seg_ids(&meta, le_vec(t.ext(data, base + IDS), u32::from_le_bytes).into())?;
     let codes: Vec<u16> = le_vec(t.ext(data, base + CODES), u16::from_le_bytes);
     let words: Vec<u64> = le_vec(t.ext(data, base + WORDS), u64::from_le_bytes);
     check_tombstone_words(&words, meta.dead, n)?;
@@ -986,31 +897,27 @@ fn get_segment(
             Some(ti)
         }
     };
-    check_scan_content(&ids, &codes, ti.as_ref(), sizes)?;
+    check_scan_content(ids.column(), &codes, n, ti.as_ref(), sizes)?;
     let packed = match t.ext(data, base + PACKED) {
         [] => PackedCodes::pack(&codes, sizes, n),
         bytes => PackedCodes::from_parts(bytes.to_vec().into(), sizes, n)
             .ok_or_else(|| bad("segment packed extent sized wrong"))?,
     };
     crate::obs::note_truncated_packing(&packed, "persist.load");
-    Ok(OwnedSegment {
-        ids,
-        codes,
-        n,
-        packed,
-        ti,
-        tombstones: Tombstones::from_storage(words.into(), meta.dead),
-    })
+    let core = SegmentCore { ids, codes: codes.into(), n, packed, ti, lazy: None };
+    let tombstones = Tombstones::from_storage(words.into(), meta.dead);
+    Ok(Segment { core: Arc::new(core), tombstones })
 }
 
 /// The content invariants of the arrays every scan path reads — scans
-/// index dictionaries by code, map results through `ids`, and
-/// binary-search the sorted TI distances — so hostile bytes must be
-/// rejected before any of that: eagerly by the owned parser, on first
-/// touch by a mapped segment.
+/// index dictionaries by code, map results through the stored `ids`
+/// (none for a dense range or the buffer), and binary-search the sorted
+/// TI distances — so hostile bytes must be rejected before any of that:
+/// eagerly by the owned parser, on first touch by a mapped segment.
 fn check_scan_content(
     ids: &[u32],
     codes: &[u16],
+    n: usize,
     ti: Option<&TiPartition>,
     sizes: &[usize],
 ) -> Result<(), VaqError> {
@@ -1030,7 +937,7 @@ fn check_scan_content(
                 return Err(bad("TI cluster distances are unsorted or non-finite"));
             }
         }
-        if !ti.covers_exactly(ids.len()) {
+        if !ti.covers_exactly(n) {
             return Err(bad("TI clusters do not partition the segment"));
         }
     }
@@ -1120,7 +1027,7 @@ impl LazyExtents {
         self.check_crc(self.codes, "segment codes")?;
         self.check_crc(self.ti_idx, "TI member ids")?;
         self.check_crc(self.ti_dist, "TI member distances")?;
-        check_scan_content(&core.ids, &core.codes, core.ti.as_ref(), &self.sizes)
+        check_scan_content(core.ids.column(), &core.codes, core.n, core.ti.as_ref(), &self.sizes)
     }
 
     /// CRC + VAQ110 consistency for the packed extent: the quantized scan
@@ -1136,21 +1043,18 @@ impl LazyExtents {
 }
 
 /// Builds a mapped [`SegmentedVaq`] over a mapped file — the body of
-/// [`SegmentedVaq::open_mapped`]; `None` when the file leaves derived
-/// state out (no id column, or no packed extents) and must be loaded
-/// owned. Eagerly verified: header, extent table, model, per-segment
-/// meta, tombstone bitmaps (deletes mutate them, and the popcount check
-/// needs the words anyway), the buffer, and the cheap cross-segment
-/// id-range probes (first/last element of each mapped ids extent — two
-/// page faults per segment). Everything else is deferred to
+/// [`SegmentedVaq::open_mapped`]; `None` when the file leaves the packed
+/// extents out and must be loaded owned. Eagerly verified: header,
+/// extent table, model, per-segment meta, tombstone bitmaps (deletes
+/// mutate them, and the popcount check needs the words anyway), the
+/// buffer, and the cheap cross-segment id-range probes (first/last
+/// element of each stored ids extent — two page faults per segment, none
+/// for a dense range). Everything else is deferred to
 /// `LazyExtents`; the full structural audit is what `vaq_cli audit` runs
 /// through the owned parse.
 fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>, VaqError> {
     let data = region.as_bytes();
     let t = get_table(data)?;
-    if t.kind == KIND_MONOLITHIC {
-        return Ok(None);
-    }
     let nsegs = t.num_segments()?;
     t.verify_crc(data, 0, "model")?;
     let mut mp = Bytes::copy_from_slice(t.ext(data, 0));
@@ -1177,8 +1081,9 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>
             return Err(bad(&format!("segment {s} packed extent sized wrong")));
         };
         crate::obs::note_truncated_packing(&packed, "persist.segment_map");
-        let ids =
-            U32Storage::mapped(Arc::clone(region), span(IDS).offset, n).ok_or_else(misaligned)?;
+        let ids = U32Storage::mapped(Arc::clone(region), span(IDS).offset, span(IDS).len / 4)
+            .ok_or_else(misaligned)?;
+        let ids = seg_ids(&meta, ids)?;
         let codes = U16Storage::mapped(Arc::clone(region), span(CODES).offset, n * m)
             .ok_or_else(misaligned)?;
         t.verify_crc(data, base + WORDS, "segment tombstone")?;
@@ -1205,17 +1110,6 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>
                 (Some(ti), span(TI_IDX), span(TI_DIST))
             }
         };
-        // Cross-segment ordering from the boundary elements only (the
-        // full strict-ascent check is deferred with the ids extent).
-        if let (Some(&first), Some(&last)) = (ids.first(), ids.last()) {
-            if prev_last.is_some_and(|pl| first <= pl) {
-                return Err(bad("segment id ranges overlap or are unsorted"));
-            }
-            if last >= next_id {
-                return Err(bad("id counter behind the stored ids"));
-            }
-            prev_last = Some(last);
-        }
         let prefetch = ScanPrefetch::new(
             Arc::clone(region),
             span(CODES),
@@ -1235,7 +1129,19 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>
             sizes: sizes.clone(),
             prefetch,
         };
-        let core = SegmentCore { ids, codes, n, packed, ti, lazy: Some(lazy) };
+        let core = SegmentCore { ids, codes, n, packed, ti, lazy: Some(Arc::new(lazy)) };
+        // Cross-segment ordering from the boundary ids only (the full
+        // strict-ascent check of a stored column is deferred with its
+        // extent).
+        if let Some((first, last)) = core.id_span() {
+            if prev_last.is_some_and(|pl| first <= pl) {
+                return Err(bad("segment id ranges overlap or are unsorted"));
+            }
+            if last >= next_id {
+                return Err(bad("id counter behind the stored ids"));
+            }
+            prev_last = Some(last);
+        }
         segments.push(Segment { core: Arc::new(core), tombstones });
     }
     let last = t.extents.len() - 1;
@@ -1243,11 +1149,11 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>
     let mut be = Bytes::copy_from_slice(t.ext(data, last));
     let buffer = get_buffer(&mut be, &sizes)?;
     expect_drained(&be, "buffer extent")?;
-    if let Some(&bl) = buffer.ids.last() {
-        if bl >= next_id {
+    if let Some((first, last)) = buffer.id_span() {
+        if last >= next_id {
             return Err(bad("id counter behind the stored ids"));
         }
-        if prev_last.is_some_and(|pl| buffer.ids.first().is_some_and(|&bf| bf <= pl)) {
+        if prev_last.is_some_and(|pl| first <= pl) {
             return Err(bad("buffer ids overlap the sealed segments"));
         }
     }
@@ -1260,37 +1166,20 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>
 // Field vocabulary
 // ---------------------------------------------------------------------------
 
-/// Writes the trained model: projection, layout, bit plan, codebooks,
-/// default strategy — the fields a monolithic and a segmented index
-/// share.
-fn put_model(
-    buf: &mut BytesMut,
-    pca: &Pca,
-    layout: &SubspaceLayout,
-    encoder: &Encoder,
-    strategy: SearchStrategy,
-) {
-    put_pca(buf, pca);
-    put_layout(buf, layout);
-    put_usize_slice(buf, encoder.bits());
-    buf.put_u64_le(wide(encoder.codebooks.len()));
-    for cb in &encoder.codebooks {
+/// Writes the model extent: the trained model (projection, layout, bit
+/// plan, codebooks, default strategy, per-segment TI build settings), the
+/// maintenance policy, and the id counter.
+fn put_model(buf: &mut BytesMut, model: &Model, policy: &SegmentPolicy, next_id: u32) {
+    put_pca(buf, &model.pca);
+    put_layout(buf, &model.layout);
+    put_usize_slice(buf, model.encoder.bits());
+    buf.put_u64_le(wide(model.encoder.codebooks.len()));
+    for cb in &model.encoder.codebooks {
         put_matrix(buf, cb);
     }
-    put_strategy(buf, strategy);
-}
-
-/// Writes the rest of the model extent: per-segment TI build settings,
-/// the maintenance policy, and the id counter.
-fn put_policy(
-    buf: &mut BytesMut,
-    ti_prefix_subspaces: usize,
-    seed: u64,
-    policy: &SegmentPolicy,
-    next_id: u32,
-) {
-    buf.put_u64_le(wide(ti_prefix_subspaces));
-    buf.put_u64_le(seed);
+    put_strategy(buf, model.default_strategy);
+    buf.put_u64_le(wide(model.ti_prefix_subspaces));
+    buf.put_u64_le(model.seed);
 
     buf.put_u64_le(wide(policy.seal_threshold));
     buf.put_u64_le(wide(policy.compact_min_segments));
@@ -1301,7 +1190,7 @@ fn put_policy(
     buf.put_u32_le(next_id);
 }
 
-/// Reads and validates what [`put_model`] + [`put_policy`] wrote.
+/// Reads and validates what [`put_model`] wrote.
 fn get_model_policy(buf: &mut Bytes) -> Result<(Model, SegmentPolicy, u32), VaqError> {
     let pca = get_pca(buf)?;
     let layout = get_layout(buf)?;
@@ -1343,10 +1232,8 @@ fn get_model_policy(buf: &mut Bytes) -> Result<(Model, SegmentPolicy, u32), VaqE
 
 /// Writes the unsealed write buffer.
 fn put_buffer(buf: &mut BytesMut, buffer: &Buffer) {
-    buf.put_u64_le(wide(buffer.ids.len()));
-    for &id in &buffer.ids {
-        buf.put_u32_le(id);
-    }
+    buf.put_u64_le(wide(buffer.rows));
+    buf.put_u32_le(buffer.first_id);
     for &c in &buffer.codes {
         buf.put_u16_le(c);
     }
@@ -1362,15 +1249,17 @@ fn put_buffer(buf: &mut BytesMut, buffer: &Buffer) {
 /// one must fail the length check, not reserve memory.
 fn get_buffer(buf: &mut Bytes, sizes: &[usize]) -> Result<Buffer, VaqError> {
     let rows = take_len(buf, "buffer row count")?;
-    let ids: Vec<u32> = le_vec(&take(buf, checked_size(rows, 4)?)?, u32::from_le_bytes);
+    let first_id = take(buf, 4)?.get_u32_le();
+    check_id_range(first_id, rows)?;
     let code_bytes = checked_size(checked_size(rows, sizes.len())?, 2)?;
     let codes: Vec<u16> = le_vec(&take(buf, code_bytes)?, u16::from_le_bytes);
-    check_scan_content(&ids, &codes, None, sizes)?;
+    check_scan_content(&[], &codes, rows, None, sizes)?;
     let dead = take_len(buf, "tombstone dead count")?;
     let nwords = take_len(buf, "tombstone word count")?;
     let words: Vec<u64> = le_vec(&take(buf, checked_size(nwords, 8)?)?, u64::from_le_bytes);
     check_tombstone_words(&words, dead, rows)?;
-    Ok(Buffer { ids, codes, tombstones: Tombstones::from_storage(words.into(), dead) })
+    let tombstones = Tombstones::from_storage(words.into(), dead);
+    Ok(Buffer { first_id, rows, codes, tombstones })
 }
 
 /// Rejects unconsumed bytes at the end of an extent: a well-formed writer
@@ -1587,8 +1476,9 @@ fn get_usize_slice(buf: &mut Bytes) -> Result<Vec<usize>, VaqError> {
 
 #[cfg(test)]
 mod tests {
-    use super::{get_table, HEADER_LEN, TABLE_ENTRY};
+    use super::{get_table, HEADER_LEN, SEG_EXTENTS, TABLE_ENTRY};
     use crate::segment::{SegmentPolicy, SegmentedVaq};
+    use crate::sync::Arc;
     use crate::{SearchStrategy, Vaq, VaqConfig, VaqError};
     use vaq_linalg::Matrix;
 
@@ -1648,7 +1538,7 @@ mod tests {
         let word = |b: &[u8], at: usize| {
             usize::try_from(u64::from_le_bytes(b[at..at + 8].try_into().unwrap())).unwrap()
         };
-        let nextents = word(bytes, 17);
+        let nextents = word(bytes, 16);
         let table_end = HEADER_LEN + nextents * TABLE_ENTRY;
         for entry in (HEADER_LEN..table_end).step_by(TABLE_ENTRY) {
             let (off, len) = (word(bytes, entry), word(bytes, entry + 8));
@@ -1732,8 +1622,9 @@ mod tests {
         // re-serialize with that code nudged to a different in-range value
         // and diff. The first differing byte past the extent table (whose
         // CRC entries differ too) is the low byte of its LE u16.
-        let rows = vaq.encoder.codebooks()[0].rows() as u16;
-        vaq.codes[0] = (vaq.codes[0] + 1) % rows;
+        let rows = vaq.encoder().codebooks()[0].rows() as u16;
+        let codes = Arc::make_mut(&mut vaq.core).codes.to_mut();
+        codes[0] = (codes[0] + 1) % rows;
         let nudged = vaq.to_bytes();
         let body = get_table(&clean).unwrap().end();
         let off =
@@ -1752,10 +1643,10 @@ mod tests {
     fn quantized_default_strategy_round_trips() {
         let data = toy_data(200);
         let mut vaq = Vaq::train(&data, &VaqConfig::new(24, 4).with_ti_clusters(8)).unwrap();
-        vaq.default_strategy = SearchStrategy::Quantized;
+        vaq.model.default_strategy = SearchStrategy::Quantized;
         let back = Vaq::from_bytes(&vaq.to_bytes()).unwrap();
-        assert_eq!(back.default_strategy, SearchStrategy::Quantized);
-        assert!(back.packed.is_active(), "packing must be rebuilt on load");
+        assert_eq!(back.model.default_strategy, SearchStrategy::Quantized);
+        assert!(back.core.packed.is_active(), "packing must be rebuilt on load");
         for i in (0..200).step_by(41) {
             assert_eq!(vaq.search(data.row(i), 5), back.search(data.row(i), 5), "row {i}");
         }
@@ -1797,7 +1688,7 @@ mod tests {
         let ids = back.add(&toy_data(3)).unwrap();
         assert!(ids.iter().all(|&id| id >= 300), "{ids:?}");
         assert_eq!(back.len(), pre + 3);
-        // A segmented file has no monolithic reading.
+        // Several segments, tombstones and buffered rows: not a `Vaq`.
         assert!(err_text(Vaq::from_bytes(&bytes)).contains("segmented index"));
     }
 
@@ -1858,6 +1749,61 @@ mod tests {
     }
 
     #[test]
+    fn hostile_id_ranges_are_rejected() {
+        // A purged segment (stored ids), one sealed from the buffer (an
+        // implicit range) and ten buffered rows.
+        let data = toy_data(205);
+        let rows = |lo: usize, hi: usize| data.select_rows(&(lo..hi).collect::<Vec<_>>());
+        let cfg = VaqConfig::new(24, 4).with_ti_clusters(16);
+        let seg = SegmentedVaq::train(&rows(0, 150), &cfg, policy()).unwrap();
+        seg.add(&rows(150, 195)).unwrap();
+        for id in (0..150).step_by(3) {
+            seg.delete(id);
+        }
+        seg.add(&rows(195, 205)).unwrap();
+        let clean = seg.to_bytes();
+        let t = get_table(&clean).unwrap();
+        let ids_len = |s: usize| t.extents[1 + s * SEG_EXTENTS + super::IDS].len;
+        assert_eq!((t.num_segments().unwrap(), ids_len(0) > 0, ids_len(1)), (2, true, 0));
+        // Both first-id fields sit behind a row count and a dead count /
+        // a row count; patch them behind valid checksums.
+        let first_id_of_segment = |s: usize| t.extents[1 + s * SEG_EXTENTS].offset + 16;
+        let first_id_of_buffer = t.extents[t.extents.len() - 1].offset + 8;
+        let load = |at: usize, first_id: u32| {
+            let mut bytes = clean.clone();
+            bytes[at..at + 4].copy_from_slice(&first_id.to_le_bytes());
+            reseal(&mut bytes);
+            err_text(SegmentedVaq::from_bytes(&bytes))
+        };
+        assert!(load(first_id_of_segment(0), 0).contains("first stored id"));
+        assert!(load(first_id_of_segment(1), u32::MAX - 3).contains("id space"));
+        assert!(load(first_id_of_buffer, u32::MAX - 3).contains("id space"));
+        // Ranges that run into a neighbour or past the id counter parse
+        // field by field; the structural audit (VAQ111) refuses them.
+        assert!(load(first_id_of_segment(1), 100).contains("audit"));
+        assert!(load(first_id_of_segment(1), 1 << 20).contains("audit"));
+        assert!(load(first_id_of_buffer, 200).contains("audit"));
+
+        // The mapped open skips the audit and must find them itself
+        // (where files cannot be mapped it loads owned, and audits).
+        let path = tmp_dir("hostile-ids").join("index.vaq");
+        seg.save_mapped(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let t = get_table(&clean).unwrap();
+        let at = t.extents[1 + SEG_EXTENTS].offset + 16;
+        for (first_id, why) in
+            [(100u32, "overlap"), (1 << 20, "id counter"), (u32::MAX, "id space")]
+        {
+            let mut bytes = clean.clone();
+            bytes[at..at + 4].copy_from_slice(&first_id.to_le_bytes());
+            reseal(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            let msg = err_text(SegmentedVaq::open_mapped(&path));
+            assert!(msg.contains(why) || msg.contains("audit"), "{first_id}: {msg}");
+        }
+    }
+
+    #[test]
     fn tombstone_accounting_corruption_is_rejected() {
         let (seg, _) = populated();
         // The very end of the file holds the buffer's bitmap: setting a
@@ -1880,7 +1826,6 @@ mod tests {
         let mut head = bytes::BytesMut::new();
         head.put_slice(super::MAGIC);
         head.put_u32_le(super::VERSION);
-        head.put_u8(super::KIND_SEGMENTED);
         head.put_u64_le(0); // wal_seq
         head.put_u64_le(u64::MAX / 32); // claimed extents
         let crc = crate::crc::crc32c(&head);
@@ -1926,7 +1871,7 @@ mod tests {
         let path = dir.join("seg.vaq");
         seg.save(&path).unwrap();
         assert_eq!(SegmentedVaq::open_mapped(&path).unwrap().search(data.row(9), 5).unwrap(), want);
-        // A monolithic file has no id column either.
+        // So does a `Vaq::save`.
         let vaq = Vaq::train(&data, &VaqConfig::new(24, 4).with_ti_clusters(16)).unwrap();
         let path = dir.join("mono.vaq");
         vaq.save(&path).unwrap();

@@ -26,7 +26,9 @@ use crate::audit::Audit;
 use crate::encoder::Encoder;
 use crate::faults;
 use crate::search::SearchStrategy;
+use crate::segment::{Model, SegmentCore, SegmentIds};
 use crate::subspaces::{SubspaceLayout, SubspaceMode};
+use crate::sync::Arc;
 use crate::ti::TiPartition;
 use crate::vaq::{IngressPolicy, Vaq, VaqConfig};
 use crate::VaqError;
@@ -338,17 +340,24 @@ impl DictionaryStage {
             self.n,
         );
         crate::obs::note_truncated_packing(&packed, "pipeline.encode");
-        let vaq = Vaq {
+        let core = SegmentCore {
+            ids: SegmentIds::Dense(0),
+            codes: self.codes.into(),
+            n: self.n,
+            packed,
+            ti,
+            lazy: None,
+        };
+        let model = Model {
             pca: self.pca,
             layout: self.layout,
             bits: self.bits,
-            encoder: self.encoder,
-            codes: self.codes,
-            n: self.n,
-            ti,
             default_strategy: SearchStrategy::TiEa { visit_frac: cfg.ti_visit_frac },
-            packed,
+            ti_prefix_subspaces: cfg.ti_prefix_subspaces.clamp(1, self.encoder.num_subspaces()),
+            seed: cfg.seed,
+            encoder: self.encoder,
         };
+        let vaq = Vaq { model, core: Arc::new(core) };
         vaq.debug_audit("stage 5 (TI build)");
         Ok(vaq)
     }

@@ -9,9 +9,12 @@
 //! * a bounded mutable **write buffer** of plain codes, scanned exactly
 //!   (early-abandon, no TI, no packing) so freshly ingested vectors are
 //!   searchable immediately;
-//! * a list of immutable **sealed segments**, each owning its own
-//!   [`PackedCodes`] blocked layout and [`TiPartition`], searched through
-//!   the same pruned paths a monolithic [`Vaq`] uses.
+//! * a list of immutable **sealed segments** (`SegmentCore`), each
+//!   owning its codes, [`PackedCodes`] blocked layout and [`TiPartition`]
+//!   and storing its global ids only once a compaction has dropped rows
+//!   from it (`SegmentIds`). A [`Vaq`] is the model plus exactly one
+//!   such segment, so there is one rows type, one set of pruned scan
+//!   paths and one file shape for both.
 //!
 //! # Snapshot semantics — no locks on the query path
 //!
@@ -73,7 +76,7 @@ use crate::ti::TiPartition;
 use crate::vaq::{Vaq, VaqConfig};
 use crate::VaqError;
 use std::path::Path;
-use vaq_linalg::{Matrix, PackedCodes, Pca, ScanPrefetch, U16Storage, U32Storage, U64Storage};
+use vaq_linalg::{Matrix, PackedCodes, Pca, U16Storage, U32Storage, U64Storage};
 
 pub(crate) mod wal;
 
@@ -161,7 +164,7 @@ impl SegmentPolicy {
 
 /// The trained model every segment shares: projection, layout, bit plan,
 /// dictionaries, and query defaults. Never mutated after construction.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Model {
     pub(crate) pca: Pca,
     pub(crate) layout: SubspaceLayout,
@@ -175,15 +178,22 @@ pub(crate) struct Model {
     pub(crate) seed: u64,
 }
 
-/// The per-segment TI seed of an index wrapped by
-/// [`SegmentedVaq::from_vaq`] (which cannot see the training config).
-pub(crate) const DEFAULT_SEED: u64 = 0x5eed;
-
-/// The per-segment TI prefix [`SegmentedVaq::from_vaq`] derives for a
-/// monolithic index over `m` subspaces: its own partition's, else the
-/// config default.
-pub(crate) fn ti_prefix_of(ti: Option<&TiPartition>, m: usize) -> usize {
-    ti.map(|t| t.prefix_subspaces()).unwrap_or(8).clamp(1, m)
+impl Model {
+    /// Projects and encodes rows to append, rejecting a wrong width. The
+    /// model is immutable, so this needs no lock.
+    pub(crate) fn encode(&self, data: &Matrix) -> Result<Vec<u16>, VaqError> {
+        if data.cols() != self.pca.dim() {
+            return Err(VaqError::BadConfig(format!(
+                "appended vectors have {} dims, index expects {}",
+                data.cols(),
+                self.pca.dim()
+            )));
+        }
+        if data.rows() == 0 {
+            return Ok(Vec::new());
+        }
+        Ok(self.encoder.encode_all(&self.pca.transform(data)?))
+    }
 }
 
 /// Tombstone bitmap over a segment's local rows plus a live-count cache.
@@ -244,24 +254,76 @@ impl Tombstones {
     }
 }
 
+/// The global ids of a sealed segment's rows, strictly ascending. Only
+/// the k survivors of a scan are ever translated through them, so the
+/// representation is chosen for size: nothing but the ids themselves
+/// selects between the two.
+#[derive(Debug, Clone)]
+pub(crate) enum SegmentIds {
+    /// Row `r` holds id `first + r`. Ids are allocated and buffered under
+    /// the one writer lock, so every segment sealed from the buffer — and
+    /// every merge that drops no row between two such neighbours — is a
+    /// contiguous range and stores no id at all.
+    Dense(u32),
+    /// One stored id per row: what a purge or a row-dropping merge leaves.
+    /// Borrowed from the index file when mapped.
+    Column(U32Storage),
+}
+
+/// First and last id of the dense range `first..first + rows` (`None`
+/// when empty), which loaders have bounded by the id space.
+fn dense_span(first: u32, rows: usize) -> Option<(u32, u32)> {
+    Some((first, first + rows.checked_sub(1)? as u32))
+}
+
+/// Row of `id` in the dense range `first..first + rows`.
+fn dense_row(first: u32, rows: usize, id: u32) -> Option<usize> {
+    id.checked_sub(first).map(|row| row as usize).filter(|&row| row < rows)
+}
+
+impl SegmentIds {
+    /// The representation of strictly ascending `ids`: a dense range when
+    /// they are contiguous, the column otherwise.
+    fn from_ascending(ids: Vec<u32>) -> SegmentIds {
+        match (ids.first(), ids.last()) {
+            (Some(&first), Some(&last)) if (last - first) as usize == ids.len() - 1 => {
+                SegmentIds::Dense(first)
+            }
+            _ => SegmentIds::Column(ids.into()),
+        }
+    }
+
+    /// The stored ids — empty for a dense range, and exactly what the
+    /// segment's ids extent holds on disk.
+    pub(crate) fn column(&self) -> &[u32] {
+        match self {
+            SegmentIds::Dense(_) => &[],
+            SegmentIds::Column(ids) => ids,
+        }
+    }
+}
+
 /// The immutable payload of a sealed segment: codes, global ids, the
 /// blocked packing, and the per-segment TI partition. Shared by `Arc`
 /// across snapshots; only the tombstone bitmap beside it ever changes.
-/// The arrays are [`U32Storage`]/[`U16Storage`] so an out-of-core index
-/// can borrow them from a mapped index file instead of copying.
-#[derive(Debug)]
+/// A [`Vaq`] is the trained [`Model`] plus exactly one of these. The
+/// arrays are [`U32Storage`]/[`U16Storage`] so an out-of-core index can
+/// borrow them from a mapped index file instead of copying.
+#[derive(Debug, Clone)]
 pub(crate) struct SegmentCore {
-    /// Global ids, strictly ascending; `ids[local] = global`.
-    pub(crate) ids: U32Storage,
+    pub(crate) ids: SegmentIds,
     /// Row-major `n × m` codes.
     pub(crate) codes: U16Storage,
     pub(crate) n: usize,
+    /// Blocked/transposed codes of the ≤8-bit subspaces for the SIMD
+    /// quantized scan — a pure function of `codes` (audit code VAQ110);
+    /// inactive when no subspace fits in 8 bits.
     pub(crate) packed: PackedCodes,
     pub(crate) ti: Option<TiPartition>,
     /// Deferred CRC + content verification for a mapped segment's
     /// scan-path extents, plus its prefetch hints. `None` for owned
     /// segments, which are verified eagerly at parse time.
-    pub(crate) lazy: Option<crate::persist::LazyExtents>,
+    pub(crate) lazy: Option<Arc<crate::persist::LazyExtents>>,
 }
 
 impl SegmentCore {
@@ -278,10 +340,38 @@ impl SegmentCore {
         }
     }
 
-    /// Prefetch hints for a mapped segment (`None` when owned: advising
-    /// anonymous memory is pointless).
-    pub(crate) fn prefetch(&self) -> Option<&ScanPrefetch> {
-        self.lazy.as_ref().map(crate::persist::LazyExtents::prefetch)
+    /// The [`IndexView`] every pruned scan path runs over: codes, TI
+    /// partition, blocked packing, and — for a mapped segment, where
+    /// advising anonymous memory would be pointless — prefetch hints.
+    pub(crate) fn view<'a>(&'a self, encoder: &'a Encoder) -> IndexView<'a> {
+        IndexView::from_encoder(encoder, &self.codes, self.n)
+            .with_ti(self.ti.as_ref())
+            .with_packed(Some(&self.packed))
+            .with_prefetch(self.lazy.as_deref().map(crate::persist::LazyExtents::prefetch))
+    }
+
+    /// Global id of local row `row`.
+    pub(crate) fn id_of(&self, row: usize) -> u32 {
+        match &self.ids {
+            SegmentIds::Dense(first) => first + row as u32,
+            SegmentIds::Column(ids) => ids[row],
+        }
+    }
+
+    /// Local row of a global id, if this segment holds it.
+    fn local_of(&self, id: u32) -> Option<usize> {
+        match &self.ids {
+            SegmentIds::Dense(first) => dense_row(*first, self.n, id),
+            SegmentIds::Column(ids) => ids.binary_search(&id).ok(),
+        }
+    }
+
+    /// First and last global id; `None` for a segment without rows.
+    pub(crate) fn id_span(&self) -> Option<(u32, u32)> {
+        match &self.ids {
+            SegmentIds::Dense(first) => dense_span(*first, self.n),
+            SegmentIds::Column(ids) => Some((*ids.first()?, *ids.last()?)),
+        }
     }
 }
 
@@ -305,30 +395,33 @@ impl Segment {
             self.tombstones.dead() as f64 / self.core.n as f64
         }
     }
-
-    /// Local row of a global id, if this segment holds it.
-    fn local_of(&self, id: u32) -> Option<usize> {
-        self.core.ids.binary_search(&id).ok()
-    }
 }
 
 /// The mutable-by-replacement write buffer: plain codes scanned exactly.
+/// Its rows hold the ids `first_id..first_id + rows` — appends take fresh
+/// ids under the writer lock and a seal removes a prefix.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Buffer {
-    /// Global ids, strictly ascending (appends always take fresh ids).
-    pub(crate) ids: Vec<u32>,
-    /// Row-major `len × m` codes.
+    pub(crate) first_id: u32,
+    pub(crate) rows: usize,
+    /// Row-major `rows × m` codes.
     pub(crate) codes: Vec<u16>,
     pub(crate) tombstones: Tombstones,
 }
 
 impl Buffer {
-    fn rows(&self) -> usize {
-        self.ids.len()
+    fn live(&self) -> usize {
+        self.rows - self.tombstones.dead()
     }
 
-    fn live(&self) -> usize {
-        self.ids.len() - self.tombstones.dead()
+    /// Local row of a global id, if it is buffered.
+    fn local_of(&self, id: u32) -> Option<usize> {
+        dense_row(self.first_id, self.rows, id)
+    }
+
+    /// First and last buffered id; `None` while the buffer is empty.
+    pub(crate) fn id_span(&self) -> Option<(u32, u32)> {
+        dense_span(self.first_id, self.rows)
     }
 }
 
@@ -354,7 +447,7 @@ impl SegmentSet {
 
     /// Rows currently in the write buffer (including tombstoned ones).
     pub fn buffer_len(&self) -> usize {
-        self.buffer.rows()
+        self.buffer.rows
     }
 }
 
@@ -405,14 +498,16 @@ fn jlock(shared: &Shared) -> MutexGuard<'_, Option<wal::Journal>> {
     shared.journal.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Appends one record to the journal, when one is attached. The caller
-/// must hold the writer lock (lock order: writer → journal) and must NOT
-/// have applied the mutation yet — write-ahead means an append failure
-/// leaves both the log and the in-memory state at the committed prefix.
-fn journal_append(shared: &Shared, op: &wal::WalOp) -> Result<(), VaqError> {
+/// Appends one record to the journal, when one is attached — `op` is
+/// only built then, so a non-durable index never copies a batch for a
+/// log that is not there. The caller must hold the writer lock (lock
+/// order: writer → journal) and must NOT have applied the mutation yet —
+/// write-ahead means an append failure leaves both the log and the
+/// in-memory state at the committed prefix.
+fn journal_append(shared: &Shared, op: impl FnOnce() -> wal::WalOp) -> Result<(), VaqError> {
     let mut j = jlock(shared);
     if let Some(j) = j.as_mut() {
-        j.append(op)?;
+        j.append(&op())?;
     }
     Ok(())
 }
@@ -443,6 +538,25 @@ fn install(shared: &Shared, set: SegmentSet) {
     shared.version.fetch_add(1, Ordering::Release);
 }
 
+/// Installs a snapshot whose write buffer has `codes` appended under the
+/// ids `first..first + rows`, and returns the buffered row count. The
+/// caller holds the writer lock and took `first` from the id counter, so
+/// the range continues the buffer's.
+fn append_to_buffer(shared: &Shared, first: u32, rows: usize, codes: &[u16]) -> usize {
+    let cur = read_current(shared);
+    let mut buffer = (*cur.buffer).clone();
+    if buffer.rows == 0 {
+        buffer.first_id = first;
+    }
+    buffer.rows += rows;
+    buffer.codes.extend_from_slice(codes);
+    // The new rows are live.
+    buffer.tombstones.words.to_mut().resize(buffer.rows.div_ceil(64), 0);
+    let buffered = buffer.rows;
+    install(shared, SegmentSet { segments: cur.segments.clone(), buffer: Arc::new(buffer) });
+    buffered
+}
+
 /// An LSM-like VAQ index supporting concurrent ingest, deletes, and
 /// lock-free snapshot queries. Cheap to clone — clones share all state.
 ///
@@ -460,43 +574,17 @@ impl SegmentedVaq {
         cfg: &VaqConfig,
         policy: SegmentPolicy,
     ) -> Result<SegmentedVaq, VaqError> {
-        let vaq = Vaq::train(data, cfg)?;
-        let mut this = SegmentedVaq::from_vaq(vaq, policy);
-        // `from_vaq` cannot see the config; thread the seed through for
-        // deterministic per-segment TI sampling.
-        if let Some(shared) = Arc::get_mut(&mut this.shared) {
-            if let Some(model) = Arc::get_mut(&mut shared.model) {
-                model.seed = cfg.seed;
-            }
-        }
-        Ok(this)
+        Ok(SegmentedVaq::from_vaq(Vaq::train(data, cfg)?, policy))
     }
 
-    /// Wraps an already-trained [`Vaq`] as a segmented index whose entire
-    /// database becomes sealed segment 0 (ids `0..n`), keeping the
-    /// original TI partition and blocked packing — searches return
-    /// exactly what the monolithic index returned.
+    /// Wraps an already-trained [`Vaq`] as a segmented index: its model
+    /// becomes the shared model and its one segment (ids `0..n`) sealed
+    /// segment 0 — a move, so searches return exactly what the [`Vaq`]
+    /// returned.
     pub fn from_vaq(vaq: Vaq, policy: SegmentPolicy) -> SegmentedVaq {
-        let Vaq { pca, layout, bits, encoder, codes, n, ti, default_strategy, packed } = vaq;
-        let ti_prefix_subspaces = ti_prefix_of(ti.as_ref(), encoder.num_subspaces());
-        let model = Model {
-            pca,
-            layout,
-            bits,
-            encoder,
-            default_strategy,
-            ti_prefix_subspaces,
-            seed: DEFAULT_SEED,
-        };
-        let segments = if n > 0 {
-            let ids: Vec<u32> = (0..n as u32).collect();
-            let core =
-                SegmentCore { ids: ids.into(), codes: codes.into(), n, packed, ti, lazy: None };
-            vec![Segment { core: Arc::new(core), tombstones: Tombstones::with_len(n) }]
-        } else {
-            Vec::new()
-        };
-        SegmentedVaq::from_parts(model, policy, segments, Buffer::default(), n as u32)
+        let (n, tombstones) = (vaq.core.n, Tombstones::with_len(vaq.core.n));
+        let segments = vec![Segment { core: vaq.core, tombstones }];
+        SegmentedVaq::from_parts(vaq.model, policy, segments, Buffer::default(), n as u32)
     }
 
     /// Assembles an index from its parts (see `crate::persist`).
@@ -523,6 +611,16 @@ impl SegmentedVaq {
     /// The maintenance policy.
     pub fn policy(&self) -> &SegmentPolicy {
         &self.shared.policy
+    }
+
+    /// Per-subspace bit allocation of the shared model.
+    pub fn bits(&self) -> &[usize] {
+        &self.shared.model.bits
+    }
+
+    /// The shared model's subspace layout.
+    pub fn layout(&self) -> &SubspaceLayout {
+        &self.shared.model.layout
     }
 
     /// The current snapshot (cheap: one `RwLock` read + `Arc` clone).
@@ -556,7 +654,7 @@ impl SegmentedVaq {
         let claimed = {
             let mut st = wlock(&self.shared);
             let pending = !st.maintenance
-                && read_current(&self.shared).buffer.rows() >= self.shared.policy.seal_threshold;
+                && read_current(&self.shared).buffer.rows >= self.shared.policy.seal_threshold;
             if pending {
                 st.maintenance = true;
             }
@@ -583,21 +681,12 @@ impl SegmentedVaq {
         let mut out = Vec::with_capacity(set.live_len());
         for seg in &set.segments {
             out.extend(
-                seg.core
-                    .ids
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| !seg.tombstones.is_dead(i))
-                    .map(|(_, &id)| id),
+                (0..seg.core.n).filter(|&i| !seg.tombstones.is_dead(i)).map(|i| seg.core.id_of(i)),
             );
         }
+        let buf = &set.buffer;
         out.extend(
-            set.buffer
-                .ids
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !set.buffer.tombstones.is_dead(i))
-                .map(|(_, &id)| id),
+            (0..buf.rows).filter(|&i| !buf.tombstones.is_dead(i)).map(|i| buf.first_id + i as u32),
         );
         out
     }
@@ -606,14 +695,11 @@ impl SegmentedVaq {
     pub fn contains(&self, id: u32) -> bool {
         let set = self.snapshot();
         for seg in &set.segments {
-            if let Some(local) = seg.local_of(id) {
+            if let Some(local) = seg.core.local_of(id) {
                 return !seg.tombstones.is_dead(local);
             }
         }
-        if let Ok(local) = set.buffer.ids.binary_search(&id) {
-            return !set.buffer.tombstones.is_dead(local);
-        }
-        false
+        set.buffer.local_of(id).is_some_and(|local| !set.buffer.tombstones.is_dead(local))
     }
 
     /// Encodes and appends the rows of `data` into the write buffer,
@@ -623,20 +709,10 @@ impl SegmentedVaq {
     /// when the buffer outruns the in-flight seal by 2× the threshold
     /// (backpressure).
     pub fn add(&self, data: &Matrix) -> Result<Vec<u32>, VaqError> {
-        let model = &self.shared.model;
-        if data.cols() != model.pca.dim() {
-            return Err(VaqError::BadConfig(format!(
-                "appended vectors have {} dims, index expects {}",
-                data.cols(),
-                model.pca.dim()
-            )));
-        }
+        let new_codes = self.shared.model.encode(data)?;
         if data.rows() == 0 {
             return Ok(Vec::new());
         }
-        // Encoding is lock-free: the model is immutable.
-        let projected = model.pca.transform(data)?;
-        let new_codes = model.encoder.encode_all(&projected);
 
         let mut run_inline = false;
         let mut join_for_backpressure = None;
@@ -651,29 +727,14 @@ impl SegmentedVaq {
             // Write-ahead: the record must be durable before the state
             // changes; on append failure nothing was applied and the
             // caller sees the error.
-            journal_append(
-                &self.shared,
-                &wal::WalOp::Add { first_id: first, rows: data.rows(), codes: new_codes.clone() },
-            )?;
+            journal_append(&self.shared, || wal::WalOp::Add {
+                first_id: first,
+                rows: data.rows(),
+                codes: new_codes.clone(),
+            })?;
             st.next_id += data.rows() as u32;
             ids = (first..st.next_id).collect();
-
-            let cur = read_current(&self.shared);
-            let mut buffer = (*cur.buffer).clone();
-            buffer.ids.extend_from_slice(&ids);
-            buffer.codes.extend_from_slice(&new_codes);
-            buffer.tombstones = {
-                let mut t = Tombstones::with_len(buffer.ids.len());
-                t.words.to_mut()[..cur.buffer.tombstones.words().len()]
-                    .copy_from_slice(cur.buffer.tombstones.words());
-                t.dead = cur.buffer.tombstones.dead();
-                t
-            };
-            let buffered = buffer.rows();
-            install(
-                &self.shared,
-                SegmentSet { segments: cur.segments.clone(), buffer: Arc::new(buffer) },
-            );
+            let buffered = append_to_buffer(&self.shared, first, data.rows(), &new_codes);
 
             if buffered >= self.shared.policy.seal_threshold && !st.maintenance {
                 st.maintenance = true;
@@ -712,19 +773,19 @@ impl SegmentedVaq {
             let cur = read_current(&self.shared);
             let mut purge_eligible = false;
             let mut next: Option<SegmentSet> = None;
-            if let Some(pos) = cur.segments.iter().position(|seg| seg.local_of(id).is_some()) {
-                let seg = &cur.segments[pos];
-                // `local_of` succeeded above.
-                let Some(local) = seg.local_of(id) else { return Ok(false) };
-                let mut tombstones = seg.tombstones.clone();
-                if tombstones.kill(local) {
-                    let mut segments = cur.segments.clone();
-                    segments[pos] = Segment { core: Arc::clone(&seg.core), tombstones };
+            let sealed = cur
+                .segments
+                .iter()
+                .enumerate()
+                .find_map(|(pos, seg)| Some((pos, seg.core.local_of(id)?)));
+            if let Some((pos, local)) = sealed {
+                let mut segments = cur.segments.clone();
+                if segments[pos].tombstones.kill(local) {
                     purge_eligible =
                         segments[pos].dead_frac() >= self.shared.policy.tombstone_purge_frac;
                     next = Some(SegmentSet { segments, buffer: Arc::clone(&cur.buffer) });
                 }
-            } else if let Ok(local) = cur.buffer.ids.binary_search(&id) {
+            } else if let Some(local) = cur.buffer.local_of(id) {
                 let mut buffer = (*cur.buffer).clone();
                 if buffer.tombstones.kill(local) {
                     next = Some(SegmentSet {
@@ -738,7 +799,7 @@ impl SegmentedVaq {
                 // Write-ahead: the tombstone record goes to the log
                 // before the snapshot flips; a failed append applies
                 // nothing.
-                journal_append(&self.shared, &wal::WalOp::Delete { id })?;
+                journal_append(&self.shared, || wal::WalOp::Delete { id })?;
                 install(&self.shared, set);
             }
             if purge_eligible && !st.maintenance {
@@ -821,7 +882,7 @@ impl SegmentedVaq {
                     (None, false)
                 } else {
                     let cur = read_current(&self.shared);
-                    let pending = cur.buffer.rows() >= self.shared.policy.seal_threshold
+                    let pending = cur.buffer.rows >= self.shared.policy.seal_threshold
                         || pick_compaction(&cur, &self.shared.policy).is_some();
                     if pending {
                         st.maintenance = true;
@@ -903,7 +964,7 @@ impl SegmentedVaq {
         self.make_durable(&path)
     }
 
-    /// Opens a durable index: loads the manifest at `path` (either kind),
+    /// Opens a durable index: loads the manifest at `path`,
     /// replays the write-ahead-log suffix past the manifest's watermark
     /// (truncating a torn tail record instead of erroring — the op it
     /// logged never returned success), re-audits, and re-attaches the
@@ -1025,22 +1086,7 @@ impl SegmentedVaq {
             return Err(wal::corrupt("add range leaves an id gap"));
         }
         st.next_id = first_id + rows_u32;
-        let ids: Vec<u32> = (first_id..st.next_id).collect();
-        let cur = read_current(&self.shared);
-        let mut buffer = (*cur.buffer).clone();
-        buffer.ids.extend_from_slice(&ids);
-        buffer.codes.extend_from_slice(codes);
-        buffer.tombstones = {
-            let mut t = Tombstones::with_len(buffer.ids.len());
-            t.words.to_mut()[..cur.buffer.tombstones.words().len()]
-                .copy_from_slice(cur.buffer.tombstones.words());
-            t.dead = cur.buffer.tombstones.dead();
-            t
-        };
-        install(
-            &self.shared,
-            SegmentSet { segments: cur.segments.clone(), buffer: Arc::new(buffer) },
-        );
+        append_to_buffer(&self.shared, first_id, rows, codes);
         Ok(())
     }
 
@@ -1156,15 +1202,11 @@ fn search_set(
         // first search that touches them (lazy CRC); a failure is a typed
         // corruption error, never a wrong answer or a panic.
         seg.core.ensure_verified(matches!(strategy, SearchStrategy::Quantized))?;
-        let view = IndexView::from_encoder(&model.encoder, &seg.core.codes, seg.core.n)
-            .with_ti(seg.core.ti.as_ref())
-            .with_packed(Some(&seg.core.packed))
-            .with_dead(seg.tombstones.filter())
-            .with_prefetch(seg.core.prefetch());
+        let view = seg.core.view(&model.encoder).with_dead(seg.tombstones.filter());
         let (part, s) = engine.search_squared(&view, &projected, k, strategy);
         stats += s;
         merged.extend(
-            part.into_iter().map(|nb| Neighbor { index: seg.core.ids[nb.index as usize], ..nb }),
+            part.into_iter().map(|nb| Neighbor { index: seg.core.id_of(nb.index as usize), ..nb }),
         );
     }
     if set.buffer.live() > 0 {
@@ -1174,12 +1216,12 @@ fn search_set(
             SearchStrategy::TiEa { .. } | SearchStrategy::Quantized => SearchStrategy::EarlyAbandon,
             exact => exact,
         };
-        let view = IndexView::from_encoder(&model.encoder, &set.buffer.codes, set.buffer.rows())
+        let view = IndexView::from_encoder(&model.encoder, &set.buffer.codes, set.buffer.rows)
             .with_dead(set.buffer.tombstones.filter());
         let (part, s) = engine.search_squared(&view, &projected, k, buf_strategy);
         stats += s;
         merged.extend(
-            part.into_iter().map(|nb| Neighbor { index: set.buffer.ids[nb.index as usize], ..nb }),
+            part.into_iter().map(|nb| Neighbor { index: set.buffer.first_id + nb.index, ..nb }),
         );
     }
     merged.sort();
@@ -1207,7 +1249,7 @@ fn maintenance_task(shared: &Arc<Shared>) {
         let sealed = seal_step(shared);
         compact_step(shared);
         let mut st = wlock(shared);
-        let drained = read_current(shared).buffer.rows() < shared.policy.seal_threshold.max(1);
+        let drained = read_current(shared).buffer.rows < shared.policy.seal_threshold.max(1);
         if drained || !sealed {
             st.maintenance = false;
             return;
@@ -1223,7 +1265,7 @@ fn maintenance_task(shared: &Arc<Shared>) {
 /// returns `false` so the maintenance loop gives up instead of spinning.
 fn seal_step(shared: &Arc<Shared>) -> bool {
     let frozen = read_current(shared);
-    let rows = frozen.buffer.rows();
+    let rows = frozen.buffer.rows;
     if rows == 0 {
         return true;
     }
@@ -1232,12 +1274,8 @@ fn seal_step(shared: &Arc<Shared>) -> bool {
         crate::faults::note_degradation("segment.seal: seal failed, write buffer retained");
         return false;
     }
-    let core = build_core(
-        &shared.model,
-        &shared.policy,
-        frozen.buffer.ids.clone(),
-        frozen.buffer.codes.clone(),
-    );
+    let ids = SegmentIds::Dense(frozen.buffer.first_id);
+    let core = build_core(&shared.model, &shared.policy, ids, frozen.buffer.codes.clone());
 
     let _st = wlock(shared);
     let cur = read_current(shared);
@@ -1251,11 +1289,12 @@ fn seal_step(shared: &Arc<Shared>) -> bool {
     }
     let m = shared.model.encoder.num_subspaces();
     let mut rest = Buffer {
-        ids: cur.buffer.ids[rows..].to_vec(),
+        first_id: cur.buffer.first_id + rows as u32,
+        rows: cur.buffer.rows - rows,
         codes: cur.buffer.codes[rows * m..].to_vec(),
-        tombstones: Tombstones::with_len(cur.buffer.rows() - rows),
+        tombstones: Tombstones::with_len(cur.buffer.rows - rows),
     };
-    for i in rows..cur.buffer.rows() {
+    for i in rows..cur.buffer.rows {
         if cur.buffer.tombstones.is_dead(i) {
             rest.tombstones.kill(i - rows);
         }
@@ -1334,14 +1373,15 @@ fn compact_step(shared: &Arc<Shared>) {
                 if seg.tombstones.is_dead(local) {
                     continue;
                 }
-                ids.push(seg.core.ids[local]);
+                ids.push(seg.core.id_of(local));
                 codes.extend_from_slice(&seg.core.codes[local * m..(local + 1) * m]);
                 origins.push((pos + s, local));
             }
         }
         let dropped: usize = srcs.iter().map(|s| s.tombstones.dead()).sum();
-        let merged =
-            (!ids.is_empty()).then(|| build_core(&shared.model, &shared.policy, ids, codes));
+        let merged = (!ids.is_empty()).then(|| {
+            build_core(&shared.model, &shared.policy, SegmentIds::from_ascending(ids), codes)
+        });
 
         let _st = wlock(shared);
         let cur = read_current(shared);
@@ -1385,35 +1425,32 @@ fn compact_step(shared: &Arc<Shared>) {
 fn build_core(
     model: &Model,
     policy: &SegmentPolicy,
-    ids: Vec<u32>,
+    ids: SegmentIds,
     codes: Vec<u16>,
 ) -> SegmentCore {
-    let n = ids.len();
+    let n = codes.len() / model.encoder.num_subspaces();
     let sizes: Vec<usize> = model.encoder.table_sizes().collect();
     let packed = PackedCodes::pack(&codes, &sizes, n);
     crate::obs::note_truncated_packing(&packed, "segment.seal");
-    let ti = if policy.ti_clusters > 0 && n > 0 {
-        let seed = model.seed ^ u64::from(ids.first().copied().unwrap_or(0)).rotate_left(17);
+    let mut core = SegmentCore { ids, codes: codes.into(), n, packed, ti: None, lazy: None };
+    if policy.ti_clusters > 0 && n > 0 {
+        let first = core.id_span().map_or(0, |(first, _)| first);
+        let seed = model.seed ^ u64::from(first).rotate_left(17);
         match TiPartition::build(
             &model.encoder,
-            &codes,
+            &core.codes,
             n,
             policy.ti_clusters.min(n),
             model.ti_prefix_subspaces,
             seed,
         ) {
-            Ok(ti) => Some(ti),
-            Err(_) => {
-                crate::faults::note_degradation(
-                    "segment.seal: per-segment TI build failed, segment scans exactly",
-                );
-                None
-            }
+            Ok(ti) => core.ti = Some(ti),
+            Err(_) => crate::faults::note_degradation(
+                "segment.seal: per-segment TI build failed, segment scans exactly",
+            ),
         }
-    } else {
-        None
-    };
-    SegmentCore { ids: ids.into(), codes: codes.into(), n, packed, ti, lazy: None }
+    }
+    core
 }
 
 #[cfg(test)]
@@ -1591,6 +1628,58 @@ mod tests {
     }
 
     #[test]
+    fn a_segment_stores_ids_only_after_dropping_rows() {
+        // 1024-row segments, so every ids extent is a whole number of pages.
+        let pol = SegmentPolicy::default()
+            .with_seal_threshold(1024)
+            .with_compact_min_segments(3)
+            .with_tombstone_purge_frac(0.5)
+            .with_ti_clusters(4)
+            .sequential();
+        let vaq = Vaq::train(&toy_data(1024, 6, 91), &cfg()).unwrap();
+        assert!(matches!(vaq.core.ids, SegmentIds::Dense(0)));
+        let seg = SegmentedVaq::from_vaq(vaq, pol.clone());
+        let shape = |seg: &SegmentedVaq| -> Vec<(Option<u32>, usize)> {
+            let dense = |ids: &SegmentIds| match ids {
+                SegmentIds::Dense(first) => Some(*first),
+                SegmentIds::Column(_) => None,
+            };
+            seg.snapshot().segments.iter().map(|s| (dense(&s.core.ids), s.core.n)).collect()
+        };
+
+        // `from_vaq`'s segment and one sealed from the buffer: both ranges.
+        seg.add(&toy_data(1024, 6, 92)).unwrap();
+        assert_eq!(shape(&seg), [(Some(0), 1024), (Some(1024), 1024)]);
+        // A merge of two such neighbours that drops no row is a range again.
+        seg.add(&toy_data(1024, 6, 93)).unwrap();
+        assert_eq!(shape(&seg), [(Some(0), 2048), (Some(2048), 1024)]);
+
+        // The same index with every id written out is 4 B/row larger.
+        let (set, next_id) = seg.persist_snapshot();
+        let stored = set.segments.iter().map(|s| {
+            let ids: Vec<u32> = (0..s.core.n).map(|row| s.core.id_of(row)).collect();
+            let core = SegmentCore { ids: SegmentIds::Column(ids.into()), ..(*s.core).clone() };
+            Segment { core: Arc::new(core), tombstones: s.tombstones.clone() }
+        });
+        let model = (*seg.shared.model).clone();
+        let stored =
+            SegmentedVaq::from_parts(model, pol, stored.collect(), Buffer::default(), next_id);
+        assert_eq!(stored.to_bytes().len(), seg.to_bytes().len() + 4 * 3072);
+        let q = toy_data(1, 6, 94);
+        assert_eq!(stored.search(q.row(0), 9).unwrap(), seg.search(q.row(0), 9).unwrap());
+
+        // A purge leaves ids that only a column can hold; its never-
+        // rewritten neighbour keeps its range.
+        for id in (2048..3072).step_by(2) {
+            assert!(seg.delete(id));
+        }
+        assert_eq!(shape(&seg), [(Some(0), 2048), (None, 512)]);
+        let odd: Vec<u32> = (2049..3072).step_by(2).collect();
+        assert_eq!(seg.snapshot().segments[1].core.ids.column(), odd);
+        assert_eq!(seg.live_ids(), (0..2048).chain(odd).collect::<Vec<u32>>());
+    }
+
+    #[test]
     fn searcher_sees_new_snapshots_after_refresh() {
         let train = toy_data(64, 6, 31);
         let seg = SegmentedVaq::train(&train, &cfg(), policy()).unwrap();
@@ -1716,7 +1805,7 @@ mod tests {
                     let mut st = wlock(&self.shared);
                     if st.maintenance {
                         false
-                    } else if read_current(&self.shared).buffer.rows()
+                    } else if read_current(&self.shared).buffer.rows
                         >= self.shared.policy.seal_threshold
                     {
                         st.maintenance = true;

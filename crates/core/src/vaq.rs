@@ -1,16 +1,21 @@
 //! The end-to-end VAQ method (paper Algorithm 5): `VarPCA` →
 //! subspace construction → partial balancing → adaptive bit allocation →
 //! variable-sized dictionaries → TI partitioning → pruned query execution.
+//! Its one artefact, [`Vaq`], is a trained model plus one encoded,
+//! TI-partitioned database — the `Model` and `SegmentCore` of
+//! [`crate::segment`].
 
 use crate::allocation::{AllocationConstraint, AllocationStrategy};
 use crate::encoder::Encoder;
 use crate::engine::{IndexView, QueryEngine};
 use crate::pipeline::VarPcaStage;
 use crate::search::{Neighbor, SearchStats, SearchStrategy};
+use crate::segment::{Model, SegmentCore};
 use crate::subspaces::{SubspaceLayout, SubspaceMode};
+use crate::sync::Arc;
 use crate::ti::TiPartition;
 use crate::VaqError;
-use vaq_linalg::{Matrix, PackedCodes, Pca};
+use vaq_linalg::Matrix;
 
 /// What ingress validation does with NaN/Inf values in training or
 /// appended data (degenerate but *finite* data — constant dimensions,
@@ -162,21 +167,18 @@ impl VaqConfig {
     }
 }
 
-/// A trained VAQ index.
+/// A trained VAQ index: the model plus one sealed segment holding the
+/// encoded database under the ids `0..n` — the two types a
+/// [`crate::SegmentedVaq`] is made of, which is why
+/// [`crate::SegmentedVaq::from_vaq`] is a move and both write one file
+/// shape. What a `Vaq` adds is [`Vaq::add`], which grows its one segment
+/// in place.
 #[derive(Debug, Clone)]
 pub struct Vaq {
-    pub(crate) pca: Pca,
-    pub(crate) layout: SubspaceLayout,
-    pub(crate) bits: Vec<usize>,
-    pub(crate) encoder: Encoder,
-    pub(crate) codes: Vec<u16>,
-    pub(crate) n: usize,
-    pub(crate) ti: Option<TiPartition>,
-    pub(crate) default_strategy: SearchStrategy,
-    /// Blocked/transposed codes of the ≤8-bit subspaces for the SIMD
-    /// quantized scan. Derived from `codes` (rebuilt on load and append,
-    /// never serialized); inactive when no subspace fits in 8 bits.
-    pub(crate) packed: PackedCodes,
+    pub(crate) model: Model,
+    /// Shared until the next [`Vaq::add`], which copies it out if a
+    /// clone (or a segmented index made from one) still holds it.
+    pub(crate) core: Arc<SegmentCore>,
 }
 
 impl Vaq {
@@ -199,59 +201,57 @@ impl Vaq {
 
     /// Number of encoded vectors.
     pub fn len(&self) -> usize {
-        self.n
+        self.core.n
     }
 
     /// `true` when the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.core.n == 0
     }
 
     /// Per-subspace bit allocation chosen by the optimizer.
     pub fn bits(&self) -> &[usize] {
-        &self.bits
+        &self.model.bits
     }
 
     /// Total bits per encoded vector.
     pub fn code_bits(&self) -> usize {
-        self.bits.iter().sum()
+        self.model.bits.iter().sum()
     }
 
     /// The derived subspace layout.
     pub fn layout(&self) -> &SubspaceLayout {
-        &self.layout
+        &self.model.layout
     }
 
     /// The TI partition, if built.
     pub fn ti(&self) -> Option<&TiPartition> {
-        self.ti.as_ref()
+        self.core.ti.as_ref()
     }
 
     /// Projects a raw query into VAQ's permuted PC space. Errors when the
     /// query's dimensionality does not match the trained projection.
     pub fn project_query(&self, query: &[f32]) -> Result<Vec<f32>, VaqError> {
-        Ok(self.pca.transform_vec(query)?)
+        Ok(self.model.pca.transform_vec(query)?)
     }
 
     /// A borrowed [`IndexView`] of the encoded database (codes + TI +
     /// blocked packing), ready for a [`QueryEngine`].
     pub fn view(&self) -> IndexView<'_> {
-        IndexView::from_encoder(&self.encoder, &self.codes, self.n)
-            .with_ti(self.ti.as_ref())
-            .with_packed(Some(&self.packed))
+        self.core.view(&self.model.encoder)
     }
 
     /// A [`QueryEngine`] pre-sized for this index, defaulting to the
     /// trained strategy (TI + EA). Hold one per thread and reuse it across
     /// queries — after the first, table preparation allocates nothing.
     pub fn engine(&self) -> QueryEngine {
-        QueryEngine::for_view(&self.view()).with_strategy(self.default_strategy)
+        QueryEngine::for_view(&self.view()).with_strategy(self.model.default_strategy)
     }
 
     /// Searches with the configured default strategy (TI + EA). Errors
     /// when the query's dimensionality does not match the index.
     pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>, VaqError> {
-        Ok(self.search_with(query, k, self.default_strategy)?.0)
+        Ok(self.search_with(query, k, self.model.default_strategy)?.0)
     }
 
     /// Batch search: answers every row of `queries`, sharding across
@@ -264,11 +264,11 @@ impl Vaq {
         k: usize,
         strategy: SearchStrategy,
     ) -> Result<(Vec<Vec<Neighbor>>, SearchStats), VaqError> {
-        if queries.rows() > 0 && queries.cols() != self.pca.dim() {
+        if queries.rows() > 0 && queries.cols() != self.model.pca.dim() {
             return Err(VaqError::BadConfig(format!(
                 "{}-dim queries against a {}-dim index",
                 queries.cols(),
-                self.pca.dim()
+                self.model.pca.dim()
             )));
         }
         let view = self.view();
@@ -320,57 +320,47 @@ impl Vaq {
     ///
     /// Returns the row index the first appended vector received.
     pub fn add(&mut self, data: &Matrix) -> Result<usize, VaqError> {
-        if data.cols() != self.pca.dim() {
-            return Err(VaqError::BadConfig(format!(
-                "appended vectors have {} dims, index expects {}",
-                data.cols(),
-                self.pca.dim()
-            )));
-        }
-        let first = self.n;
-        let projected = self.pca.transform(data)?;
-        let new_codes = self.encoder.encode_all(&projected);
-        if let Some(ti) = &mut self.ti {
-            let m = self.encoder.num_subspaces();
+        let new_codes = self.model.encode(data)?;
+        let encoder = &self.model.encoder;
+        let core = Arc::make_mut(&mut self.core);
+        let first = core.n;
+        if let Some(ti) = &mut core.ti {
+            let m = encoder.num_subspaces();
             for (j, code) in new_codes.chunks_exact(m).enumerate() {
-                ti.insert(&self.encoder, code, (first + j) as u32);
+                ti.insert(encoder, code, (first + j) as u32);
             }
         }
-        self.codes.extend_from_slice(&new_codes);
-        self.n += data.rows();
+        core.codes.to_mut().extend_from_slice(&new_codes);
+        core.n += data.rows();
         // The blocked layout is block-major, so earlier 32-vector blocks
         // never move on append: only the trailing partial block's padded
         // lanes and the new blocks are written — O(rows·m), independent
         // of how large the index already is. (`append` stays
         // byte-identical to a full repack, audit code VAQ110.)
-        self.packed.append(
-            &new_codes,
-            &self.encoder.table_sizes().collect::<Vec<_>>(),
-            data.rows(),
-        );
-        crate::obs::note_truncated_packing(&self.packed, "vaq.add");
+        core.packed.append(&new_codes, &encoder.table_sizes().collect::<Vec<_>>(), data.rows());
+        crate::obs::note_truncated_packing(&core.packed, "vaq.add");
         Ok(first)
     }
 
     /// The encoded code word of database row `i`.
     pub fn code(&self, i: usize) -> &[u16] {
-        let m = self.encoder.num_subspaces();
-        &self.codes[i * m..(i + 1) * m]
+        let m = self.model.encoder.num_subspaces();
+        &self.core.codes[i * m..(i + 1) * m]
     }
 
     /// The encoder (dictionaries / ranges), for inspection.
     pub fn encoder(&self) -> &Encoder {
-        &self.encoder
+        &self.model.encoder
     }
 
     /// Total squared quantization error over the training data (requires
     /// re-projecting, so it takes the original data). Errors when `data`
     /// does not match the trained projection's dimensionality.
     pub fn quantization_error(&self, data: &Matrix) -> Result<f64, VaqError> {
-        let projected = self.pca.transform(data)?;
+        let projected = self.model.pca.transform(data)?;
         let mut err = 0.0f64;
-        for i in 0..self.n.min(projected.rows()) {
-            let rec = self.encoder.decode(self.code(i));
+        for i in 0..self.core.n.min(projected.rows()) {
+            let rec = self.model.encoder.decode(self.code(i));
             err += vaq_linalg::squared_euclidean(projected.row(i), &rec) as f64;
         }
         Ok(err)
@@ -509,8 +499,8 @@ mod tests {
         let cfg = VaqConfig::new(32, 8).with_ti_clusters(16).with_seed(9);
         let a = Vaq::train(&ds.data, &cfg).unwrap();
         let b = Vaq::train(&ds.data, &cfg).unwrap();
-        assert_eq!(a.codes, b.codes);
-        assert_eq!(a.bits, b.bits);
+        assert_eq!(a.core.codes, b.core.codes);
+        assert_eq!(a.bits(), b.bits());
         let qa = a.search(ds.data.row(5), 7);
         let qb = b.search(ds.data.row(5), 7);
         assert_eq!(qa, qb);
@@ -721,6 +711,11 @@ mod tests {
         let ds = SyntheticSpec::deep_like().generate(100, 0, 23);
         let mut vaq = Vaq::train(&ds.data, &VaqConfig::new(32, 8).with_ti_clusters(8)).unwrap();
         assert!(vaq.add(&Matrix::zeros(5, 7)).is_err());
+        // No rows is no change, on either holder.
+        assert_eq!(vaq.add(&Matrix::zeros(0, ds.data.cols())).unwrap(), 100);
+        let seg = crate::SegmentedVaq::from_vaq(vaq, crate::SegmentPolicy::default());
+        assert!(seg.add(&Matrix::zeros(0, ds.data.cols())).unwrap().is_empty());
+        assert!(seg.add(&Matrix::zeros(0, 7)).is_err());
     }
 
     #[test]

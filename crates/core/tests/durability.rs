@@ -1,5 +1,5 @@
 //! Durability suite: corruption-injection over the index container (a
-//! monolithic file, a `save` file and a `save_mapped` file) and the
+//! `Vaq::save` file, a `save` file and a `save_mapped` file) and the
 //! write-ahead log, plus commit-protocol checks.
 //!
 //! The contract under test:
@@ -145,7 +145,7 @@ fn fuzz_cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
-    /// Any single-byte mutation of an index file — monolithic, `save`,
+    /// Any single-byte mutation of an index file — `Vaq::save`, `save`,
     /// `save_mapped`, or a durable manifest — is rejected by the owned
     /// parse with a typed error: the header, the table and every extent
     /// carry a CRC32C (a CRC detects all bursts up to its width, so an
@@ -281,10 +281,11 @@ fn open_durable_replays_to_the_live_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One index in every on-disk shape: the training set as a monolithic
-/// file, the grown index (several sealed segments, tombstones in a
-/// segment and in the buffer, a non-empty buffer) as a `save` file and as
-/// a `save_mapped` file, the latter opened both ways. The directory is
+/// One index through every writer: the training set as a `Vaq::save`
+/// file, the grown index (a never-compacted segment with implicit ids, a
+/// purged one with stored ids, tombstones in both and in the non-empty
+/// buffer) as a `save` file and as a `save_mapped` file, the latter
+/// opened both ways. The directory is
 /// kept alive for the whole process — the mapped instance borrows its
 /// bytes from the file.
 struct ContainerFixture {
@@ -315,9 +316,14 @@ fn container_fixture() -> &'static ContainerFixture {
             mono.clone(),
             SegmentPolicy::default().with_seal_threshold(32).with_ti_clusters(4).sequential(),
         );
-        seg.add(&slice(&data, 120, 200)).unwrap();
-        seg.delete(5); // sealed row → non-empty tombstone extent
-        seg.delete(190); // buffered row
+        seg.add(&slice(&data, 120, 200)).unwrap(); // sealed inline
+        for id in (120..200).step_by(4) {
+            seg.delete(id); // a quarter of the segment: purged, ids now stored
+        }
+        seg.add(&slice(&data, 200, 210)).unwrap(); // stays buffered
+                                                   // Non-empty tombstone extents in both segments and the buffer.
+        assert!(seg.delete(5) && seg.delete(190) && seg.delete(205));
+        assert_eq!(seg.len(), 120 + 60 + 10 - 3);
         seg.save_mapped(&path).unwrap();
         ContainerFixture {
             data,

@@ -86,6 +86,7 @@ pub mod atomic {
         };
     }
 
+    model_atomic!(AtomicU8, AtomicU8, u8);
     model_atomic!(AtomicU32, AtomicU32, u32);
     model_atomic!(AtomicU64, AtomicU64, u64);
     model_atomic!(AtomicUsize, AtomicUsize, usize);
