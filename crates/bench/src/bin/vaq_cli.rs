@@ -118,7 +118,7 @@ sequentially and batched), over two bit budgets — the default mixed-width
 plan and an all-nibble 4-bit plan — plus a per-tier kernel
 micro-benchmark, and writes results/BENCH_adc_scan_v2.json. The run
 fails if early-abandon is slower than the full scan it prunes. Set
-VAQ_FORCE_KERNEL=scalar|ssse3|avx2|avx512|neon
+VAQ_FORCE_KERNEL=scalar|ssse3|avx2|neon
 to measure the end-to-end engine numbers on a pinned kernel tier.
 `bench --concurrent` instead benchmarks the segmented index: a writer
 ingests the dataset tail in batches (sealing and compacting in the
@@ -557,27 +557,10 @@ fn time_strategy(
     (t0.elapsed().as_secs_f64() / (reps * queries.rows()) as f64, stats)
 }
 
-/// Times the batched quantized path (table-transposed multi-query tiles)
-/// over the whole query set, seconds per query.
-fn time_batched(
-    vaq: &Vaq,
-    queries: &Matrix,
-    k: usize,
-    reps: usize,
-) -> (f64, vaq_core::SearchStats) {
-    let _ = vaq.search_batch(queries, k, SearchStrategy::Quantized).expect("search"); // warm
-    let mut stats = vaq_core::SearchStats::default();
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
-        stats += vaq.search_batch(queries, k, SearchStrategy::Quantized).expect("search").1;
-    }
-    (t0.elapsed().as_secs_f64() / (reps * queries.rows()) as f64, stats)
-}
-
 /// `kernels`: one line per SIMD tier with its support status on this CPU,
-/// plus the kernel the dispatcher actually picked (after a VAQ_FORCE_KERNEL
-/// override) — CI matrices print this to keep forced
-/// runs honest about what they measured.
+/// plus the kernel the dispatcher actually picked. The library degrades an
+/// unsupported or misspelt `VAQ_FORCE_KERNEL` to `scalar`; here that is an
+/// error, so a CI matrix job cannot stay green on a tier it never ran.
 fn cmd_kernels(_opts: &Opts) -> Result<(), String> {
     use vaq_linalg::{active_kernel, kernel_supported, ScanKernel};
     for kern in ScanKernel::ALL {
@@ -587,22 +570,22 @@ fn cmd_kernels(_opts: &Opts) -> Result<(), String> {
             if kernel_supported(kern) { "supported" } else { "not supported" }
         );
     }
-    println!("active: {}", active_kernel().name());
+    let active = active_kernel().name();
+    println!("active: {active}");
+    if let Some(forced) = std::env::var_os("VAQ_FORCE_KERNEL") {
+        let requested = forced.to_string_lossy().trim().to_ascii_lowercase();
+        println!("requested: {requested}");
+        if requested != active {
+            return Err(format!("VAQ_FORCE_KERNEL={requested} did not take: {active} runs"));
+        }
+    }
     Ok(())
 }
 
-/// One fully-benched bit-budget configuration of the ADC scan.
-struct ConfigReport {
-    /// Batched quantized end-to-end throughput, Mvec/s.
-    batched_mvps: f64,
-    json: vaq_bench::Json,
-}
-
 /// Trains one bit budget over `ds`, proves parity (full scan == quantized
-/// == batched), times every strategy plus the batched tile path, gates on
-/// the early-abandon perf regression, and micro-benches every SIMD tier
-/// this CPU supports over a synthetic packed database shaped like the
-/// trained plan.
+/// == `search_batch`), times every strategy, gates on the early-abandon
+/// perf regression, and micro-benches every SIMD tier this CPU supports
+/// over a synthetic packed database shaped like the trained plan.
 #[allow(clippy::too_many_arguments)]
 fn bench_adc_config(
     label: &str,
@@ -614,7 +597,7 @@ fn bench_adc_config(
     reps: usize,
     train_limit: usize,
     uniform: bool,
-) -> Result<ConfigReport, String> {
+) -> Result<vaq_bench::Json, String> {
     use vaq_bench::Json;
     use vaq_linalg::{
         accumulate_qsums_with, active_kernel, kernel_supported, PackedCodes, PackedRow,
@@ -652,7 +635,7 @@ fn bench_adc_config(
 
     // The quantized scan is a pruning accelerator, not an approximation:
     // its results must be byte-identical to the exact f32 full scan, and
-    // the batched tile path must reproduce the sequential path exactly.
+    // `search_batch` must reproduce the per-query answers exactly.
     let mut sequential = Vec::with_capacity(nq);
     for qi in 0..nq {
         let q = ds.queries.row(qi);
@@ -668,14 +651,13 @@ fn bench_adc_config(
     let (batched, _) =
         vaq.search_batch(&ds.queries, k, SearchStrategy::Quantized).map_err(|e| e.to_string())?;
     if batched != sequential {
-        return Err(format!("[{label}] batched quantized diverges from the sequential path"));
+        return Err(format!("[{label}] search_batch diverges from the per-query answers"));
     }
-    println!("[{label}] parity: quantized == full scan == batched on all {nq} queries");
+    println!("[{label}] parity: quantized == full scan == search_batch on all {nq} queries");
 
     let (full_spq, _) = time_strategy(&vaq, &ds.queries, k, reps, SearchStrategy::FullScan);
     let (ea_spq, _) = time_strategy(&vaq, &ds.queries, k, reps, SearchStrategy::EarlyAbandon);
     let (qz_spq, qz_stats) = time_strategy(&vaq, &ds.queries, k, reps, SearchStrategy::Quantized);
-    let (batch_spq, _) = time_batched(&vaq, &ds.queries, k, reps);
     // Regression gate for the early-abandon perf bug: abandoning work
     // must never cost more than doing all of it (5% timer noise allowed).
     if ea_spq > full_spq * 1.05 {
@@ -690,16 +672,13 @@ fn bench_adc_config(
     let mvps = |spq: f64| n as f64 / spq / 1e6;
     println!(
         "[{label}] engine: full {:.3} ms/q ({:.0} Mvec/s), early-abandon {:.3} ms/q \
-         ({:.0} Mvec/s), quantized {:.3} ms/q ({:.0} Mvec/s), batched quantized {:.3} ms/q \
-         ({:.0} Mvec/s) — {:.0}% pruned",
+         ({:.0} Mvec/s), quantized {:.3} ms/q ({:.0} Mvec/s) — {:.0}% pruned",
         full_spq * 1e3,
         mvps(full_spq),
         ea_spq * 1e3,
         mvps(ea_spq),
         qz_spq * 1e3,
         mvps(qz_spq),
-        batch_spq * 1e3,
-        mvps(batch_spq),
         prune_rate * 100.0
     );
 
@@ -765,7 +744,7 @@ fn bench_adc_config(
         println!("[{label}] kernel: plan not packable; micro-bench skipped");
     }
 
-    let json = Json::obj([
+    Ok(Json::obj([
         ("label", Json::Str(label.to_string())),
         ("budget_bits", Json::Num(budget as f64)),
         ("bit_allocation", Json::Arr(vaq.bits().iter().map(|&b| Json::Num(b as f64)).collect())),
@@ -782,16 +761,12 @@ fn bench_adc_config(
                 ("early_abandon_mvectors_per_sec", Json::Num(mvps(ea_spq))),
                 ("quantized_ms_per_query", Json::Num(qz_spq * 1e3)),
                 ("quantized_mvectors_per_sec", Json::Num(mvps(qz_spq))),
-                ("batched_quantized_ms_per_query", Json::Num(batch_spq * 1e3)),
-                ("batched_quantized_mvectors_per_sec", Json::Num(mvps(batch_spq))),
                 ("quantized_speedup_vs_full_scan", Json::Num(full_spq / qz_spq)),
-                ("batched_speedup_vs_full_scan", Json::Num(full_spq / batch_spq)),
                 ("quantized_prune_rate", Json::Num(prune_rate)),
             ]),
         ),
         ("kernel_micro", Json::Arr(tiers)),
-    ]);
-    Ok(ConfigReport { batched_mvps: mvps(batch_spq), json })
+    ]))
 }
 
 fn cmd_bench(opts: &Opts) -> Result<(), String> {
@@ -839,35 +814,16 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
     let nibble =
         bench_adc_config("nibble4", &ds, k, 4 * segments, segments, seed, reps, train_limit, true)?;
 
-    // The v1 bench (BENCH_adc_scan.json) stays committed as the frozen
-    // baseline; when present, report the end-to-end speedup against its
-    // single-query quantized path.
-    let v1_qz = std::fs::read_to_string(out_dir.join("BENCH_adc_scan.json"))
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|j| j.get("engine")?.get("quantized_mvectors_per_sec")?.as_f64());
-    let best_mvps = primary.batched_mvps.max(nibble.batched_mvps);
-    let mut top = vec![
-        ("bench".to_string(), Json::Str("adc_scan_v2".to_string())),
-        ("n".to_string(), Json::Num(n as f64)),
-        ("dim".to_string(), Json::Num(dim as f64)),
-        ("queries".to_string(), Json::Num(nq as f64)),
-        ("k".to_string(), Json::Num(k as f64)),
-        ("reps".to_string(), Json::Num(reps as f64)),
-        ("active_kernel".to_string(), Json::Str(active_kernel().name().to_string())),
-        ("best_batched_quantized_mvectors_per_sec".to_string(), Json::Num(best_mvps)),
-    ];
-    if let Some(v1) = v1_qz {
-        println!(
-            "end-to-end: best batched quantized {best_mvps:.0} Mvec/s — {:.1}× the v1 \
-             single-query path ({v1:.0} Mvec/s)",
-            best_mvps / v1
-        );
-        top.push(("v1_quantized_mvectors_per_sec".to_string(), Json::Num(v1)));
-        top.push(("end_to_end_speedup_vs_v1".to_string(), Json::Num(best_mvps / v1)));
-    }
-    top.push(("configs".to_string(), Json::Arr(vec![primary.json, nibble.json])));
-    let json = Json::Obj(top);
+    let json = Json::obj([
+        ("bench", Json::Str("adc_scan_v2".to_string())),
+        ("n", Json::Num(n as f64)),
+        ("dim", Json::Num(dim as f64)),
+        ("queries", Json::Num(nq as f64)),
+        ("k", Json::Num(k as f64)),
+        ("reps", Json::Num(reps as f64)),
+        ("active_kernel", Json::Str(active_kernel().name().to_string())),
+        ("configs", Json::Arr(vec![primary, nibble])),
+    ]);
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
     let path = out_dir.join("BENCH_adc_scan_v2.json");
     std::fs::write(&path, json.pretty()).map_err(|e| format!("{}: {e}", path.display()))?;

@@ -140,3 +140,25 @@ fn every_command_opens_every_file_the_library_writes() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The library degrades a `VAQ_FORCE_KERNEL` it cannot honour to `scalar`;
+/// `vaq_cli kernels` must say so with exit code 1 (a panic would be 101),
+/// so a CI matrix job cannot pass on a tier it never ran.
+#[test]
+fn kernels_fails_when_the_forced_tier_did_not_take() {
+    let kernels = |forced: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_vaq_cli"))
+            .arg("kernels")
+            .env("VAQ_FORCE_KERNEL", forced)
+            .output()
+            .expect("vaq_cli runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    let (code, out) = kernels("scalar");
+    assert_eq!(code, Some(0), "{out}");
+    assert!(out.contains("active: scalar"), "{out}");
+    // The retired tier name is now one more unrecognized value.
+    let (code, out) = kernels("avx512");
+    assert_eq!(code, Some(1), "{out}");
+    assert!(out.contains("active: scalar") && out.contains("requested: avx512"), "{out}");
+}

@@ -25,8 +25,8 @@ use crate::search::{Neighbor, SearchStats, SearchStrategy};
 use crate::ti::TiPartition;
 use std::collections::BinaryHeap;
 use vaq_linalg::{
-    accumulate_qsums, accumulate_qsums_multi, active_kernel, prefetch_read, squared_distances_into,
-    Matrix, PackedCodes, QuantizedTables, ScanPrefetch, TableArena, QUERY_TILE,
+    accumulate_qsums, prefetch_read, squared_distances_into, Matrix, PackedCodes, QuantizedTables,
+    ScanPrefetch, TableArena,
 };
 
 /// A borrowed view of an encoded database, sufficient to execute ADC
@@ -317,24 +317,6 @@ impl QueryEngine {
         strategy: SearchStrategy,
     ) -> (Vec<Neighbor>, SearchStats) {
         let t0 = crate::obs::enabled().then(std::time::Instant::now);
-        let result = self.search_squared_inner(view, projected_query, k, strategy);
-        if let Some(t0) = t0 {
-            crate::obs::observe_ns("query_latency", t0.elapsed().as_nanos() as u64);
-            crate::obs::record_search_stats(&result.1);
-        }
-        result
-    }
-
-    /// The strategy dispatch behind [`QueryEngine::search_squared`],
-    /// split out so the public entry can time whole-query latency across
-    /// every early-return path.
-    fn search_squared_inner(
-        &mut self,
-        view: &IndexView<'_>,
-        projected_query: &[f32],
-        k: usize,
-        strategy: SearchStrategy,
-    ) -> (Vec<Neighbor>, SearchStats) {
         let before = self.arena.reallocations();
         self.prepare(view, projected_query);
         let mut stats = SearchStats {
@@ -345,8 +327,16 @@ impl QueryEngine {
         let k = k.min(n);
         let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(k + 1);
 
-        match strategy {
-            SearchStrategy::FullScan => {
+        // Resolve the *effective* strategy first: a pruning strategy whose
+        // index structure is missing or unsound runs as the exact
+        // early-abandon scan, the one fallback loop below.
+        let (ti, packed) = match strategy {
+            SearchStrategy::TiEa { .. } => (usable_partition(view), None),
+            SearchStrategy::Quantized => (None, usable_packing(view)),
+            _ => (None, None),
+        };
+        match (strategy, ti, packed) {
+            (SearchStrategy::FullScan, ..) => {
                 let _scan = crate::obs::span("query.scan");
                 if let Some(pf) = view.prefetch {
                     pf.advise_sequential_scan();
@@ -369,39 +359,7 @@ impl QueryEngine {
                     push_k(&mut heap, k, i as u32, dist);
                 }
             }
-            SearchStrategy::EarlyAbandon => {
-                let _scan = crate::obs::span("query.scan");
-                if let Some(pf) = view.prefetch {
-                    pf.advise_sequential_scan();
-                }
-                for i in 0..n {
-                    scan_one(view, &self.arena, i, &mut heap, k, &mut stats);
-                }
-            }
-            SearchStrategy::TiEa { visit_frac } => {
-                let usable = match view.ti() {
-                    Some(ti) if crate::faults::fired("engine.search") => {
-                        crate::faults::note_degradation("engine.search: TI bypassed, EA scan");
-                        let _ = ti;
-                        None
-                    }
-                    Some(ti) if !ti_covers(ti, n) => {
-                        // A partition that does not cover the database
-                        // exactly once would silently drop or duplicate
-                        // candidates — fall back to the exact EA scan.
-                        crate::faults::note_degradation("engine.search: TI failed audit, EA scan");
-                        None
-                    }
-                    other => other,
-                };
-                let Some(ti) = usable else {
-                    // No (sound) partition: degrade to EA over everything.
-                    let _scan = crate::obs::span("query.scan");
-                    for i in 0..n {
-                        scan_one(view, &self.arena, i, &mut heap, k, &mut stats);
-                    }
-                    return (collect_sorted(heap), stats);
-                };
+            (SearchStrategy::TiEa { visit_frac }, Some(ti), _) => {
                 let prune = crate::obs::span("query.ti_prune");
                 let qd = ti.query_distances(projected_query);
                 let order = ti.visit_order(&qd);
@@ -439,16 +397,7 @@ impl QueryEngine {
                     stats.vectors_skipped += ti.cluster_len(ci as usize);
                 }
             }
-            SearchStrategy::Quantized => {
-                let Some(packed) = usable_packing(view) else {
-                    // No usable packing (e.g. every subspace wider than 8
-                    // bits): the exact early-abandon scan answers instead.
-                    let _scan = crate::obs::span("query.scan");
-                    for i in 0..n {
-                        scan_one(view, &self.arena, i, &mut heap, k, &mut stats);
-                    }
-                    return (collect_sorted(heap), stats);
-                };
+            (SearchStrategy::Quantized, _, Some(packed)) => {
                 let qscan = crate::obs::span("query.qscan");
                 if let Some(pf) = view.prefetch {
                     pf.advise_sequential_scan();
@@ -456,27 +405,37 @@ impl QueryEngine {
                 self.qtables.quantize(&self.arena, packed);
                 accumulate_qsums(packed, &self.qtables, &mut self.qsums);
                 drop(qscan);
-                let out = self.quantized_rerank_prepared(view, k, &mut stats);
-                return (out, stats);
+                self.prune_and_rerank(view, k, &mut heap, &mut stats);
+            }
+            // `EarlyAbandon`, or a pruning strategy degraded to it.
+            _ => {
+                let _scan = crate::obs::span("query.scan");
+                if let Some(pf) = view.prefetch {
+                    pf.advise_sequential_scan();
+                }
+                for i in 0..n {
+                    scan_one(view, &self.arena, i, &mut heap, k, &mut stats);
+                }
             }
         }
-        (collect_sorted(heap), stats)
+        let out = collect_sorted(heap);
+        if let Some(t0) = t0 {
+            crate::obs::observe_ns("query_latency", t0.elapsed().as_nanos() as u64);
+            crate::obs::record_search_stats(&stats);
+        }
+        (out, stats)
     }
 
-    /// The prune + exact-rerank tail of the quantized scan, run over
-    /// already-computed `qtables`/`qsums`. Shared between the sequential
-    /// [`SearchStrategy::Quantized`] arm and the batched tile path in
-    /// [`QueryEngine::search_batch`], so both produce identical answers
-    /// and identical [`SearchStats`].
-    fn quantized_rerank_prepared(
+    /// The prune + exact-rerank tail of the quantized scan, run over the
+    /// `qtables`/`qsums` the packed kernel just filled.
+    fn prune_and_rerank(
         &self,
         view: &IndexView<'_>,
         k: usize,
+        heap: &mut BinaryHeap<Neighbor>,
         stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
+    ) {
         let n = view.len();
-        let k = k.min(n);
-        let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(k + 1);
         let _rerank = crate::obs::span("query.rerank");
         let m = view.num_subspaces();
         // Prune on the certified lower bound alone; survivors
@@ -490,7 +449,7 @@ impl QueryEngine {
         // u16 compare per vector; the cutoff only moves when a
         // survivor improves the heap, so it is refreshed exactly
         // when `scan_one` reports a push and never otherwise.
-        let mut cutoff = self.qtables.prune_cutoff(current_threshold(&heap, k));
+        let mut cutoff = self.qtables.prune_cutoff(current_threshold(heap, k));
         let mut pruned = 0usize;
         // At steady state nearly every vector prunes, so the loop is
         // dominated by the compare-and-skip path. Taking an unsigned min
@@ -512,8 +471,8 @@ impl QueryEngine {
                     pruned += 1;
                     continue;
                 }
-                if scan_one(view, &self.arena, base + off, &mut heap, k, stats) {
-                    cutoff = self.qtables.prune_cutoff(current_threshold(&heap, k));
+                if scan_one(view, &self.arena, base + off, heap, k, stats) {
+                    cutoff = self.qtables.prune_cutoff(current_threshold(heap, k));
                 }
             }
             base += chunk.len();
@@ -521,7 +480,6 @@ impl QueryEngine {
         stats.vectors_visited += pruned;
         stats.lookups_skipped += pruned * m;
         stats.quantized_pruned += pruned;
-        collect_sorted(heap)
     }
 
     /// Early-abandoned scan over an explicit id list (inverted lists,
@@ -596,159 +554,33 @@ impl QueryEngine {
     {
         let nq = queries.rows();
         let workers = crate::threads::worker_count(nq);
-        // Quantized batches go through the tile shard: queries share one
-        // fused pass over the packed codes per QUERY_TILE instead of
-        // re-streaming the whole code array once per query.
-        let tiled = matches!(strategy, SearchStrategy::Quantized);
-        if workers <= 1 || nq < 4 {
-            if tiled {
-                let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
-                let stats = quantized_tile_shard(self, view, queries, 0, &mut out, k, &project);
-                return (out, stats);
-            }
+        let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
+        let shard = |start: usize, mine: &mut [Vec<Neighbor>]| {
             let mut engine = self.clone();
             let mut stats = SearchStats::default();
-            let out = (0..nq)
-                .map(|qi| {
-                    let projected = project(queries.row(qi));
-                    let (res, s) = engine.search_with(view, &projected, k, strategy);
-                    stats += s;
-                    res
-                })
-                .collect();
+            for (j, slot) in mine.iter_mut().enumerate() {
+                let projected = project(queries.row(start + j));
+                let (res, s) = engine.search_with(view, &projected, k, strategy);
+                stats += s;
+                *slot = res;
+            }
+            stats
+        };
+        if workers <= 1 || nq < 4 {
+            let stats = shard(0, &mut out);
             return (out, stats);
         }
-        let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
         let mut worker_stats: Vec<SearchStats> = vec![SearchStats::default(); workers];
         let chunk = nq.div_ceil(workers);
         crate::sync::thread::scope(|scope| {
-            let mut rest: &mut [Vec<Neighbor>] = &mut out;
-            let mut stats_rest: &mut [SearchStats] = &mut worker_stats;
-            let prototype = self;
-            let project = &project;
-            for w in 0..workers {
-                let start = w * chunk;
-                if start >= nq {
-                    break;
-                }
-                let len = chunk.min(nq - start);
-                let (mine, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let (my_stats, stats_tail) = stats_rest.split_at_mut(1);
-                stats_rest = stats_tail;
-                scope.spawn(move || {
-                    if tiled {
-                        my_stats[0] =
-                            quantized_tile_shard(prototype, view, queries, start, mine, k, project);
-                        return;
-                    }
-                    let mut engine = prototype.clone();
-                    for (j, slot) in mine.iter_mut().enumerate() {
-                        let projected = project(queries.row(start + j));
-                        let (res, s) = engine.search_with(view, &projected, k, strategy);
-                        my_stats[0] += s;
-                        *slot = res;
-                    }
-                });
+            let shard = &shard;
+            for ((w, mine), my_stats) in out.chunks_mut(chunk).enumerate().zip(&mut worker_stats) {
+                scope.spawn(move || *my_stats = shard(w * chunk, mine));
             }
         });
         let stats = worker_stats.into_iter().fold(SearchStats::default(), |a, b| a + b);
         (out, stats)
     }
-}
-
-/// One worker's shard of a [`SearchStrategy::Quantized`] batch, processed
-/// in [`QUERY_TILE`]-sized query tiles. Each tile computes its queries'
-/// lower-bound sums in one fused pass over the packed codes
-/// ([`accumulate_qsums_multi`]), so the code bytes stream through the
-/// cache once per tile instead of once per query. Results and
-/// [`SearchStats`] are identical to per-query `search_with` calls: the
-/// fused kernel is bit-identical per query (u16 adds commute) and the
-/// prune/rerank tail is the same code, consulted in the same query order
-/// (so fault-injection degradations also fire on the same queries).
-fn quantized_tile_shard<F>(
-    prototype: &QueryEngine,
-    view: &IndexView<'_>,
-    queries: &Matrix,
-    start: usize,
-    out: &mut [Vec<Neighbor>],
-    k: usize,
-    project: &F,
-) -> SearchStats
-where
-    F: Fn(&[f32]) -> Vec<f32> + Sync,
-{
-    let mut total = SearchStats::default();
-    let nq = out.len();
-    let mut engines: Vec<QueryEngine> = Vec::new();
-    for base in (0..nq).step_by(QUERY_TILE) {
-        let tile = QUERY_TILE.min(nq - base);
-        if engines.len() < tile {
-            engines.resize_with(tile, || prototype.clone());
-        }
-        let engines = &mut engines[..tile];
-        let t0 = crate::obs::enabled().then(std::time::Instant::now);
-        let mut stats = vec![SearchStats::default(); tile];
-        let mut usable: Vec<Option<&PackedCodes>> = vec![None; tile];
-        for (t, e) in engines.iter_mut().enumerate() {
-            let projected = project(queries.row(start + base + t));
-            let before = e.arena.reallocations();
-            e.prepare(view, &projected);
-            stats[t].table_reallocations = e.arena.reallocations() - before;
-            usable[t] = usable_packing(view);
-            if let Some(p) = usable[t] {
-                let QueryEngine { arena, qtables, .. } = e;
-                qtables.quantize(arena, p);
-            }
-        }
-        if let Some(packed) = usable.iter().flatten().next().copied() {
-            let _qscan = crate::obs::span("query.qscan");
-            if let Some(pf) = view.prefetch {
-                pf.advise_sequential_scan();
-            }
-            let mut lanes: Vec<(&QuantizedTables, &mut Vec<u16>)> = engines
-                .iter_mut()
-                .zip(&usable)
-                .filter(|(_, u)| u.is_some())
-                .map(|(e, _)| {
-                    let QueryEngine { qtables, qsums, .. } = e;
-                    (&*qtables, qsums)
-                })
-                .collect();
-            accumulate_qsums_multi(active_kernel(), packed, &mut lanes);
-        }
-        for (t, e) in engines.iter_mut().enumerate() {
-            let mut res = if usable[t].is_some() {
-                e.quantized_rerank_prepared(view, k, &mut stats[t])
-            } else {
-                // Same degradation as the sequential Quantized arm: the
-                // exact early-abandon scan answers this query.
-                let n = view.len();
-                let kk = k.min(n);
-                let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(kk + 1);
-                let _scan = crate::obs::span("query.scan");
-                for i in 0..n {
-                    scan_one(view, &e.arena, i, &mut heap, kk, &mut stats[t]);
-                }
-                collect_sorted(heap)
-            };
-            sqrt_distances(&mut res);
-            out[base + t] = res;
-        }
-        if let Some(t0) = t0 {
-            // Whole-tile latency, attributed evenly across its queries so
-            // batch histograms stay comparable to sequential ones.
-            let per_query = t0.elapsed().as_nanos() as u64 / tile as u64;
-            for s in &stats {
-                crate::obs::observe_ns("query_latency", per_query);
-                crate::obs::record_search_stats(s);
-            }
-        }
-        for s in stats {
-            total += s;
-        }
-    }
-    total
 }
 
 /// Per-query soundness check on a TI partition. Release builds keep the
@@ -769,14 +601,33 @@ fn ti_covers(ti: &TiPartition, n: usize) -> bool {
     }
 }
 
-/// Per-query soundness check on the view's packed codes, shared between
-/// the sequential [`SearchStrategy::Quantized`] arm and the batched tile
-/// path so both degrade identically (including under fault injection).
+/// The view's TI partition when [`SearchStrategy::TiEa`] may use it;
+/// `None` (the exact early-abandon scan answers instead) when there is
+/// none, under fault injection, or when it fails [`ti_covers`].
+fn usable_partition<'a>(view: &IndexView<'a>) -> Option<&'a TiPartition> {
+    match view.ti() {
+        Some(_) if crate::faults::fired("engine.search") => {
+            crate::faults::note_degradation("engine.search: TI bypassed, EA scan");
+            None
+        }
+        Some(ti) if !ti_covers(ti, view.len()) => {
+            // A partition that does not cover the database exactly once
+            // would silently drop or duplicate candidates.
+            crate::faults::note_degradation("engine.search: TI failed audit, EA scan");
+            None
+        }
+        other => other,
+    }
+}
+
+/// The view's packed codes when [`SearchStrategy::Quantized`] may use
+/// them; `None` (the exact early-abandon scan answers instead) when
+/// there is no active packing (e.g. every subspace wider than 8 bits),
+/// under fault injection, or when the packing disagrees with the view.
 fn usable_packing<'a>(view: &IndexView<'a>) -> Option<&'a PackedCodes> {
     match view.packed().filter(|p| p.is_active()) {
-        Some(p) if crate::faults::fired("engine.qscan") => {
+        Some(_) if crate::faults::fired("engine.qscan") => {
             crate::faults::note_degradation("engine.qscan: SIMD scan bypassed, EA scan");
-            let _ = p;
             None
         }
         Some(p) if p.len() != view.len() || p.num_total_subspaces() != view.num_subspaces() => {
@@ -1211,9 +1062,9 @@ mod tests {
 
     #[test]
     fn quantized_batch_matches_sequential_exactly() {
-        // The tile shard (fused multi-query kernel + shared rerank tail)
-        // must reproduce per-query answers AND per-query work counters
-        // bit for bit; 13 queries exercises a partial trailing tile.
+        // A Quantized batch must reproduce per-query answers AND
+        // per-query work counters bit for bit; 13 queries shard unevenly
+        // across workers.
         let (data, enc, codes) = setup_wide(500);
         let packed = pack_view(&enc, &codes, 500);
         assert!(packed.is_active(), "wide plan must pack");
@@ -1236,8 +1087,8 @@ mod tests {
 
     #[test]
     fn quantized_batch_without_packing_degrades_like_sequential() {
-        // No packing attached: every tile lane must fall back to the
-        // exact EA scan, exactly as the sequential Quantized arm does.
+        // No packing attached: every query of the batch must fall back
+        // to the exact EA scan, exactly as a lone Quantized query does.
         let (data, enc, codes, _) = setup(300);
         let view = IndexView::from_encoder(&enc, &codes, 300);
         let queries =
@@ -1403,10 +1254,10 @@ mod tests {
                 nq in 1usize..11,
                 k in 1usize..12,
             ) {
-                // The batched tile path must be indistinguishable from
+                // A Quantized batch must be indistinguishable from
                 // per-query searches — results and SearchStats — for any
                 // mix of nibble / byte / unpackable subspaces and any
-                // batch size (full and partial tiles alike).
+                // batch size.
                 let n = 240;
                 let (data, enc, codes) = trained(&bits, n);
                 let packed = pack_view(&enc, &codes, n);

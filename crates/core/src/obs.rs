@@ -227,13 +227,19 @@ pub fn install_kernel_timing() {
 }
 
 fn kernel_hook(kernel: &'static str, ns: u64) {
-    let name = match kernel {
+    record_span_ns(kernel_span(kernel), ns);
+}
+
+/// The span a [`vaq_linalg::ScanKernel`] tier's accumulation time is
+/// recorded under: `kernel.` + the tier's `name()`.
+fn kernel_span(kernel: &str) -> &'static str {
+    match kernel {
         "scalar" => "kernel.scalar",
         "ssse3" => "kernel.ssse3",
         "avx2" => "kernel.avx2",
+        "neon" => "kernel.neon",
         _ => "kernel.other",
-    };
-    record_span_ns(name, ns);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -606,6 +612,13 @@ mod tests {
         assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS - 1);
         for i in 0..HIST_BUCKETS {
             assert_eq!(bucket_index(bucket_le_ns(i)), i.min(HIST_BUCKETS - 1));
+        }
+    }
+
+    #[test]
+    fn every_kernel_tier_has_its_own_span() {
+        for kernel in vaq_linalg::ScanKernel::ALL {
+            assert_eq!(kernel_span(kernel.name()), format!("kernel.{}", kernel.name()));
         }
     }
 

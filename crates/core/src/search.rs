@@ -3,8 +3,8 @@
 //! The execution loop itself lives in [`crate::engine`]; this module keeps
 //! the types it speaks — results, strategies, and work counters.
 //!
-//! Three strategies, composable exactly as the Figure 7 ablation studies
-//! them:
+//! The paper's three strategies, composable exactly as the Figure 7
+//! ablation studies them, plus this repository's packed scan:
 //!
 //! * [`SearchStrategy::FullScan`] — the "Heap" baseline: accumulate all
 //!   `m` lookup-table entries for every encoded vector.

@@ -1210,15 +1210,12 @@ fn search_set(
         );
     }
     if set.buffer.live() > 0 {
-        // The buffer has no TI partition and no packing: it is scanned
-        // *exactly* with early abandoning, whatever the segment strategy.
-        let buf_strategy = match strategy {
-            SearchStrategy::TiEa { .. } | SearchStrategy::Quantized => SearchStrategy::EarlyAbandon,
-            exact => exact,
-        };
+        // The buffer view has no TI partition and no packing, so the
+        // engine scans it *exactly* with early abandoning under either
+        // pruning strategy.
         let view = IndexView::from_encoder(&model.encoder, &set.buffer.codes, set.buffer.rows)
             .with_dead(set.buffer.tombstones.filter());
-        let (part, s) = engine.search_squared(&view, &projected, k, buf_strategy);
+        let (part, s) = engine.search_squared(&view, &projected, k, strategy);
         stats += s;
         merged.extend(
             part.into_iter().map(|nb| Neighbor { index: set.buffer.first_id + nb.index, ..nb }),

@@ -22,11 +22,9 @@
 //!    (`delta`), constructed so the de-quantized sum is a certified
 //!    *lower bound* on the exact distance.
 //! 3. [`accumulate_qsums`] — the scan kernel summing quantized entries
-//!    for every vector, dispatching at runtime between a portable scalar
-//!    loop and SSSE3/AVX2/AVX-512 `pshufb` kernels on x86_64 (NEON `tbl`
-//!    on aarch64). [`accumulate_qsums_multi`] is the batched entry point
-//!    that scans one code block for several queries at once, amortizing
-//!    the code-byte memory traffic across a query tile.
+//!    for every vector: one single-query kernel per tier, dispatched at
+//!    runtime between a portable scalar loop and SSSE3/AVX2 `pshufb`
+//!    kernels on x86_64 (NEON `tbl` on aarch64).
 //!
 //! # The lower-bound contract
 //!
@@ -568,9 +566,6 @@ pub enum ScanKernel {
     Ssse3,
     /// `vpshufb` over the whole 32-lane block (x86_64).
     Avx2,
-    /// AVX2-style lookups feeding one 32×`u16` `zmm` accumulator
-    /// (x86_64 with AVX-512F+BW; halves the accumulate/store traffic).
-    Avx512,
     /// `tbl`-based lookups over two 16-lane halves (aarch64).
     Neon,
 }
@@ -582,20 +577,14 @@ impl ScanKernel {
             ScanKernel::Scalar => "scalar",
             ScanKernel::Ssse3 => "ssse3",
             ScanKernel::Avx2 => "avx2",
-            ScanKernel::Avx512 => "avx512",
             ScanKernel::Neon => "neon",
         }
     }
 
     /// All kernel tiers, narrowest first — the bench and the parity
     /// tests iterate this instead of hand-listing variants.
-    pub const ALL: [ScanKernel; 5] = [
-        ScanKernel::Scalar,
-        ScanKernel::Ssse3,
-        ScanKernel::Avx2,
-        ScanKernel::Avx512,
-        ScanKernel::Neon,
-    ];
+    pub const ALL: [ScanKernel; 4] =
+        [ScanKernel::Scalar, ScanKernel::Ssse3, ScanKernel::Avx2, ScanKernel::Neon];
 }
 
 /// CPU feature support, probed once per process. The dispatch match
@@ -605,7 +594,6 @@ impl ScanKernel {
 struct KernelSupport {
     ssse3: bool,
     avx2: bool,
-    avx512: bool,
     neon: bool,
 }
 
@@ -619,10 +607,6 @@ fn probe_support() -> KernelSupport {
     KernelSupport {
         ssse3: std::arch::is_x86_feature_detected!("ssse3"),
         avx2: std::arch::is_x86_feature_detected!("avx2"),
-        // The AVX-512 tier needs F (zmm registers) and BW (byte/word
-        // ops: vpshufb-512 semantics and `_mm512_add_epi16`).
-        avx512: std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw"),
         neon: false,
     }
 }
@@ -630,7 +614,7 @@ fn probe_support() -> KernelSupport {
 #[cfg(all(target_arch = "aarch64", not(miri)))]
 fn probe_support() -> KernelSupport {
     // NEON is baseline on aarch64.
-    KernelSupport { ssse3: false, avx2: false, avx512: false, neon: true }
+    KernelSupport { ssse3: false, avx2: false, neon: true }
 }
 
 #[cfg(any(miri, not(any(target_arch = "x86_64", target_arch = "aarch64"))))]
@@ -647,16 +631,16 @@ pub fn kernel_supported(kernel: ScanKernel) -> bool {
         ScanKernel::Scalar => true,
         ScanKernel::Ssse3 => support().ssse3,
         ScanKernel::Avx2 => support().avx2,
-        ScanKernel::Avx512 => support().avx512,
         ScanKernel::Neon => support().neon,
     }
 }
 
 /// The kernel the current process uses, picked once: the widest
 /// supported tier, unless overridden. `VAQ_FORCE_KERNEL` pins a specific
-/// tier (`scalar`/`ssse3`/`avx2`/`avx512`/`neon`; anything unsupported
-/// or unrecognized falls back to `scalar` so CI matrices fail loudly via
-/// the bench's `active_kernel` report rather than crashing).
+/// tier (`scalar`/`ssse3`/`avx2`/`neon`; anything unsupported or
+/// unrecognized falls back to `scalar` rather than crashing — `vaq_cli
+/// kernels` exits non-zero when the request did not take, so CI matrices
+/// fail loudly).
 pub fn active_kernel() -> ScanKernel {
     static KERNEL: OnceLock<ScanKernel> = OnceLock::new();
     *KERNEL.get_or_init(detect_kernel)
@@ -674,16 +658,13 @@ fn detect_kernel() -> ScanKernel {
         let kernel = match forced.trim() {
             "ssse3" => ScanKernel::Ssse3,
             "avx2" => ScanKernel::Avx2,
-            "avx512" => ScanKernel::Avx512,
             "neon" => ScanKernel::Neon,
             _ => ScanKernel::Scalar,
         };
         return if kernel_supported(kernel) { kernel } else { ScanKernel::Scalar };
     }
     let s = support();
-    if s.avx512 {
-        ScanKernel::Avx512
-    } else if s.avx2 {
+    if s.avx2 {
         ScanKernel::Avx2
     } else if s.ssse3 {
         ScanKernel::Ssse3
@@ -727,67 +708,48 @@ pub fn accumulate_qsums_with(
     qt: &QuantizedTables,
     out: &mut Vec<u16>,
 ) {
-    match TIMING_HOOK.get() {
-        Some(hook) => {
-            let t0 = std::time::Instant::now();
-            accumulate_dispatch(kernel, packed, qt, out);
-            hook(kernel.name(), u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    debug_assert_eq!(qt.num_rows(), packed.num_subspaces());
+    let t0 = TIMING_HOOK.get().map(|hook| (hook, std::time::Instant::now()));
+    out.clear();
+    out.resize(packed.padded_len(), 0);
+    match kernel {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        ScanKernel::Ssse3 if support().ssse3 => {
+            // SAFETY: SSSE3 support verified by the (cached) match guard.
+            unsafe { x86::accumulate_ssse3(packed, qt, out) }
         }
-        None => accumulate_dispatch(kernel, packed, qt, out),
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        ScanKernel::Avx2 if support().avx2 => {
+            // SAFETY: AVX2 support verified by the (cached) match guard.
+            unsafe { x86::accumulate_avx2(packed, qt, out) }
+        }
+        #[cfg(all(target_arch = "aarch64", not(miri)))]
+        ScanKernel::Neon if support().neon => {
+            // SAFETY: NEON support verified by the (cached) match guard.
+            unsafe { neon::accumulate_neon(packed, qt, out) }
+        }
+        _ => accumulate_scalar(packed, qt, out),
+    }
+    if let Some((hook, t0)) = t0 {
+        hook(kernel.name(), u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 }
 
-/// How many queries the batched kernels fold into one pass over the
-/// packed bytes. Sized so a tile's accumulators (2 `ymm`/`zmm` each)
-/// plus the code vector stay comfortably within 16 registers.
+/// The number of queries `benchmark/src/layers.rs` passes to one
+/// [`accumulate_qsums_multi`] call. Nothing in the library reads it: it
+/// stays `pub` only because that adapter is frozen.
 pub const QUERY_TILE: usize = 4;
 
-/// Batched variant of [`accumulate_qsums_with`]: scans the packed codes
-/// once per [`QUERY_TILE`] queries instead of once per query, amortizing
-/// the code-byte memory traffic across the tile. Each query's output is
-/// bit-identical to its own [`accumulate_qsums_with`] call with the same
-/// kernel (`u16` adds commute exactly, and every query keeps its own
-/// accumulators), so batched and sequential scans stay byte-identical.
-/// Tiers without a fused implementation run the single-query kernel per
-/// query — same contract, no amortization.
+/// [`accumulate_qsums_with`] for each query in turn: one kernel call (and
+/// one timing-hook call) per query. Kept only because the frozen
+/// `benchmark/src/layers.rs` calls it; the engine does not.
 pub fn accumulate_qsums_multi(
     kernel: ScanKernel,
     packed: &PackedCodes,
     queries: &mut [(&QuantizedTables, &mut Vec<u16>)],
 ) {
-    let t0 = TIMING_HOOK.get().map(|h| (h, std::time::Instant::now()));
-    for tile in queries.chunks_mut(QUERY_TILE) {
-        match kernel {
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            ScanKernel::Avx2 if support().avx2 => {
-                for (qt, out) in tile.iter_mut() {
-                    debug_assert_eq!(qt.num_rows(), packed.num_subspaces());
-                    out.clear();
-                    out.resize(packed.padded_len(), 0);
-                }
-                // SAFETY: AVX2 support verified by the (cached) match guard.
-                unsafe { x86::accumulate_avx2_multi(packed, tile) }
-            }
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            ScanKernel::Avx512 if support().avx512 => {
-                for (qt, out) in tile.iter_mut() {
-                    debug_assert_eq!(qt.num_rows(), packed.num_subspaces());
-                    out.clear();
-                    out.resize(packed.padded_len(), 0);
-                }
-                // SAFETY: AVX-512 F+BW support verified by the (cached)
-                // avx512 match guard.
-                unsafe { x86::accumulate_avx512_multi(packed, tile) }
-            }
-            _ => {
-                for (qt, out) in tile.iter_mut() {
-                    accumulate_dispatch(kernel, packed, qt, out);
-                }
-            }
-        }
-    }
-    if let Some((hook, t0)) = t0 {
-        hook(kernel.name(), u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    for (qt, out) in queries.iter_mut() {
+        accumulate_qsums_with(kernel, packed, qt, out);
     }
 }
 
@@ -808,41 +770,6 @@ pub fn prefetch_read<T>(data: &[T], index: usize) {
     #[cfg(not(all(target_arch = "x86_64", not(miri))))]
     {
         let _ = (data, index);
-    }
-}
-
-fn accumulate_dispatch(
-    kernel: ScanKernel,
-    packed: &PackedCodes,
-    qt: &QuantizedTables,
-    out: &mut Vec<u16>,
-) {
-    debug_assert_eq!(qt.num_rows(), packed.num_subspaces());
-    out.clear();
-    out.resize(packed.padded_len(), 0);
-    match kernel {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        ScanKernel::Ssse3 if support().ssse3 => {
-            // SAFETY: SSSE3 support verified by the (cached) match guard.
-            unsafe { x86::accumulate_ssse3(packed, qt, out) }
-        }
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        ScanKernel::Avx2 if support().avx2 => {
-            // SAFETY: AVX2 support verified by the (cached) match guard.
-            unsafe { x86::accumulate_avx2(packed, qt, out) }
-        }
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        ScanKernel::Avx512 if support().avx512 => {
-            // SAFETY: AVX-512 F+BW support verified by the (cached)
-            // avx512 match guard.
-            unsafe { x86::accumulate_avx512(packed, qt, out) }
-        }
-        #[cfg(all(target_arch = "aarch64", not(miri)))]
-        ScanKernel::Neon if support().neon => {
-            // SAFETY: NEON support verified by the (cached) match guard.
-            unsafe { neon::accumulate_neon(packed, qt, out) }
-        }
-        _ => accumulate_scalar(packed, qt, out),
     }
 }
 
@@ -885,7 +812,7 @@ mod x86 {
     //! chunked lookup. `u8` results widen to the `u16` accumulators in
     //! linear lane order.
 
-    use super::{PackedCodes, PackedRow, QuantizedTables, BLOCK, QUERY_TILE};
+    use super::{PackedCodes, PackedRow, QuantizedTables, BLOCK};
     use std::arch::x86_64::*;
 
     /// SSSE3 kernel: each block is two 16-lane halves, four 8×`u16`
@@ -1058,182 +985,6 @@ mod x86 {
             // SAFETY: offset 16 leaves exactly 16 u16 lanes for this
             // avx2 store.
             unsafe { _mm256_storeu_si256(out_b.as_mut_ptr().add(16).cast(), acc_hi) };
-        }
-    }
-
-    /// AVX-512 kernel: AVX2-style 32-lane lookups feeding one 32×`u16`
-    /// `zmm` accumulator — half the accumulate/store instructions of the
-    /// AVX2 tier. Uses only F+BW intrinsics (`vpmovzxbw` / `vpaddw` /
-    /// full-width store), so it runs on every AVX-512 server part
-    /// without requiring VBMI.
-    ///
-    /// SAFETY: the caller must verify AVX-512 F and BW support at
-    /// runtime before calling (`is_x86_feature_detected!("avx512bw")`).
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn accumulate_avx512(packed: &PackedCodes, qt: &QuantizedTables, out: &mut [u16]) {
-        let nr = packed.num_rows();
-        let data = packed.data();
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let zero = _mm256_setzero_si256();
-        for (b, out_b) in out.chunks_exact_mut(BLOCK).enumerate() {
-            super::prefetch_read(data, (b + 1) * nr * BLOCK);
-            let mut acc = _mm512_setzero_si512();
-            for (r, &pr) in packed.packed_rows().iter().enumerate() {
-                let bytes = &data[(b * nr + r) * BLOCK..][..BLOCK];
-                // SAFETY: `bytes` has exactly BLOCK = 32 bytes for this
-                // avx512 kernel's ymm-width code load.
-                let cv = unsafe { _mm256_loadu_si256(bytes.as_ptr().cast()) };
-                match pr {
-                    PackedRow::Pair { lo, hi } => {
-                        let lo_idx = _mm256_and_si256(cv, low_mask);
-                        let hi_idx = _mm256_and_si256(_mm256_srli_epi16::<4>(cv), low_mask);
-                        let vlo = table_lookup_avx2(lo_idx, qt.row(lo), low_mask, zero);
-                        let vhi = table_lookup_avx2(hi_idx, qt.row(hi), low_mask, zero);
-                        acc = _mm512_add_epi16(acc, _mm512_cvtepu8_epi16(vlo));
-                        acc = _mm512_add_epi16(acc, _mm512_cvtepu8_epi16(vhi));
-                    }
-                    PackedRow::Single(j) => {
-                        let vals = table_lookup_avx2(cv, qt.row(j), low_mask, zero);
-                        acc = _mm512_add_epi16(acc, _mm512_cvtepu8_epi16(vals));
-                    }
-                }
-            }
-            // SAFETY: `out_b` has BLOCK = 32 u16 lanes = one avx512
-            // full-width store.
-            unsafe { _mm512_storeu_si512(out_b.as_mut_ptr().cast(), acc) };
-        }
-    }
-
-    /// Fused multi-query AVX2 kernel: one pass over the packed bytes per
-    /// [`QUERY_TILE`] queries. Each code vector is loaded once per row
-    /// and looked up against every query's tables; per-query
-    /// accumulators keep results bit-identical to sequential scans.
-    ///
-    /// SAFETY: the caller must verify AVX2 support at runtime before
-    /// calling (`is_x86_feature_detected!("avx2")`), resize every output
-    /// to `packed.padded_len()`, and pass at most [`QUERY_TILE`] queries.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn accumulate_avx2_multi(
-        packed: &PackedCodes,
-        queries: &mut [(&QuantizedTables, &mut Vec<u16>)],
-    ) {
-        debug_assert!(queries.len() <= QUERY_TILE);
-        debug_assert!(queries.iter().all(|(_, o)| o.len() == packed.padded_len()));
-        let nr = packed.num_rows();
-        let data = packed.data();
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let zero = _mm256_setzero_si256();
-        for b in 0..packed.blocks() {
-            super::prefetch_read(data, (b + 1) * nr * BLOCK);
-            let mut acc = [[zero; 2]; QUERY_TILE];
-            for (r, &pr) in packed.packed_rows().iter().enumerate() {
-                let bytes = &data[(b * nr + r) * BLOCK..][..BLOCK];
-                // SAFETY: `bytes` has exactly BLOCK = 32 bytes for this
-                // avx2 full-block load (shared by the whole query tile).
-                let cv = unsafe { _mm256_loadu_si256(bytes.as_ptr().cast()) };
-                match pr {
-                    PackedRow::Pair { lo, hi } => {
-                        let lo_idx = _mm256_and_si256(cv, low_mask);
-                        let hi_idx = _mm256_and_si256(_mm256_srli_epi16::<4>(cv), low_mask);
-                        for (t, (qt, _)) in queries.iter().enumerate() {
-                            let vlo = table_lookup_avx2(lo_idx, qt.row(lo), low_mask, zero);
-                            let vhi = table_lookup_avx2(hi_idx, qt.row(hi), low_mask, zero);
-                            acc[t][0] = _mm256_add_epi16(
-                                acc[t][0],
-                                _mm256_cvtepu8_epi16(_mm256_castsi256_si128(vlo)),
-                            );
-                            acc[t][0] = _mm256_add_epi16(
-                                acc[t][0],
-                                _mm256_cvtepu8_epi16(_mm256_castsi256_si128(vhi)),
-                            );
-                            acc[t][1] = _mm256_add_epi16(
-                                acc[t][1],
-                                _mm256_cvtepu8_epi16(_mm256_extracti128_si256::<1>(vlo)),
-                            );
-                            acc[t][1] = _mm256_add_epi16(
-                                acc[t][1],
-                                _mm256_cvtepu8_epi16(_mm256_extracti128_si256::<1>(vhi)),
-                            );
-                        }
-                    }
-                    PackedRow::Single(j) => {
-                        for (t, (qt, _)) in queries.iter().enumerate() {
-                            let vals = table_lookup_avx2(cv, qt.row(j), low_mask, zero);
-                            acc[t][0] = _mm256_add_epi16(
-                                acc[t][0],
-                                _mm256_cvtepu8_epi16(_mm256_castsi256_si128(vals)),
-                            );
-                            acc[t][1] = _mm256_add_epi16(
-                                acc[t][1],
-                                _mm256_cvtepu8_epi16(_mm256_extracti128_si256::<1>(vals)),
-                            );
-                        }
-                    }
-                }
-            }
-            for (t, (_, out)) in queries.iter_mut().enumerate() {
-                let dst = &mut out[b * BLOCK..][..BLOCK];
-                // SAFETY: `dst` has BLOCK = 32 u16 lanes = two avx2 stores.
-                unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), acc[t][0]) };
-                // SAFETY: offset 16 leaves exactly 16 u16 lanes for this
-                // avx2 store.
-                unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(16).cast(), acc[t][1]) };
-            }
-        }
-    }
-
-    /// Fused multi-query AVX-512 kernel: the multi-query tiling of
-    /// [`accumulate_avx2_multi`] with the single `zmm` accumulator per
-    /// query of [`accumulate_avx512`].
-    ///
-    /// SAFETY: the caller must verify AVX-512 F and BW support at
-    /// runtime before calling (`is_x86_feature_detected!("avx512bw")`),
-    /// resize every output to `packed.padded_len()`, and pass at most
-    /// [`QUERY_TILE`] queries.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn accumulate_avx512_multi(
-        packed: &PackedCodes,
-        queries: &mut [(&QuantizedTables, &mut Vec<u16>)],
-    ) {
-        debug_assert!(queries.len() <= QUERY_TILE);
-        debug_assert!(queries.iter().all(|(_, o)| o.len() == packed.padded_len()));
-        let nr = packed.num_rows();
-        let data = packed.data();
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let zero = _mm256_setzero_si256();
-        for b in 0..packed.blocks() {
-            super::prefetch_read(data, (b + 1) * nr * BLOCK);
-            let mut acc = [_mm512_setzero_si512(); QUERY_TILE];
-            for (r, &pr) in packed.packed_rows().iter().enumerate() {
-                let bytes = &data[(b * nr + r) * BLOCK..][..BLOCK];
-                // SAFETY: `bytes` has exactly BLOCK = 32 bytes for this
-                // avx512 kernel's ymm-width code load (shared by the tile).
-                let cv = unsafe { _mm256_loadu_si256(bytes.as_ptr().cast()) };
-                match pr {
-                    PackedRow::Pair { lo, hi } => {
-                        let lo_idx = _mm256_and_si256(cv, low_mask);
-                        let hi_idx = _mm256_and_si256(_mm256_srli_epi16::<4>(cv), low_mask);
-                        for (t, (qt, _)) in queries.iter().enumerate() {
-                            let vlo = table_lookup_avx2(lo_idx, qt.row(lo), low_mask, zero);
-                            let vhi = table_lookup_avx2(hi_idx, qt.row(hi), low_mask, zero);
-                            acc[t] = _mm512_add_epi16(acc[t], _mm512_cvtepu8_epi16(vlo));
-                            acc[t] = _mm512_add_epi16(acc[t], _mm512_cvtepu8_epi16(vhi));
-                        }
-                    }
-                    PackedRow::Single(j) => {
-                        for (t, (qt, _)) in queries.iter().enumerate() {
-                            let vals = table_lookup_avx2(cv, qt.row(j), low_mask, zero);
-                            acc[t] = _mm512_add_epi16(acc[t], _mm512_cvtepu8_epi16(vals));
-                        }
-                    }
-                }
-            }
-            for (t, (_, out)) in queries.iter_mut().enumerate() {
-                let dst = &mut out[b * BLOCK..][..BLOCK];
-                // SAFETY: `dst` has BLOCK = 32 u16 lanes = one avx512
-                // full-width store.
-                unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), acc[t]) };
-            }
         }
     }
 }
@@ -1646,9 +1397,9 @@ mod tests {
 
     #[test]
     fn batched_kernels_match_sequential_exactly() {
-        // 7 distinct queries (not a tile multiple) against one packing:
-        // every tier's batched output must equal its own sequential
-        // output query by query.
+        // 7 distinct queries against one packing: every tier's
+        // `accumulate_qsums_multi` output must equal its own
+        // single-query output query by query.
         let n = 203;
         let (_, codes) = setup(MIXED_SIZES, n, 77);
         let packed = PackedCodes::pack(&codes, MIXED_SIZES, n);
@@ -1723,7 +1474,7 @@ mod tests {
     proptest! {
         /// Byte-identical qsums across every kernel tier, every packed
         /// row shape (pairs, singles, chunked wide tables), and the
-        /// batched entry point, on random mixed-width plans.
+        /// several-queries entry point, on random mixed-width plans.
         #[test]
         fn kernel_parity_on_random_plans(
             sizes in plan_strategy(),

@@ -34,7 +34,7 @@ pub struct LexedFile {
 /// CPU-feature keywords a kernel `unsafe` justification must name
 /// (VAQ011). Case-insensitive; `sse2` covers the baseline-guaranteed
 /// loads/stores and prefetch.
-const FEATURE_KEYWORDS: &[&str] = &["ssse3", "sse2", "avx2", "avx512", "neon"];
+const FEATURE_KEYWORDS: &[&str] = &["ssse3", "sse2", "avx2", "neon"];
 
 /// A contiguous run of comments: first line, last line, accumulated text,
 /// and the token count when the run last grew (a token emitted between

@@ -11,7 +11,7 @@
 //! | VAQ008 | no direct `std::sync` / `std::thread` in `vaq-core` outside the `crate::sync` facade — loom builds must model every primitive |
 //! | VAQ009 | every non-`SeqCst` atomic ordering argument needs an `// ORDERING:` justification within the three preceding lines |
 //! | VAQ010 | no `as` integer casts in the serialization/kernel boundary files (`persist.rs`, `wal.rs`, `qtables.rs`, dataset `io.rs`/`largescale.rs`) — use `try_from`/`From` with a typed error |
-//! | VAQ011 | `unsafe` in SIMD kernel files additionally needs a comment naming the CPU feature tier the block relies on (ssse3/sse2/avx2/avx512/neon) |
+//! | VAQ011 | `unsafe` in SIMD kernel files additionally needs a comment naming the CPU feature tier the block relies on (ssse3/sse2/avx2/neon) |
 //!
 //! Every rule reports a stable code so `lint.toml` allowances and CI logs
 //! stay meaningful as the codebase grows. See DESIGN.md §8 and §13.
@@ -33,7 +33,7 @@ pub const RULES: &[(&str, &str)] = &[
         "VAQ010",
         "no `as` integer casts in serialization/kernel boundary files — use `try_from`/`From`",
     ),
-    ("VAQ011", "kernel-file `unsafe` must name its CPU feature tier (ssse3/sse2/avx2/avx512/neon)"),
+    ("VAQ011", "kernel-file `unsafe` must name its CPU feature tier (ssse3/sse2/avx2/neon)"),
 ];
 
 /// Non-`SeqCst` ordering variants whose use must be justified (VAQ009).
@@ -199,7 +199,7 @@ pub fn check_file(class: FileClass<'_>, lexed: &LexedFile) -> Vec<Violation> {
                         "VAQ011",
                         t.line,
                         "`unsafe` in a SIMD kernel file whose comment names no CPU feature \
-                         tier (ssse3/sse2/avx2/avx512/neon) — state which runtime-verified \
+                         tier (ssse3/sse2/avx2/neon) — state which runtime-verified \
                          feature makes the block sound"
                             .into(),
                     );

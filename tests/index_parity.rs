@@ -94,7 +94,7 @@ fn four_holders_of_the_same_rows_answer_alike() {
                 }
             }
         }
-        // The batched entry point takes the tiled path for `Quantized`.
+        // The batched entry point shards the same per-query search.
         for strategy in STRATEGIES {
             let (batch, _) = grown.search_batch(&queries, k, strategy).unwrap();
             for (q, got) in batch.iter().enumerate() {
