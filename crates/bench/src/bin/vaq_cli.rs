@@ -80,9 +80,7 @@ USAGE:
   vaq_cli bench  [--n 100000] [--dim 64] [--queries 16] [--k 10]
                  [--budget 48] [--segments 8] [--seed 7] [--reps 3]
                  [--train-limit 20000] [--out results] [--profile]
-                 [--concurrent [--seal 8192] [--batch 1024] [--readers 2]]
-                 [--out-of-core [--block 65536] [--seal 500000]
-                  [--visit 0.25] [--rss-budget-mb 0]]
+                 [--out-of-core [--block 65536] [--seal 500000] [--visit 0.25]]
 
 Vector FILEs may be .fvecs, .bvecs, or .csv (one vector per line).
 Every command that takes an INDEX opens any file the library writes —
@@ -120,20 +118,14 @@ micro-benchmark, and writes results/BENCH_adc_scan_v2.json. The run
 fails if early-abandon is slower than the full scan it prunes. Set
 VAQ_FORCE_KERNEL=scalar|ssse3|avx2|neon
 to measure the end-to-end engine numbers on a pinned kernel tier.
-`bench --concurrent` instead benchmarks the segmented index: a writer
-ingests the dataset tail in batches (sealing and compacting in the
-background) while reader threads keep answering queries from lock-free
-snapshots; the drained index is then timed again. Writes
-results/BENCH_segments.json, including how many queries completed while
-ingest was running.
 `bench --out-of-core` is the mapped-extent acceptance run: the dataset
 is streamed to an fvecs file block by block, dictionaries fit from a
 block-sampled subset, the whole file is ingested blockwise, and the
 index is persisted with `save_mapped`. The in-RAM index is
 then dropped, the peak-RSS watermark reset, and every query answered
 from the memory-mapped reopen — answers must be byte-identical to the
-in-RAM index. With --rss-budget-mb N > 0 the run fails unless the index
-file exceeds N MiB while the query-phase peak RSS stays under it.
+in-RAM index, and the run fails unless the index file is larger than the
+query process's TiEa-phase peak RSS (wherever VmHWM can be read).
 Writes results/BENCH_out_of_core.json.
 `bench --profile` additionally turns on the obs subsystem: per-stage
 training spans, query-phase spans, per-query latency histograms, and
@@ -151,12 +143,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             return Err(format!("expected --flag, got `{a}`"));
         };
         // Boolean flags.
-        if key == "clustered"
-            || key == "profile"
-            || key == "concurrent"
-            || key == "durability"
-            || key == "out-of-core"
-        {
+        if key == "clustered" || key == "profile" || key == "durability" || key == "out-of-core" {
             opts.insert(key.to_string(), "true".to_string());
             continue;
         }
@@ -770,9 +757,6 @@ fn bench_adc_config(
 }
 
 fn cmd_bench(opts: &Opts) -> Result<(), String> {
-    if opts.contains_key("concurrent") {
-        return cmd_bench_segments(opts);
-    }
     if opts.contains_key("out-of-core") {
         return cmd_bench_out_of_core(opts);
     }
@@ -843,227 +827,8 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `bench --concurrent`: concurrent ingest + query benchmark for the
-/// segmented index (acceptance criterion of ISSUE 6: queries must keep
-/// completing while ingest is running). One writer adds the dataset tail
-/// in batches — sealing and compacting on the background maintenance
-/// thread — while reader threads answer queries from lock-free snapshots
-/// the whole time. The drained, fully sealed index is then timed on the
-/// same query set, and everything lands in results/BENCH_segments.json.
-fn cmd_bench_segments(opts: &Opts) -> Result<(), String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use vaq_bench::Json;
-    use vaq_dataset::SyntheticSpec;
-
-    let n: usize = get_or(opts, "n", 100_000)?;
-    let dim: usize = get_or(opts, "dim", 64)?;
-    let nq: usize = get_or(opts, "queries", 16)?;
-    let k: usize = get_or(opts, "k", 10)?;
-    let budget: usize = get_or(opts, "budget", 48)?;
-    let segments: usize = get_or(opts, "segments", 8)?;
-    let seed: u64 = get_or(opts, "seed", 7)?;
-    let reps: usize = get_or(opts, "reps", 3)?;
-    let train_limit: usize = get_or(opts, "train-limit", 20_000)?;
-    let seal: usize = get_or(opts, "seal", 8192)?;
-    let batch_rows: usize = get_or(opts, "batch", 1024)?;
-    let readers: usize = get_or(opts, "readers", 2)?;
-    let out_dir = PathBuf::from(get_or(opts, "out", "results".to_string())?);
-    if n == 0 || nq == 0 || reps == 0 || train_limit == 0 || batch_rows == 0 || readers == 0 {
-        return Err(
-            "--n, --queries, --reps, --train-limit, --batch, and --readers must be positive".into(),
-        );
-    }
-
-    let spec = SyntheticSpec { dim, ..SyntheticSpec::sift_like() };
-    let ds = spec.generate(n, nq, seed);
-    let train_rows = train_limit.min(n);
-    println!(
-        "data: {n} × {dim} synthetic ({}), {nq} queries; training on {train_rows} rows, \
-         ingesting {} concurrently",
-        spec.name,
-        n - train_rows
-    );
-
-    let cfg = VaqConfig::new(budget, segments).with_seed(seed).with_ti_clusters(0);
-    let t0 = std::time::Instant::now();
-    let vaq = {
-        let sample = ds.data.select_rows(&(0..train_rows).collect::<Vec<_>>());
-        Vaq::train(&sample, &cfg).map_err(|e| e.to_string())?
-    };
-    let train_secs = t0.elapsed().as_secs_f64();
-    println!("trained in {train_secs:.1}s — bit allocation {:?}", vaq.bits());
-
-    // Count maintenance events over the whole run.
-    vaq_core::obs::set_enabled(true);
-    let _ = vaq_core::obs::take_events();
-
-    let policy = SegmentPolicy::default().with_seal_threshold(seal);
-    let index = SegmentedVaq::from_vaq(vaq, policy);
-
-    // Concurrent phase: one writer, `readers` query threads.
-    let done = AtomicBool::new(false);
-    let mut ingest_err: Option<String> = None;
-    let mut ingest_secs = 0.0f64;
-    let mut reader_stats: Vec<(u64, f64)> = Vec::new(); // (queries, secs on the clock)
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..readers)
-            .map(|_| {
-                let index = &index;
-                let done = &done;
-                let queries = &ds.queries;
-                scope.spawn(move || {
-                    let mut searcher = index.searcher();
-                    let mut count = 0u64;
-                    let t0 = std::time::Instant::now();
-                    loop {
-                        for qi in 0..queries.rows() {
-                            match searcher.search_with(
-                                queries.row(qi),
-                                k,
-                                SearchStrategy::Quantized,
-                            ) {
-                                Ok(_) => count += 1,
-                                Err(e) => return Err(e.to_string()),
-                            }
-                        }
-                        if done.load(Ordering::Acquire) {
-                            return Ok((count, t0.elapsed().as_secs_f64()));
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        let t0 = std::time::Instant::now();
-        for lo in (train_rows..n).step_by(batch_rows) {
-            let hi = (lo + batch_rows).min(n);
-            let batch = ds.data.select_rows(&(lo..hi).collect::<Vec<_>>());
-            if let Err(e) = index.add(&batch) {
-                ingest_err = Some(e.to_string());
-                break;
-            }
-        }
-        ingest_secs = t0.elapsed().as_secs_f64();
-        done.store(true, Ordering::Release);
-        for h in handles {
-            match h.join() {
-                Ok(Ok(stat)) => reader_stats.push(stat),
-                Ok(Err(e)) => ingest_err = Some(format!("reader failed: {e}")),
-                Err(_) => ingest_err = Some("reader panicked".into()),
-            }
-        }
-    });
-    if let Some(e) = ingest_err {
-        return Err(e);
-    }
-    index.flush();
-
-    let during_total: u64 = reader_stats.iter().map(|&(c, _)| c).sum();
-    let during_qps: f64 =
-        reader_stats.iter().map(|&(c, secs)| c as f64 / secs.max(1e-9)).sum::<f64>();
-    let ingested = n - train_rows;
-    println!(
-        "ingest: {ingested} rows in {ingest_secs:.2}s ({:.0} krows/s) with {readers} readers \
-         running — {during_total} queries completed during ingest ({during_qps:.0} q/s)",
-        ingested as f64 / ingest_secs.max(1e-9) / 1e3,
-    );
-    if during_total == 0 {
-        return Err("no query completed while ingest was running".into());
-    }
-
-    // Exactness spot-check on the drained index, then steady-state timing.
-    for qi in 0..ds.queries.rows().min(4) {
-        let q = ds.queries.row(qi);
-        let full = index.search_with(q, k, SearchStrategy::FullScan).map_err(|e| e.to_string())?;
-        let tiea = index
-            .search_with(q, k, SearchStrategy::TiEa { visit_frac: 1.0 })
-            .map_err(|e| e.to_string())?;
-        let f: Vec<u32> = full.0.iter().map(|h| h.index).collect();
-        let t: Vec<u32> = tiea.0.iter().map(|h| h.index).collect();
-        if f != t {
-            return Err(format!("post-ingest parity failure on query {qi}: {t:?} vs {f:?}"));
-        }
-    }
-    let mut searcher = index.searcher();
-    for qi in 0..ds.queries.rows().min(4) {
-        let _ = searcher.search_with(ds.queries.row(qi), k, SearchStrategy::Quantized);
-    }
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
-        for qi in 0..ds.queries.rows() {
-            searcher
-                .search_with(ds.queries.row(qi), k, SearchStrategy::Quantized)
-                .map_err(|e| e.to_string())?;
-        }
-    }
-    let sealed_spq = t0.elapsed().as_secs_f64() / (reps * nq) as f64;
-
-    let events = vaq_core::obs::take_events();
-    let count_kind = |kind: &str| events.iter().filter(|e| e.kind == kind).count() as f64;
-    let set = index.snapshot();
-    println!(
-        "drained: {} segments, {} live rows; steady-state {:.3} ms/q; \
-         {} seals, {} merges, {} purges",
-        set.num_segments(),
-        set.live_len(),
-        sealed_spq * 1e3,
-        count_kind("segment.seal"),
-        count_kind("segment.compact"),
-        count_kind("segment.tombstone_purge"),
-    );
-
-    let json = Json::obj([
-        ("bench", Json::Str("segmented_ingest".to_string())),
-        ("n", Json::Num(n as f64)),
-        ("dim", Json::Num(dim as f64)),
-        ("queries", Json::Num(nq as f64)),
-        ("k", Json::Num(k as f64)),
-        ("train_rows", Json::Num(train_rows as f64)),
-        ("seal_threshold", Json::Num(seal as f64)),
-        ("batch_rows", Json::Num(batch_rows as f64)),
-        ("readers", Json::Num(readers as f64)),
-        ("train_secs", Json::Num(train_secs)),
-        (
-            "ingest",
-            Json::obj([
-                ("rows", Json::Num(ingested as f64)),
-                ("secs", Json::Num(ingest_secs)),
-                ("krows_per_sec", Json::Num(ingested as f64 / ingest_secs.max(1e-9) / 1e3)),
-            ]),
-        ),
-        (
-            "queries_during_ingest",
-            Json::obj([
-                ("total", Json::Num(during_total as f64)),
-                ("queries_per_sec", Json::Num(during_qps)),
-            ]),
-        ),
-        ("steady_state_ms_per_query", Json::Num(sealed_spq * 1e3)),
-        (
-            "maintenance",
-            Json::obj([
-                ("seals", Json::Num(count_kind("segment.seal"))),
-                ("compactions", Json::Num(count_kind("segment.compact"))),
-                ("tombstone_purges", Json::Num(count_kind("segment.tombstone_purge"))),
-            ]),
-        ),
-        (
-            "final",
-            Json::obj([
-                ("segments", Json::Num(set.num_segments() as f64)),
-                ("live_rows", Json::Num(set.live_len() as f64)),
-            ]),
-        ),
-    ]);
-    std::fs::create_dir_all(&out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
-    let path = out_dir.join("BENCH_segments.json");
-    std::fs::write(&path, json.pretty()).map_err(|e| format!("{}: {e}", path.display()))?;
-    println!("results written to {}", path.display());
-    Ok(())
-}
-
 /// Peak resident set size (VmHWM) in KiB, from `/proc/self/status`.
-/// Returns `None` off Linux — the RSS budget then degrades to advisory.
+/// Returns `None` off Linux — the RSS check then degrades to advisory.
 fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
@@ -1146,9 +911,9 @@ fn cmd_ooc_query(opts: &Opts) -> Result<(), String> {
 /// `save_mapped` layout, then drops the in-RAM index, resets the
 /// peak-RSS watermark, and answers the query set from the memory-mapped
 /// reopen. The mapped answers must be byte-identical to the in-RAM
-/// index's, and the query-phase peak RSS is measured against
-/// `--rss-budget-mb` (enforced when the budget is nonzero and the
-/// platform reports VmHWM). Writes results/BENCH_out_of_core.json.
+/// index's, and the index file must be larger than the child's TiEa-phase
+/// peak RSS (enforced when the platform reports VmHWM). Writes
+/// results/BENCH_out_of_core.json.
 fn cmd_bench_out_of_core(opts: &Opts) -> Result<(), String> {
     use vaq_bench::Json;
     use vaq_dataset::io::{fvecs_row_count, read_fvecs_block};
@@ -1167,7 +932,6 @@ fn cmd_bench_out_of_core(opts: &Opts) -> Result<(), String> {
     let seal: usize = get_or(opts, "seal", 500_000)?;
     let ti_clusters: usize = get_or(opts, "ti-clusters", 1000)?;
     let visit: f64 = get_or(opts, "visit", 0.25)?;
-    let rss_budget_mb: u64 = get_or(opts, "rss-budget-mb", 0)?;
     let out_dir = PathBuf::from(get_or(opts, "out", "results".to_string())?);
     if n == 0 || nq == 0 || block == 0 || train_limit == 0 {
         return Err("--n, --queries, --block, and --train-limit must be positive".into());
@@ -1311,32 +1075,26 @@ fn cmd_bench_out_of_core(opts: &Opts) -> Result<(), String> {
         file_bytes / (1 << 20),
     );
 
-    // The budget binds the TiEa serving path; the Quantized probes are
+    // Out-of-core means the file cannot all be resident at once: it must
+    // be larger than the TiEa serving peak. The Quantized probes are
     // reported separately — they exist to show the packed extent group
     // staying non-resident until first asked for.
-    let mut budget_ok = Json::Null;
-    if rss_budget_mb > 0 {
-        if let Some(peak) = tiea_peak_mb {
-            if file_bytes / (1 << 20) <= rss_budget_mb {
-                cleanup();
-                return Err(format!(
-                    "--rss-budget-mb {rss_budget_mb} is not out-of-core: the index file is only \
-                     {} MiB",
-                    file_bytes / (1 << 20)
-                ));
-            }
-            if peak > rss_budget_mb as f64 {
-                cleanup();
-                return Err(format!(
-                    "query-phase peak RSS {peak:.0} MiB exceeds the {rss_budget_mb} MiB budget"
-                ));
-            }
-            budget_ok = Json::Bool(true);
-            println!("RSS budget: {peak:.0} MiB peak ≤ {rss_budget_mb} MiB cap — enforced OK");
-        } else {
-            println!("RSS budget: VmHWM unavailable on this platform — advisory only");
+    let file_mb = file_bytes as f64 / f64::from(1u32 << 20);
+    let verdict = match tiea_peak_mb {
+        Some(peak) if file_mb <= peak => {
+            cleanup();
+            return Err(format!(
+                "not out-of-core: the {file_mb:.1} MiB index file does not exceed the \
+                 {peak:.1} MiB query-phase peak RSS"
+            ));
         }
-    }
+        Some(peak) => format!(
+            "out-of-core: {file_mb:.1} MiB index file exceeds the {peak:.1} MiB TiEa peak RSS \
+             by {:.1} MiB",
+            file_mb - peak
+        ),
+        None => "out-of-core: VmHWM unavailable on this platform — RSS check advisory".to_string(),
+    };
 
     let mb = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
     let json = Json::obj([
@@ -1373,13 +1131,12 @@ fn cmd_bench_out_of_core(opts: &Opts) -> Result<(), String> {
                 ("answers_identical", Json::Bool(true)),
             ]),
         ),
-        ("rss_budget_mb", Json::Num(rss_budget_mb as f64)),
-        ("rss_budget_enforced", budget_ok),
     ]);
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("{}: {e}", out_dir.display()))?;
     let path = out_dir.join("BENCH_out_of_core.json");
     std::fs::write(&path, json.pretty()).map_err(|e| format!("{}: {e}", path.display()))?;
     println!("results written to {}", path.display());
+    println!("{verdict}");
     cleanup();
     Ok(())
 }

@@ -26,7 +26,7 @@ use crate::ti::TiPartition;
 use std::collections::BinaryHeap;
 use vaq_linalg::{
     accumulate_qsums, prefetch_read, squared_distances_into, Matrix, PackedCodes, QuantizedTables,
-    ScanPrefetch, TableArena,
+    TableArena,
 };
 
 /// A borrowed view of an encoded database, sufficient to execute ADC
@@ -42,10 +42,6 @@ pub struct IndexView<'a> {
     /// Tombstone bitmap (bit `i` set = row `i` is deleted): dead rows are
     /// excluded from every scan and rerank path, counted as skipped.
     dead: Option<&'a [u64]>,
-    /// Prefetch hints for memory-mapped storage: linear strategies declare
-    /// a sequential pass, TI-pruned scans advise per visited cluster.
-    /// Purely advisory — never affects results.
-    prefetch: Option<&'a ScanPrefetch>,
 }
 
 impl<'a> IndexView<'a> {
@@ -63,16 +59,7 @@ impl<'a> IndexView<'a> {
     ) -> IndexView<'a> {
         assert_eq!(codebooks.len(), ranges.len(), "one codebook per subspace");
         assert_eq!(codes.len(), n * ranges.len(), "codes must be n × m");
-        IndexView {
-            codebooks,
-            ranges,
-            codes,
-            n,
-            ti: None,
-            packed: None,
-            dead: None,
-            prefetch: None,
-        }
+        IndexView { codebooks, ranges, codes, n, ti: None, packed: None, dead: None }
     }
 
     /// Views a trained [`Encoder`] and its encoded database.
@@ -105,14 +92,6 @@ impl<'a> IndexView<'a> {
     /// and are counted in [`SearchStats::vectors_skipped`].
     pub fn with_dead(mut self, dead: Option<&'a [u64]>) -> IndexView<'a> {
         self.dead = dead;
-        self
-    }
-
-    /// Attaches (or detaches) prefetch hints for a segment whose extents
-    /// are memory-mapped. The engine advises the kernel along the scan
-    /// order it is about to take; hints never change answers.
-    pub fn with_prefetch(mut self, prefetch: Option<&'a ScanPrefetch>) -> IndexView<'a> {
-        self.prefetch = prefetch;
         self
     }
 
@@ -338,9 +317,6 @@ impl QueryEngine {
         match (strategy, ti, packed) {
             (SearchStrategy::FullScan, ..) => {
                 let _scan = crate::obs::span("query.scan");
-                if let Some(pf) = view.prefetch {
-                    pf.advise_sequential_scan();
-                }
                 let m = view.num_subspaces();
                 let flat = self.arena.as_slice();
                 let offsets = self.arena.offsets();
@@ -365,21 +341,10 @@ impl QueryEngine {
                 let order = ti.visit_order(&qd);
                 drop(prune);
                 let _scan = crate::obs::span("query.scan");
-                // TI reranks member rows in cluster order, not file
-                // order: tell a mapped backing store not to read ahead,
-                // and fault each visited cluster's member tables in
-                // ahead of its binary searches.
-                if let Some(pf) = view.prefetch {
-                    pf.advise_random_scan();
-                }
                 let visit =
                     ((visit_frac.clamp(0.0, 1.0) * order.len() as f64).ceil() as usize).max(1);
-                for (vi, &ci) in order.iter().take(visit).enumerate() {
+                for &ci in order.iter().take(visit) {
                     let ci = ci as usize;
-                    if let (Some(pf), Some(&next)) = (view.prefetch, order.get(vi + 1)) {
-                        let (s, e) = ti.cluster_range(next as usize);
-                        pf.advise_ti_cluster(s, e);
-                    }
                     let members = ti.cluster_idx(ci);
                     // Current best-so-far in metric (unsquared) space.
                     let bsf = current_threshold(&heap, k).sqrt();
@@ -399,9 +364,6 @@ impl QueryEngine {
             }
             (SearchStrategy::Quantized, _, Some(packed)) => {
                 let qscan = crate::obs::span("query.qscan");
-                if let Some(pf) = view.prefetch {
-                    pf.advise_sequential_scan();
-                }
                 self.qtables.quantize(&self.arena, packed);
                 accumulate_qsums(packed, &self.qtables, &mut self.qsums);
                 drop(qscan);
@@ -410,9 +372,6 @@ impl QueryEngine {
             // `EarlyAbandon`, or a pruning strategy degraded to it.
             _ => {
                 let _scan = crate::obs::span("query.scan");
-                if let Some(pf) = view.prefetch {
-                    pf.advise_sequential_scan();
-                }
                 for i in 0..n {
                     scan_one(view, &self.arena, i, &mut heap, k, &mut stats);
                 }

@@ -85,8 +85,8 @@ use crate::VaqError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::{Path, PathBuf};
 use vaq_linalg::{
-    CodesStorage, ExtentSpan, F32Storage, MappedRegion, Matrix, PackedCodes, Pca, ScanPrefetch,
-    U16Storage, U32Storage, U64Storage, PAGE_ALIGN,
+    CodesStorage, ExtentSpan, F32Storage, MappedRegion, Matrix, PackedCodes, Pca, U16Storage,
+    U32Storage, U64Storage, PAGE_ALIGN,
 };
 
 const MAGIC: &[u8; 4] = b"VAQ4";
@@ -944,14 +944,14 @@ fn check_scan_content(
     Ok(())
 }
 
-/// Deferred verification state for one mapped segment, plus its prefetch
-/// hints. The big extents are *not* verified at open — the first search
-/// that scans the segment pays one CRC + content-invariant pass over the
-/// extents it will actually read (the packed extent only when a
-/// quantized scan needs it), and the verdict is cached. A failed
-/// verification poisons the segment: every later search reports the same
-/// typed corruption error. Verification never mutates, so two racing
-/// first touches at worst duplicate the check.
+/// Deferred verification state for one mapped segment. The big extents
+/// are *not* verified at open — the first search that scans the segment
+/// pays one CRC + content-invariant pass over the extents it will
+/// actually read (the packed extent only when a quantized scan needs
+/// it), and the verdict is cached. A failed verification poisons the
+/// segment: every later search reports the same typed corruption error.
+/// Verification never mutates, so two racing first touches at worst
+/// duplicate the check.
 #[derive(Debug)]
 pub(crate) struct LazyExtents {
     /// ids + codes + TI member tables: 0 unverified, 1 ok, 2 bad.
@@ -966,14 +966,9 @@ pub(crate) struct LazyExtents {
     ti_dist: (ExtentSpan, u32),
     /// Dictionary rows per subspace, for the code range re-check.
     sizes: Vec<usize>,
-    prefetch: ScanPrefetch,
 }
 
 impl LazyExtents {
-    pub(crate) fn prefetch(&self) -> &ScanPrefetch {
-        &self.prefetch
-    }
-
     /// Verifies the scan extents (and, when `needs_packed`, the packed
     /// extent) exactly once; later calls return the cached verdict.
     pub(crate) fn verify_once(
@@ -1110,13 +1105,6 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>
                 (Some(ti), span(TI_IDX), span(TI_DIST))
             }
         };
-        let prefetch = ScanPrefetch::new(
-            Arc::clone(region),
-            span(CODES),
-            span(PACKED),
-            ti_idx_span,
-            ti_dist_span,
-        );
         let lazy = LazyExtents {
             state_scan: AtomicU8::new(0),
             state_packed: AtomicU8::new(0),
@@ -1127,7 +1115,6 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>
             ti_idx: (ti_idx_span, t.crcs[base + TI_IDX]),
             ti_dist: (ti_dist_span, t.crcs[base + TI_DIST]),
             sizes: sizes.clone(),
-            prefetch,
         };
         let core = SegmentCore { ids, codes, n, packed, ti, lazy: Some(Arc::new(lazy)) };
         // Cross-segment ordering from the boundary ids only (the full

@@ -321,8 +321,8 @@ pub(crate) struct SegmentCore {
     pub(crate) packed: PackedCodes,
     pub(crate) ti: Option<TiPartition>,
     /// Deferred CRC + content verification for a mapped segment's
-    /// scan-path extents, plus its prefetch hints. `None` for owned
-    /// segments, which are verified eagerly at parse time.
+    /// scan-path extents. `None` for owned segments, which are verified
+    /// eagerly at parse time.
     pub(crate) lazy: Option<Arc<crate::persist::LazyExtents>>,
 }
 
@@ -341,13 +341,11 @@ impl SegmentCore {
     }
 
     /// The [`IndexView`] every pruned scan path runs over: codes, TI
-    /// partition, blocked packing, and — for a mapped segment, where
-    /// advising anonymous memory would be pointless — prefetch hints.
+    /// partition and blocked packing, owned or mapped alike.
     pub(crate) fn view<'a>(&'a self, encoder: &'a Encoder) -> IndexView<'a> {
         IndexView::from_encoder(encoder, &self.codes, self.n)
             .with_ti(self.ti.as_ref())
             .with_packed(Some(&self.packed))
-            .with_prefetch(self.lazy.as_deref().map(crate::persist::LazyExtents::prefetch))
     }
 
     /// Global id of local row `row`.

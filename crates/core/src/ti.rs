@@ -220,8 +220,7 @@ impl TiPartition {
         self.prefix_dim
     }
 
-    /// Element range of cluster `c` inside the flat member arrays (the
-    /// prefetch granule for out-of-core scans).
+    /// Element range of cluster `c` inside the flat member arrays.
     pub fn cluster_range(&self, c: usize) -> (usize, usize) {
         (self.offsets[c], self.offsets[c + 1])
     }

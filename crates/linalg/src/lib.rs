@@ -41,8 +41,8 @@ pub use covariance::{column_means, covariance, covariance_centered};
 pub use eigen::{sym_eigen, SymEigen};
 pub use matrix::{DMatrix, Matrix};
 pub use mmap::{
-    Advice, CodesStorage, ExtentSpan, F32Storage, MappedRegion, MappedSpan, ScanPrefetch,
-    U16Storage, U32Storage, U64Storage, PAGE_ALIGN,
+    CodesStorage, ExtentSpan, F32Storage, MappedRegion, MappedSpan, U16Storage, U32Storage,
+    U64Storage, PAGE_ALIGN,
 };
 pub use norms::{dot, euclidean, hamming, squared_euclidean};
 pub use pca::Pca;

@@ -34,20 +34,8 @@ use std::sync::Arc;
 
 /// Page size assumed by the index file's extent layout. Real page size is
 /// queried nowhere: 4096 divides every page size the supported targets
-/// use, so aligning extents to it keeps typed loads aligned and lets
-/// `madvise` round to real page boundaries itself.
+/// use, so aligning extents to it keeps typed loads aligned.
 pub const PAGE_ALIGN: usize = 4096;
-
-/// Advice passed to [`MappedRegion::advise`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Advice {
-    /// Expect sequential access (aggressive readahead).
-    Sequential,
-    /// Expect random access (no readahead).
-    Random,
-    /// The range will be needed soon (fault it in asynchronously).
-    WillNeed,
-}
 
 #[cfg(all(
     not(miri),
@@ -56,16 +44,12 @@ pub enum Advice {
     target_endian = "little"
 ))]
 mod sys {
-    use super::Advice;
     use std::fs::File;
     use std::os::unix::io::AsRawFd;
 
     // Stable across Linux and macOS on the supported targets.
     const PROT_READ: i32 = 1;
     const MAP_PRIVATE: i32 = 2;
-    const MADV_RANDOM: i32 = 1;
-    const MADV_SEQUENTIAL: i32 = 2;
-    const MADV_WILLNEED: i32 = 3;
 
     extern "C" {
         fn mmap(
@@ -77,7 +61,6 @@ mod sys {
             offset: i64,
         ) -> *mut core::ffi::c_void;
         fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-        fn madvise(addr: *mut core::ffi::c_void, len: usize, advice: i32) -> i32;
     }
 
     /// Maps `len` bytes of `file` read-only and private. `None` on any
@@ -102,21 +85,6 @@ mod sys {
             munmap(ptr as *mut core::ffi::c_void, len);
         }
     }
-
-    /// Advisory only: errors are ignored. `addr` must be page-aligned.
-    pub(super) fn advise(addr: *const u8, len: usize, advice: Advice) {
-        let flag = match advice {
-            Advice::Sequential => MADV_SEQUENTIAL,
-            Advice::Random => MADV_RANDOM,
-            Advice::WillNeed => MADV_WILLNEED,
-        };
-        // SAFETY: (addr, len) lies within a live mapping owned by the
-        // calling MappedRegion and addr is page-aligned (the caller
-        // rounds down); madvise never writes through the pointer.
-        unsafe {
-            madvise(addr as *mut core::ffi::c_void, len, flag);
-        }
-    }
 }
 
 // Miri cannot interpret foreign mmap/munmap calls, so it takes the
@@ -128,7 +96,6 @@ mod sys {
     target_endian = "little"
 )))]
 mod sys {
-    use super::Advice;
     use std::fs::File;
 
     pub(super) fn map(_file: &File, _len: usize) -> Option<*const u8> {
@@ -136,8 +103,6 @@ mod sys {
     }
 
     pub(super) fn unmap(_ptr: *const u8, _len: usize) {}
-
-    pub(super) fn advise(_addr: *const u8, _len: usize, _advice: Advice) {}
 }
 
 /// A read-only, private memory mapping of a whole file. Shared by `Arc`
@@ -194,19 +159,6 @@ impl MappedRegion {
 
     fn base_addr(&self) -> usize {
         self.ptr as usize
-    }
-
-    /// Issues `madvise` for `offset..offset + len` (clamped to the
-    /// region, rounded out to page boundaries). Purely advisory: failures
-    /// and out-of-range requests are ignored.
-    pub fn advise(&self, offset: usize, len: usize, advice: Advice) {
-        if self.len == 0 || len == 0 || offset >= self.len {
-            return;
-        }
-        let end = offset.saturating_add(len).min(self.len);
-        let start = offset - (offset % PAGE_ALIGN);
-        // SAFETY-free wrapper: sys::advise holds the unsafe block.
-        sys::advise(self.as_bytes()[start..].as_ptr(), end - start, advice);
     }
 }
 
@@ -422,65 +374,6 @@ pub struct ExtentSpan {
     pub len: usize,
 }
 
-/// Prefetch hints for one mapped segment's scan-relevant extents. Built
-/// by the loader, consulted by the query engine: linear strategies
-/// declare a sequential pass over the code extents, TI-pruned scans
-/// declare random access plus per-cluster `WILLNEED` on the member
-/// tables in visit order.
-#[derive(Debug, Clone)]
-pub struct ScanPrefetch {
-    region: Arc<MappedRegion>,
-    codes: ExtentSpan,
-    packed: ExtentSpan,
-    ti_idx: ExtentSpan,
-    ti_dist: ExtentSpan,
-}
-
-impl ScanPrefetch {
-    /// Binds prefetch hints to a segment's extents (zero-length spans are
-    /// simply never advised).
-    pub fn new(
-        region: Arc<MappedRegion>,
-        codes: ExtentSpan,
-        packed: ExtentSpan,
-        ti_idx: ExtentSpan,
-        ti_dist: ExtentSpan,
-    ) -> ScanPrefetch {
-        ScanPrefetch { region, codes, packed, ti_idx, ti_dist }
-    }
-
-    /// Declares a front-to-back pass over the code extents (FullScan,
-    /// EarlyAbandon, and the Quantized block scan).
-    pub fn advise_sequential_scan(&self) {
-        self.region.advise(self.codes.offset, self.codes.len, Advice::Sequential);
-        self.region.advise(self.packed.offset, self.packed.len, Advice::Sequential);
-    }
-
-    /// Declares scattered row access over the code extents (TI-pruned
-    /// scans rerank member rows in cluster order, not file order).
-    pub fn advise_random_scan(&self) {
-        self.region.advise(self.codes.offset, self.codes.len, Advice::Random);
-        self.region.advise(self.packed.offset, self.packed.len, Advice::Random);
-    }
-
-    /// Asks the kernel to fault in the member tables of one TI cluster
-    /// (elements `start..end` of the concatenated member arrays) ahead of
-    /// its scan. Cluster member tables are contiguous, so this is one
-    /// `WILLNEED` per table per visited cluster.
-    pub fn advise_ti_cluster(&self, start: usize, end: usize) {
-        if end <= start {
-            return;
-        }
-        let (bytes_start, bytes_len) = (start * 4, (end - start) * 4);
-        if bytes_len <= self.ti_idx.len && bytes_start <= self.ti_idx.len - bytes_len {
-            self.region.advise(self.ti_idx.offset + bytes_start, bytes_len, Advice::WillNeed);
-        }
-        if bytes_len <= self.ti_dist.len && bytes_start <= self.ti_dist.len - bytes_len {
-            self.region.advise(self.ti_dist.offset + bytes_start, bytes_len, Advice::WillNeed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,27 +463,6 @@ mod tests {
             storage.to_mut()[0] = 99;
             assert!(!storage.is_mapped());
             assert_eq!(&storage[..], &[99, 2, 3, 4, 5, 6, 7, 8]);
-            std::fs::remove_file(path).unwrap();
-        }
-
-        #[test]
-        fn advise_is_safe_everywhere_in_range_and_out() {
-            let (path, f) = tmp_file(&vec![7u8; 5000]);
-            let region = MappedRegion::map_file(&f).unwrap();
-            region.advise(0, 5000, Advice::Sequential);
-            region.advise(4096, 100_000, Advice::WillNeed);
-            region.advise(100_000, 10, Advice::Random);
-            region.advise(0, 0, Advice::WillNeed);
-            let pf = ScanPrefetch::new(
-                region,
-                ExtentSpan { offset: 0, len: 4096 },
-                ExtentSpan { offset: 4096, len: 904 },
-                ExtentSpan { offset: 0, len: 0 },
-                ExtentSpan { offset: 0, len: 0 },
-            );
-            pf.advise_sequential_scan();
-            pf.advise_random_scan();
-            pf.advise_ti_cluster(0, 10);
             std::fs::remove_file(path).unwrap();
         }
     }

@@ -5,7 +5,9 @@
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use vaq::core::{SearchStrategy, SegmentPolicy, SegmentedVaq, Vaq, VaqConfig, VaqError};
+use vaq::core::{
+    Neighbor, SearchStats, SearchStrategy, SegmentPolicy, SegmentedVaq, Vaq, VaqConfig, VaqError,
+};
 use vaq::dataset::SyntheticSpec;
 use vaq::linalg::Matrix;
 
@@ -41,21 +43,29 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// `FullScan` and `Quantized` answers of `search` for a spread of queries.
+/// Neighbours and work counters of `search` under every strategy, for a
+/// spread of queries.
 fn answers(
     fx: &Fixture,
-    search: impl Fn(&[f32], SearchStrategy) -> Vec<vaq::core::Neighbor>,
-) -> Vec<Vec<vaq::core::Neighbor>> {
+    search: impl Fn(&[f32], SearchStrategy) -> (Vec<Neighbor>, SearchStats),
+) -> Vec<(Vec<Neighbor>, SearchStats)> {
     (0..300)
         .step_by(23)
         .flat_map(|q| {
-            [SearchStrategy::FullScan, SearchStrategy::Quantized].map(|s| search(fx.data.row(q), s))
+            [
+                SearchStrategy::FullScan,
+                SearchStrategy::EarlyAbandon,
+                SearchStrategy::TiEa { visit_frac: 0.25 },
+                SearchStrategy::TiEa { visit_frac: 1.0 },
+                SearchStrategy::Quantized,
+            ]
+            .map(|s| search(fx.data.row(q), s))
         })
         .collect()
 }
 
-fn seg_answers(fx: &Fixture, index: &SegmentedVaq) -> Vec<Vec<vaq::core::Neighbor>> {
-    answers(fx, |q, s| index.search_with(q, 7, s).unwrap().0)
+fn seg_answers(fx: &Fixture, index: &SegmentedVaq) -> Vec<(Vec<Neighbor>, SearchStats)> {
+    answers(fx, |q, s| index.search_with(q, 7, s).unwrap())
 }
 
 #[test]
@@ -64,11 +74,15 @@ fn every_round_trip_answers_like_the_saved_index() {
 
     let path = fx.dir.join("mono.vaq");
     fx.mono.save(&path).unwrap();
-    let want = answers(fx, |q, s| fx.mono.search_with(q, 7, s).unwrap().0);
+    let want = answers(fx, |q, s| fx.mono.search_with(q, 7, s).unwrap());
     let back = Vaq::load(&path).unwrap();
-    assert_eq!(answers(fx, |q, s| back.search_with(q, 7, s).unwrap().0), want, "monolith");
+    assert_eq!(answers(fx, |q, s| back.search_with(q, 7, s).unwrap()), want, "monolith");
     let as_seg = SegmentedVaq::load(&path).unwrap();
-    assert_eq!(seg_answers(fx, &as_seg), want, "monolith loaded as one segment");
+    // The two entry points size their one-shot table arenas differently
+    // (`table_reallocations`), so across them only the neighbours compare.
+    let hits =
+        |a: Vec<(Vec<Neighbor>, SearchStats)>| a.into_iter().map(|x| x.0).collect::<Vec<_>>();
+    assert_eq!(hits(seg_answers(fx, &as_seg)), hits(want), "monolith loaded as one segment");
     assert_eq!(as_seg.live_ids(), (0..200).collect::<Vec<u32>>());
 
     let want = seg_answers(fx, &fx.seg);
