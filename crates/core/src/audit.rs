@@ -10,7 +10,11 @@
 //!
 //! The pipeline stages call [`Audit::debug_audit`] at the end of each
 //! stage: in debug builds a violated invariant aborts with the full
-//! report; release builds skip the check entirely.
+//! report; release builds skip the check entirely. Loaders are the other
+//! caller, in every build: this module is the one statement of what a
+//! valid model, sealed segment, buffer and tombstone bitmap are, and
+//! `crate::persist` (which states the file format) admits no index from
+//! bytes without it (DESIGN.md §8.2 has which part runs when).
 
 use crate::encoder::Encoder;
 use crate::pipeline::{BitPlan, DictionaryStage, SubspacePlan};
@@ -320,41 +324,56 @@ impl Audit for TableArena {
 impl Audit for TiPartition {
     fn audit(&self) -> AuditReport {
         let mut r = AuditReport::new();
-        r.check(self.centroids.rows() == self.num_clusters(), "VAQ108", || {
-            format!("{} centroids for {} clusters", self.centroids.rows(), self.num_clusters())
-        });
-        r.check(self.centroids.cols() == self.prefix_dim, "VAQ108", || {
-            format!("centroids span {} dims, prefix is {}", self.centroids.cols(), self.prefix_dim)
-        });
-        r.check(self.prefix_subspaces >= 1, "VAQ108", || "prefix spans no subspaces".into());
-        for c in 0..self.num_clusters() {
-            let (idxs, dists) = (self.cluster_idx(c), self.cluster_dist(c));
-            for (&idx, &dist) in idxs.iter().zip(dists) {
-                r.check(dist.is_finite() && dist >= 0.0, "VAQ108", || {
-                    format!("cluster {c} member {idx} has distance {dist}")
-                });
-            }
-            for w in 0..dists.len().saturating_sub(1) {
-                // The binary-searched pruning window requires ascending
-                // cached distances.
-                r.check(dists[w] <= dists[w + 1], "VAQ108", || {
-                    format!(
-                        "cluster {c} is not sorted: {} (idx {}) before {} (idx {})",
-                        dists[w],
-                        idxs[w],
-                        dists[w + 1],
-                        idxs[w + 1]
-                    )
-                });
-            }
-        }
+        audit_ti_shape(&mut r, self);
+        audit_ti_members(&mut r, self);
         r
     }
 }
 
-/// Audits an `n × m` code array against its encoder: every code must index
-/// an existing dictionary entry (and therefore lie in `[0, 2^y_i)`).
-fn audit_codes(r: &mut AuditReport, codes: &[u16], n: usize, encoder: &Encoder) {
+/// VAQ108 on the meta-sized part of a partition: the centroid matrix
+/// against the cluster count and the prefix.
+fn audit_ti_shape(r: &mut AuditReport, ti: &TiPartition) {
+    r.check(ti.centroids.rows() == ti.num_clusters(), "VAQ108", || {
+        format!("{} centroids for {} clusters", ti.centroids.rows(), ti.num_clusters())
+    });
+    r.check(ti.centroids.cols() == ti.prefix_dim, "VAQ108", || {
+        format!("centroids span {} dims, prefix is {}", ti.centroids.cols(), ti.prefix_dim)
+    });
+    r.check(ti.prefix_subspaces >= 1, "VAQ108", || "prefix spans no subspaces".into());
+}
+
+/// VAQ108 on the member distances: finite, non-negative and ascending
+/// within each cluster (the binary-searched pruning window requires it).
+/// The first violation is enough signal — a hostile file must not buy one
+/// message per row.
+fn audit_ti_members(r: &mut AuditReport, ti: &TiPartition) {
+    for c in 0..ti.num_clusters() {
+        let (idxs, dists) = (ti.cluster_idx(c), ti.cluster_dist(c));
+        if let Some(w) = dists.iter().position(|d| !(d.is_finite() && *d >= 0.0)) {
+            r.push("VAQ108", format!("cluster {c} member {} has distance {}", idxs[w], dists[w]));
+            return;
+        }
+        if let Some(w) = (1..dists.len()).find(|&w| dists[w - 1] > dists[w]) {
+            r.push(
+                "VAQ108",
+                format!(
+                    "cluster {c} is not sorted: {} (idx {}) before {} (idx {})",
+                    dists[w - 1],
+                    idxs[w - 1],
+                    dists[w],
+                    idxs[w]
+                ),
+            );
+            return;
+        }
+    }
+}
+
+/// VAQ106, stated once for every holder of stored codes — sealed
+/// segments, the write buffer and replayed WAL adds: an `n × m` code array
+/// in which every code indexes an existing dictionary entry (and therefore
+/// lies in `[0, 2^y_i)`).
+pub(crate) fn audit_codes(r: &mut AuditReport, codes: &[u16], n: usize, encoder: &Encoder) {
     let m = encoder.num_subspaces();
     r.check(codes.len() == n * m, "VAQ106", || {
         format!("{} codes for {n} vectors x {m} subspaces", codes.len())
@@ -367,7 +386,7 @@ fn audit_codes(r: &mut AuditReport, codes: &[u16], n: usize, encoder: &Encoder) 
                     "VAQ106",
                     format!("vector {row} subspace {s}: code {c} out of range [0, {rows})"),
                 );
-                // One out-of-range code per subspace is enough signal.
+                // One out-of-range code is enough signal.
                 return;
             }
         }
@@ -395,33 +414,29 @@ fn audit_model(model: &Model) -> AuditReport {
     r
 }
 
-/// The invariants of sealed segment `s` on its own: ids (VAQ111), codes
-/// (VAQ106), TI partition (VAQ108), blocked packing (VAQ110) and, when
-/// mapped, extent placement (VAQ113).
+/// The invariants of sealed segment `s` on its own, split by what they
+/// read so a mapped open can run each part when its bytes are trusted:
+/// [`audit_core_shape`] at open, [`audit_core_scan`] and
+/// [`audit_core_packed`] after the lazy CRC of the extents they walk.
 fn audit_core(r: &mut AuditReport, core: &SegmentCore, s: usize, encoder: &Encoder) {
+    audit_core_shape(r, core, s, encoder);
+    r.merge(audit_core_scan(core, s, encoder));
+    r.merge(audit_core_packed(core, encoder));
+}
+
+/// The part that reads only meta-sized state: row and id counts (VAQ111),
+/// the TI partition's shape against the encoder (VAQ108) and, when
+/// mapped, extent placement (VAQ113). No array element is touched.
+fn audit_core_shape(r: &mut AuditReport, core: &SegmentCore, s: usize, encoder: &Encoder) {
     r.check(core.n > 0, "VAQ111", || format!("segment {s} is empty"));
     if let SegmentIds::Column(ids) = &core.ids {
         r.check(ids.len() == core.n, "VAQ111", || {
             format!("segment {s} holds {} ids for {} rows", ids.len(), core.n)
         });
-        r.check(ids.windows(2).all(|w| w[0] < w[1]), "VAQ111", || {
-            format!("segment {s} ids are not strictly ascending")
-        });
         audit_mapped_span(r, s, "ids", ids.mapped_span());
     }
-    audit_codes(r, &core.codes, core.n, encoder);
     if let Some(ti) = &core.ti {
-        r.merge(ti.audit());
-        // The partition must cover every row exactly once — the
-        // exact-membership bitset check, not just a size sum (a
-        // double-assigned row plus an omitted one passes the sum).
-        r.check(ti.covers_exactly(core.n), "VAQ108", || {
-            format!(
-                "segment {s}: TI partition does not cover every row in 0..{} exactly once \
-                 (duplicate, out-of-range, or omitted assignment)",
-                core.n
-            )
-        });
+        audit_ti_shape(r, ti);
         // The prefix space must end on a subspace boundary of the
         // encoder.
         let m = encoder.num_subspaces();
@@ -443,13 +458,47 @@ fn audit_core(r: &mut AuditReport, core: &SegmentCore, s: usize, encoder: &Encod
         audit_mapped_span(r, s, "TI member ids", ti.member_idx.mapped_span());
         audit_mapped_span(r, s, "TI member dists", ti.member_dist.mapped_span());
     }
-    // VAQ110 — the blocked packing must mirror `codes` byte for byte: the
-    // quantized scan prunes with bounds computed from the packed bytes, so
-    // a stale packing (e.g. after an append that skipped re-packing) would
-    // silently produce wrong-answer pruning.
-    audit_packed(r, &core.packed, &core.codes, core.n, encoder);
     audit_mapped_span(r, s, "codes", core.codes.mapped_span());
     audit_mapped_span(r, s, "packed", core.packed.storage().mapped_span());
+}
+
+/// The arrays every strategy reads: stored ids strictly ascending
+/// (VAQ111), codes inside their dictionaries (VAQ106), TI distances
+/// finite and sorted and the member ids an exact cover of the rows
+/// (VAQ108).
+pub(crate) fn audit_core_scan(core: &SegmentCore, s: usize, encoder: &Encoder) -> AuditReport {
+    let mut r = AuditReport::new();
+    r.check(core.ids.column().windows(2).all(|w| w[0] < w[1]), "VAQ111", || {
+        format!("segment {s} ids are not strictly ascending")
+    });
+    audit_codes(&mut r, &core.codes, core.n, encoder);
+    if let Some(ti) = &core.ti {
+        audit_ti_members(&mut r, ti);
+        // The partition must cover every row exactly once — the
+        // exact-membership bitset check, not just a size sum (a
+        // double-assigned row plus an omitted one passes the sum).
+        r.check(ti.covers_exactly(core.n), "VAQ108", || {
+            format!(
+                "segment {s}: TI partition does not cover every row in 0..{} exactly once \
+                 (duplicate, out-of-range, or omitted assignment)",
+                core.n
+            )
+        });
+    }
+    r
+}
+
+/// VAQ110 — the blocked packing must be exactly what the packer derives
+/// from `codes`: the quantized scan prunes with bounds computed from the
+/// packed bytes, so a stale packing would silently produce wrong-answer
+/// pruning. The statement lives beside the layout it describes.
+pub(crate) fn audit_core_packed(core: &SegmentCore, encoder: &Encoder) -> AuditReport {
+    let mut r = AuditReport::new();
+    let sizes: Vec<usize> = encoder.table_sizes().collect();
+    if let Err(detail) = core.packed.verify(&core.codes, &sizes, core.n) {
+        r.push("VAQ110", detail);
+    }
+    r
 }
 
 /// A [`Vaq`] is the model plus one sealed segment.
@@ -461,86 +510,95 @@ impl Audit for Vaq {
     }
 }
 
-/// VAQ111: segmented-index structural invariants on top of the model's
-/// and each segment's own — tombstone accounting, pairwise disjoint
-/// ascending id ranges below the id counter, buffer ids above every
-/// sealed id, and (when no maintenance pass is in flight) a buffer below
-/// the seal threshold.
+/// The full audit of a segmented index: every array of every segment.
 impl Audit for crate::segment::SegmentedVaq {
     fn audit(&self) -> AuditReport {
-        let model = self.shared_model();
-        let set = self.snapshot();
-        let (next_id, maintenance) = self.writer_probe();
+        audit_index(self, |_| true)
+    }
+}
 
-        let mut r = audit_model(model);
-        let mut prev_last: Option<u32> = None;
-        for (s, seg) in set.segments.iter().enumerate() {
-            audit_core(&mut r, &seg.core, s, &model.encoder);
-            if let Some((first, last)) = seg.core.id_span() {
-                r.check(prev_last.is_none_or(|pl| first > pl), "VAQ111", || {
-                    format!("segment {s} starts at id {first}, below the end of segment {}", s - 1)
-                });
-                r.check(last < next_id, "VAQ111", || {
-                    format!("segment {s} holds id {last} >= next_id {next_id}")
-                });
-                prev_last = Some(last);
-            }
-            audit_tombstones(&mut r, seg.tombstones.words(), seg.tombstones.dead(), seg.core.n, s);
-            audit_mapped_span(&mut r, s, "tombstone", seg.tombstones.mapped_span());
+/// The model's invariants, each sealed segment's own, and VAQ111 across
+/// them — tombstone accounting, pairwise disjoint ascending id ranges
+/// below the id counter, buffer ids above every sealed id, and (when no
+/// maintenance pass is in flight) a buffer below the seal threshold —
+/// plus VAQ112 on a durable index. `arrays` picks the segments whose scan
+/// and packed arrays are walked too: all of them for a full audit, none
+/// for a mapped open (each runs behind its lazy CRC instead), the newly
+/// sealed ones after a WAL replay.
+pub(crate) fn audit_index(
+    index: &crate::segment::SegmentedVaq,
+    arrays: impl Fn(&SegmentCore) -> bool,
+) -> AuditReport {
+    let model = index.shared_model();
+    let set = index.snapshot();
+    let (next_id, maintenance) = index.writer_probe();
+    let policy = index.policy();
+
+    let mut r = audit_model(model);
+    let mut prev_last: Option<u32> = None;
+    for (s, seg) in set.segments.iter().enumerate() {
+        audit_core_shape(&mut r, &seg.core, s, &model.encoder);
+        if arrays(&seg.core) {
+            r.merge(audit_core_scan(&seg.core, s, &model.encoder));
+            r.merge(audit_core_packed(&seg.core, &model.encoder));
         }
-
-        let buf = &set.buffer;
-        if let Some((first, last)) = buf.id_span() {
+        if let Some((first, last)) = seg.core.id_span() {
             r.check(prev_last.is_none_or(|pl| first > pl), "VAQ111", || {
-                format!("buffer starts at id {first}, below the last sealed id")
+                format!("segment {s} starts at id {first}, below the end of segment {}", s - 1)
             });
             r.check(last < next_id, "VAQ111", || {
-                format!("buffer holds id {last} >= next_id {next_id}")
+                format!("segment {s} holds id {last} >= next_id {next_id}")
             });
+            prev_last = Some(last);
         }
-        audit_codes(&mut r, &buf.codes, buf.rows, &model.encoder);
-        audit_tombstones(
-            &mut r,
-            buf.tombstones.words(),
-            buf.tombstones.dead(),
-            buf.rows,
-            usize::MAX,
-        );
-        r.check(maintenance || buf.rows < self.policy().seal_threshold.max(1), "VAQ111", || {
-            format!(
-                "buffer holds {} rows, at or above the seal threshold {} with no \
-                 maintenance pass in flight",
-                buf.rows,
-                self.policy().seal_threshold
-            )
-        });
+        audit_tombstones(&mut r, seg.tombstones.words(), seg.tombstones.dead(), seg.core.n, s);
+        audit_mapped_span(&mut r, s, "tombstone", seg.tombstones.mapped_span());
+    }
 
-        // VAQ112 — write-ahead-log discipline (durable indexes only):
-        // logged add ranges must be strictly ascending and contiguous
-        // from the checkpointed id watermark — i.e. disjoint from every
-        // id the checkpointed manifest already holds — and must never
-        // outrun the live id counter. A violation means replay would
-        // collide ids with the snapshot or leave a gap.
-        if let Some(ws) = self.wal_summary() {
-            let mut cursor = ws.base_next_id;
-            for (i, &(start, end)) in ws.add_ranges.iter().enumerate() {
-                r.check(start >= cursor && start < end, "VAQ112", || {
-                    format!(
-                        "wal add range {i} [{start}, {end}) regresses below the \
-                         watermark {cursor} or is empty"
-                    )
-                });
-                cursor = cursor.max(end);
-            }
-            r.check(cursor <= ws.next_id, "VAQ112", || {
+    let buf = &set.buffer;
+    if let Some((first, last)) = buf.id_span() {
+        r.check(prev_last.is_none_or(|pl| first > pl), "VAQ111", || {
+            format!("buffer starts at id {first}, below the last sealed id")
+        });
+        r.check(last < next_id, "VAQ111", || {
+            format!("buffer holds id {last} >= next_id {next_id}")
+        });
+    }
+    audit_codes(&mut r, &buf.codes, buf.rows, &model.encoder);
+    audit_tombstones(&mut r, buf.tombstones.words(), buf.tombstones.dead(), buf.rows, usize::MAX);
+    r.check(maintenance || buf.rows < policy.seal_threshold.max(1), "VAQ111", || {
+        format!(
+            "buffer holds {} rows, at or above the seal threshold {} with no \
+             maintenance pass in flight",
+            buf.rows, policy.seal_threshold
+        )
+    });
+
+    // VAQ112 — write-ahead-log discipline (durable indexes only):
+    // logged add ranges must be strictly ascending and contiguous
+    // from the checkpointed id watermark — i.e. disjoint from every
+    // id the checkpointed manifest already holds — and must never
+    // outrun the live id counter. A violation means replay would
+    // collide ids with the snapshot or leave a gap.
+    if let Some(ws) = index.wal_summary() {
+        let mut cursor = ws.base_next_id;
+        for (i, &(start, end)) in ws.add_ranges.iter().enumerate() {
+            r.check(start >= cursor && start < end, "VAQ112", || {
                 format!(
-                    "wal add ranges reach id {cursor}, past next_id {} (last_seq {})",
-                    ws.next_id, ws.last_seq
+                    "wal add range {i} [{start}, {end}) regresses below the \
+                     watermark {cursor} or is empty"
                 )
             });
+            cursor = cursor.max(end);
         }
-        r
+        r.check(cursor <= ws.next_id, "VAQ112", || {
+            format!(
+                "wal add ranges reach id {cursor}, past next_id {} (last_seq {})",
+                ws.next_id, ws.last_seq
+            )
+        });
     }
+    r
 }
 
 /// VAQ113: a mapped extent must sit entirely inside the file it was
@@ -588,70 +646,6 @@ fn audit_tombstones(r: &mut AuditReport, words: &[u64], dead: usize, n: usize, s
     r.check(popcount == dead && dead <= n, "VAQ111", || {
         format!("{}: {popcount} tombstone bits set, dead counter says {dead} of {n}", who())
     });
-}
-
-/// VAQ110: blocked-packing consistency with the flat code array.
-fn audit_packed(
-    r: &mut AuditReport,
-    packed: &vaq_linalg::PackedCodes,
-    codes: &[u16],
-    n: usize,
-    encoder: &Encoder,
-) {
-    let m = encoder.num_subspaces();
-    if !packed.is_active() {
-        // An inactive packing is valid only when packing genuinely has
-        // nothing to do (no ≤8-bit subspace, too many of them, or codes
-        // the packer refused). Re-running the packer detects a packing
-        // that was dropped when it should exist.
-        let expect =
-            vaq_linalg::PackedCodes::pack(codes, &encoder.table_sizes().collect::<Vec<_>>(), n);
-        r.check(!expect.is_active(), "VAQ110", || {
-            "packed codes missing although the plan has packable subspaces".into()
-        });
-        return;
-    }
-    r.check(packed.len() == n, "VAQ110", || {
-        format!("packed codes cover {} of {n} vectors", packed.len())
-    });
-    r.check(packed.num_total_subspaces() == m, "VAQ110", || {
-        format!("packed codes built for {} of {m} subspaces", packed.num_total_subspaces())
-    });
-    if packed.len() != n || packed.num_total_subspaces() != m || codes.len() != n * m {
-        return;
-    }
-    let nr = packed.num_rows();
-    let block = vaq_linalg::qtables::BLOCK;
-    // Walk the physical row layout: a `Pair` row carries two 4-bit codes
-    // per byte (lo nibble = first subspace, hi nibble = second), a
-    // `Single` row one full byte.
-    for (i, row) in codes.chunks_exact(m).enumerate() {
-        let (b, lane) = (i / block, i % block);
-        for (ri, &prow) in packed.packed_rows().iter().enumerate() {
-            let got = packed.data()[(b * nr + ri) * block + lane];
-            let lanes: [(usize, u16); 2] = match prow {
-                vaq_linalg::PackedRow::Pair { lo, hi } => {
-                    [(lo, u16::from(got & 0x0f)), (hi, u16::from(got >> 4))]
-                }
-                vaq_linalg::PackedRow::Single(j) => [(j, u16::from(got)), (j, u16::from(got))],
-            };
-            for (j, decoded) in lanes {
-                let s = packed.subspaces()[j];
-                if decoded != row[s] {
-                    r.push(
-                        "VAQ110",
-                        format!(
-                            "packed byte for vector {i} subspace {s} decodes to {decoded}, \
-                             codes say {}",
-                            row[s]
-                        ),
-                    );
-                    // One divergent byte is enough signal.
-                    return;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

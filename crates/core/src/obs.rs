@@ -2,15 +2,11 @@
 //! histograms, monotonic counters, and structured events — dependency-free
 //! and process-global, with Prometheus-text and JSON export.
 //!
-//! The subsystem follows the same discipline as [`crate::faults`]:
-//!
-//! * **Compile-time gate** — the `obs` cargo feature (on by default).
-//!   Without it, [`enabled`] is constant `false`, every recording call
-//!   folds to a no-op, and no registry is linked in.
-//! * **Runtime gate** — even when compiled in, recording stays off until
-//!   [`set_enabled`]`(true)`. A disabled instrumentation point costs one
-//!   relaxed atomic load and never reads the clock, so steady-state query
-//!   paths are unaffected unless a profiler opts in.
+//! Recording is **runtime-gated**: it stays off until
+//! [`set_enabled`]`(true)`. A disabled instrumentation point costs one
+//! relaxed atomic load and never reads the clock, so steady-state query
+//! paths are unaffected unless a profiler opts in (the benchmark's
+//! `obs.on_ratio` reads 0.97–1.02 with recording *on*).
 //!
 //! Instrumented surfaces across the workspace:
 //!
@@ -54,15 +50,15 @@ fn bucket_le_ns(i: usize) -> u64 {
     1u64 << (HIST_MIN_SHIFT + i as u32)
 }
 
-/// True when recording is compiled in (`obs` feature) *and* switched on
-/// via [`set_enabled`]. Instrumentation points check this before touching
-/// the clock or any registry.
+/// True when recording is switched on via [`set_enabled`].
+/// Instrumentation points check this before touching the clock or any
+/// registry.
 #[inline(always)]
 pub fn enabled() -> bool {
     // Under `cfg(loom)` the gate is pinned off: instrumentation is not
     // protocol state, and modeling one atomic load per instrumentation
     // point would multiply the schedule space of every loom scenario.
-    #[cfg(all(feature = "obs", not(loom)))]
+    #[cfg(not(loom))]
     {
         // ORDERING: Relaxed is enough for an on/off gate read in
         // isolation: no data is published *through* the flag — every
@@ -73,16 +69,14 @@ pub fn enabled() -> bool {
         // eliminates.
         state::ENABLED.load(crate::sync::atomic::Ordering::Relaxed)
     }
-    #[cfg(any(not(feature = "obs"), loom))]
+    #[cfg(loom)]
     {
         false
     }
 }
 
-/// Turns recording on or off. A no-op without the `obs` feature.
+/// Turns recording on or off.
 pub fn set_enabled(on: bool) {
-    let _ = on;
-    #[cfg(feature = "obs")]
     state::ENABLED.store(on, crate::sync::atomic::Ordering::SeqCst);
 }
 
@@ -115,8 +109,6 @@ pub fn record_span_ns(name: &'static str, ns: u64) {
     if !enabled() {
         return;
     }
-    let _ = (name, ns);
-    #[cfg(feature = "obs")]
     state::record_span(name, ns);
 }
 
@@ -125,8 +117,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
     if !enabled() {
         return;
     }
-    let _ = (name, delta);
-    #[cfg(feature = "obs")]
     state::counter_add(name, delta);
 }
 
@@ -136,8 +126,6 @@ pub fn observe_ns(name: &'static str, ns: u64) {
     if !enabled() {
         return;
     }
-    let _ = (name, ns);
-    #[cfg(feature = "obs")]
     state::observe(name, ns);
 }
 
@@ -164,8 +152,6 @@ pub fn event(kind: &'static str, detail: &str) {
     if !enabled() {
         return;
     }
-    let _ = (kind, detail);
-    #[cfg(feature = "obs")]
     state::event(kind, detail);
 }
 
@@ -186,35 +172,20 @@ pub fn note_truncated_packing(packed: &vaq_linalg::PackedCodes, site: &str) {
 
 /// Drains and returns the buffered events (aggregates are untouched).
 pub fn take_events() -> Vec<EventRecord> {
-    #[cfg(feature = "obs")]
-    {
-        state::take_events()
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        Vec::new()
-    }
+    state::take_events()
 }
 
 /// Clears every span, counter, histogram, and buffered event. The event
 /// sequence counter keeps running, so ordering stays comparable across
 /// resets. The enabled flag is untouched.
 pub fn reset() {
-    #[cfg(feature = "obs")]
     state::reset();
 }
 
 /// Freezes the current aggregates into a [`Snapshot`] (events are copied,
-/// not drained). Returns an empty snapshot when the feature is off.
+/// not drained).
 pub fn snapshot() -> Snapshot {
-    #[cfg(feature = "obs")]
-    {
-        state::snapshot()
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        Snapshot::default()
-    }
+    state::snapshot()
 }
 
 /// Installs the [`vaq_linalg`] kernel timing hook so quantized
@@ -448,10 +419,9 @@ impl Snapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Recording state (compiled only with the `obs` feature).
+// Recording state
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "obs")]
 mod state {
     use super::{
         bucket_index, bucket_le_ns, EventRecord, HistogramSnapshot, Snapshot, SpanStat,
@@ -578,7 +548,7 @@ mod state {
     }
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::sync::{Mutex, MutexGuard};

@@ -46,18 +46,28 @@
 //!   always such a range);
 //! * both **TI** extents when the segment has no partition.
 //!
+//! This module states the **format** and nothing else: magic, version,
+//! checksums, zero padding, extent geometry and alignment, bytes taken
+//! before anything is allocated for them, length and id-space arithmetic,
+//! and the shape guards a type needs to be constructed without panicking.
+//! What a **valid** model, segment, buffer or tombstone bitmap is
+//! (VAQ101–VAQ113) is stated once, in [`crate::audit`], and every way in
+//! calls it on the assembled index before returning it.
+//!
 //! The header, the table and **every extent** carry a CRC32C
 //! ([`crate::crc`], in-tree). The owned parser ([`Vaq::load`],
 //! [`SegmentedVaq::load`], [`SegmentedVaq::open_durable`], both
 //! `from_bytes`) verifies all of them and requires the inter-extent
 //! padding to be zero before a single field is parsed, so *every*
 //! single-byte mutation of a file is reported as corruption instead of
-//! being interpreted; field-level checks come second and the full
-//! structural audit last. [`SegmentedVaq::open_mapped`] shares the
-//! header, table, meta and size checks, verifies the small extents
-//! eagerly and the big arrays lazily on first touch (see `LazyExtents`),
-//! and leaves the padding unread. The `wal_seq` header field records the
-//! last write-ahead-log sequence number baked into the snapshot (see
+//! being interpreted; then the full audit runs, once.
+//! [`SegmentedVaq::open_mapped`] shares the header, table, meta and size
+//! checks, verifies the small extents and runs the audit on everything
+//! but the sealed segments' arrays at open, leaves the padding unread,
+//! and gives each segment's arrays their CRC and their part of the audit
+//! on first touch (see `LazyExtents`) — so it accepts exactly the files
+//! the owned parser does. The `wal_seq` header field records the last
+//! write-ahead-log sequence number baked into the snapshot (see
 //! `crate::segment::wal`); plain saves write 0.
 //!
 //! Saves are **atomic**: the bytes are streamed to `<path>.tmp`, the file
@@ -70,6 +80,7 @@
 //! failed filesystem operation returns [`VaqError::Io`] with its
 //! `source()` chain intact — never a panic.
 
+use crate::audit::AuditReport;
 use crate::encoder::Encoder;
 use crate::search::SearchStrategy;
 use crate::segment::{
@@ -402,8 +413,8 @@ impl Vaq {
     /// [`Vaq::save`] — or by any other writer whose index has the shape
     /// of a `Vaq`: one sealed segment with the implicit ids `0..n`, no
     /// tombstone, no buffered row (so `SegmentedVaq::from_vaq(v, _).save()`
-    /// loads back). Every checksum is verified, every field validated,
-    /// and the full structural audit must pass.
+    /// loads back). Every checksum is verified and the full structural
+    /// audit must pass.
     pub fn from_bytes(data: &[u8]) -> Result<Vaq, VaqError> {
         let index = SegmentedVaq::from_bytes(data)?;
         let (set, next_id) = index.persist_snapshot();
@@ -455,9 +466,9 @@ impl SegmentedVaq {
     /// tombstones, and policy exactly — a saved [`Vaq`] is one sealed
     /// segment with ids `0..n` under a default [`SegmentPolicy`] and
     /// returns byte-identical search results to the original. Every
-    /// checksum and field is validated, the quiescence invariant is
-    /// restored (an over-threshold buffer is sealed), and the full
-    /// structural audit must pass before the index is returned.
+    /// checksum is verified, the full structural audit must pass, and
+    /// the quiescence invariant is restored (an over-threshold buffer is
+    /// sealed) before the index is returned.
     pub fn from_bytes(data: &[u8]) -> Result<SegmentedVaq, VaqError> {
         Ok(parse_owned(data)?.0)
     }
@@ -662,7 +673,7 @@ struct SegMeta {
     ti: Option<(Matrix, Vec<usize>, usize, usize)>,
 }
 
-fn get_seg_meta(buf: &mut Bytes, model: &Model) -> Result<SegMeta, VaqError> {
+fn get_seg_meta(buf: &mut Bytes) -> Result<SegMeta, VaqError> {
     let n = take_len(buf, "row count")?;
     if n == 0 {
         return Err(bad("segment is empty"));
@@ -681,22 +692,8 @@ fn get_seg_meta(buf: &mut Bytes, model: &Model) -> Result<SegMeta, VaqError> {
             if ncl == 0 || ncl > n {
                 return Err(bad("TI cluster count out of range"));
             }
-            if offsets.len() != ncl + 1 {
-                return Err(bad("TI cluster boundary count mismatch"));
-            }
             let prefix_subspaces = take_len(buf, "TI prefix subspaces")?;
             let prefix_dim = take_len(buf, "TI prefix dim")?;
-            // The engine slices the projected query by the prefix and the
-            // centroid width; the mapped open skips the full audit, so
-            // the VAQ108 shape checks must hold here.
-            let m = model.encoder.num_subspaces();
-            if !(1..=m).contains(&prefix_subspaces) {
-                return Err(bad("TI prefix outside the subspace plan"));
-            }
-            let end = model.encoder.ranges()[prefix_subspaces - 1].1;
-            if prefix_dim != end || centroids.cols() != prefix_dim {
-                return Err(bad("TI prefix dim does not match the subspace boundary"));
-            }
             Some((centroids, offsets, prefix_subspaces, prefix_dim))
         }
         _ => return Err(bad("bad TI flag")),
@@ -710,7 +707,7 @@ fn get_seg_meta(buf: &mut Bytes, model: &Model) -> Result<SegMeta, VaqError> {
 /// extent is sized by [`PackedCodes::from_parts`].
 fn get_seg_layout(data: &[u8], t: &Table, base: usize, model: &Model) -> Result<SegMeta, VaqError> {
     let mut me = Bytes::copy_from_slice(t.ext(data, base));
-    let meta = get_seg_meta(&mut me, model)?;
+    let meta = get_seg_meta(&mut me)?;
     expect_drained(&me, "segment meta extent")?;
     let n = meta.n;
     let rows_by = |elem: usize| checked_size(n, elem);
@@ -745,26 +742,6 @@ fn le_vec<T, const N: usize>(bytes: &[u8], decode: fn([u8; N]) -> T) -> Vec<T> {
         .collect()
 }
 
-/// Shared tombstone-bitmap invariants: sizing, popcount agreement with
-/// the dead counter, and no bits past the row count.
-fn check_tombstone_words(words: &[u64], dead: usize, n: usize) -> Result<(), VaqError> {
-    if words.len() != n.div_ceil(64) || dead > n {
-        return Err(bad("tombstone bitmap sized wrong"));
-    }
-    let popcount: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-    if popcount != wide(dead) {
-        return Err(bad("tombstone popcount disagrees with dead counter"));
-    }
-    if !n.is_multiple_of(64) {
-        if let Some(&last) = words.last() {
-            if last >> (n % 64) != 0 {
-                return Err(bad("tombstone bits set past the row count"));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The ids of a segment whose ids extent holds `column`: an empty extent
 /// is the dense range from the meta's first id (which must stay inside
 /// the id space), a stored column must start there.
@@ -785,27 +762,28 @@ fn check_id_range(first: u32, rows: usize) -> Result<(), VaqError> {
     }
 }
 
-/// The shared tail of every owned load and of WAL recovery. Files and
-/// replayed records are untrusted input: a payload can parse
-/// field-by-field yet still violate the index's structural invariants
-/// (bit budget, TI ordering, ...), so the full audit (VAQ101–VAQ112) must
-/// pass before the index is returned — in every build profile, not just
-/// debug.
-pub(crate) fn audited(index: &impl crate::audit::Audit, after: &str) -> Result<(), VaqError> {
-    let report = index.audit();
-    if !report.is_ok() {
-        let n = report.issues().len();
-        return Err(bad(&format!("audit found {n} invariant violation(s) after {after}")));
+/// Turns an audit verdict into the loader's typed error. Files and
+/// replayed records are untrusted input: a payload can parse field by
+/// field yet still violate the index's invariants, and `crate::audit` is
+/// the one place that states them — so every way in routes its part of
+/// the audit through here, in every build profile, and the error names
+/// the first violated diagnostic code.
+pub(crate) fn audited(report: AuditReport, after: &str) -> Result<(), VaqError> {
+    match report.issues() {
+        [] => Ok(()),
+        [first, rest @ ..] => Err(bad(&format!(
+            "audit found {} invariant violation(s) after {after}: {first}",
+            1 + rest.len()
+        ))),
     }
-    Ok(())
 }
 
 /// The one owned parser: every extent checksum is verified and the
 /// inter-extent padding required to be zero before any field is read,
-/// then every array is copied out and field-validated, and the full
-/// structural audit runs on the assembled index, which is returned with
-/// the file's `wal_seq`. This is what every load, `vaq_cli audit`, the
-/// chaos harness, and the `persist.mmap` degrade path go through.
+/// then every array is copied out under the format's own guards, and the
+/// full audit admits the assembled index, which is returned with the
+/// file's `wal_seq`. This is what every load, `vaq_cli audit`, the chaos
+/// harness, and the `persist.mmap` degrade path go through.
 fn parse_owned(data: &[u8]) -> Result<(SegmentedVaq, u64), VaqError> {
     if crate::faults::fired("persist.from_bytes") {
         return Err(VaqError::Injected { site: "persist.from_bytes" });
@@ -829,7 +807,7 @@ fn parse_owned(data: &[u8]) -> Result<(SegmentedVaq, u64), VaqError> {
         segments.push(get_segment(data, &t, 1 + s * SEG_EXTENTS, &model, &sizes)?);
     }
     let mut be = Bytes::copy_from_slice(t.ext(data, t.extents.len() - 1));
-    let buffer = get_buffer(&mut be, &sizes)?;
+    let buffer = get_buffer(&mut be, sizes.len())?;
     expect_drained(&be, "buffer extent")?;
     if crate::obs::enabled() {
         // One line on what the file held, which `vaq_cli audit` / `info`
@@ -856,17 +834,13 @@ fn parse_owned(data: &[u8]) -> Result<(SegmentedVaq, u64), VaqError> {
         crate::obs::event("persist.load", &held);
     }
     let index = SegmentedVaq::from_parts(model, policy, segments, buffer, next_id);
-    // The audit's quiescence check requires a drained buffer, so an
-    // over-threshold buffer is sealed first — sealing only rearranges data
-    // that was already field-validated.
-    index.normalize_after_load();
-    audited(&index, "load")?;
+    index.admit_loaded("load", |_| true)?;
     Ok((index, t.wal_seq))
 }
 
-/// Copies out and validates the sealed segment whose extents start at
-/// `base`. An empty packed extent is re-derived from the codes (derived
-/// state the writer left out).
+/// Copies out the sealed segment whose extents start at `base`. An empty
+/// packed extent is re-derived from the codes (derived state the writer
+/// left out).
 fn get_segment(
     data: &[u8],
     t: &Table,
@@ -879,7 +853,6 @@ fn get_segment(
     let ids = seg_ids(&meta, le_vec(t.ext(data, base + IDS), u32::from_le_bytes).into())?;
     let codes: Vec<u16> = le_vec(t.ext(data, base + CODES), u16::from_le_bytes);
     let words: Vec<u64> = le_vec(t.ext(data, base + WORDS), u64::from_le_bytes);
-    check_tombstone_words(&words, meta.dead, n)?;
     let ti = match meta.ti {
         None => None,
         Some((centroids, offsets, prefix_subspaces, prefix_dim)) => {
@@ -897,7 +870,6 @@ fn get_segment(
             Some(ti)
         }
     };
-    check_scan_content(ids.column(), &codes, n, ti.as_ref(), sizes)?;
     let packed = match t.ext(data, base + PACKED) {
         [] => PackedCodes::pack(&codes, sizes, n),
         bytes => PackedCodes::from_parts(bytes.to_vec().into(), sizes, n)
@@ -909,49 +881,14 @@ fn get_segment(
     Ok(Segment { core: Arc::new(core), tombstones })
 }
 
-/// The content invariants of the arrays every scan path reads — scans
-/// index dictionaries by code, map results through the stored `ids`
-/// (none for a dense range or the buffer), and binary-search the sorted
-/// TI distances — so hostile bytes must be rejected before any of that:
-/// eagerly by the owned parser, on first touch by a mapped segment.
-fn check_scan_content(
-    ids: &[u32],
-    codes: &[u16],
-    n: usize,
-    ti: Option<&TiPartition>,
-    sizes: &[usize],
-) -> Result<(), VaqError> {
-    if !ids.windows(2).all(|w| w[0] < w[1]) {
-        return Err(bad("ids are not strictly ascending"));
-    }
-    let m = sizes.len();
-    if codes.iter().enumerate().any(|(i, &c)| usize::from(c) >= sizes[i % m]) {
-        return Err(bad("code exceeds dictionary size"));
-    }
-    if let Some(ti) = ti {
-        for c in 0..ti.num_clusters() {
-            let dists = ti.cluster_dist(c);
-            if !dists.iter().all(|d| d.is_finite() && *d >= 0.0)
-                || !dists.windows(2).all(|w| w[0] <= w[1])
-            {
-                return Err(bad("TI cluster distances are unsorted or non-finite"));
-            }
-        }
-        if !ti.covers_exactly(n) {
-            return Err(bad("TI clusters do not partition the segment"));
-        }
-    }
-    Ok(())
-}
-
 /// Deferred verification state for one mapped segment. The big extents
 /// are *not* verified at open — the first search that scans the segment
-/// pays one CRC + content-invariant pass over the extents it will
-/// actually read (the packed extent only when a quantized scan needs
-/// it), and the verdict is cached. A failed verification poisons the
-/// segment: every later search reports the same typed corruption error.
-/// Verification never mutates, so two racing first touches at worst
-/// duplicate the check.
+/// pays one CRC pass over the extents it will actually read (the packed
+/// extent only when a quantized scan needs it) and then the part of the
+/// audit that walks them, and the verdict is cached. A failed
+/// verification poisons the segment: every later search reports the same
+/// typed corruption error. Verification never mutates, so two racing
+/// first touches at worst duplicate the check.
 #[derive(Debug)]
 pub(crate) struct LazyExtents {
     /// ids + codes + TI member tables: 0 unverified, 1 ok, 2 bad.
@@ -959,13 +896,13 @@ pub(crate) struct LazyExtents {
     /// The packed-codes extent (quantized scans only): same encoding.
     state_packed: AtomicU8,
     region: Arc<MappedRegion>,
+    /// The segment's position in the file, for the audit's messages.
+    seg: usize,
     ids: (ExtentSpan, u32),
     codes: (ExtentSpan, u32),
     packed: (ExtentSpan, u32),
     ti_idx: (ExtentSpan, u32),
     ti_dist: (ExtentSpan, u32),
-    /// Dictionary rows per subspace, for the code range re-check.
-    sizes: Vec<usize>,
 }
 
 impl LazyExtents {
@@ -974,11 +911,12 @@ impl LazyExtents {
     pub(crate) fn verify_once(
         &self,
         core: &SegmentCore,
+        encoder: &Encoder,
         needs_packed: bool,
     ) -> Result<(), VaqError> {
-        self.verify_group(&self.state_scan, || self.verify_scan(core))?;
+        self.verify_group(&self.state_scan, || self.verify_scan(core, encoder))?;
         if needs_packed {
-            self.verify_group(&self.state_packed, || self.verify_packed(core))?;
+            self.verify_group(&self.state_packed, || self.verify_packed(core, encoder))?;
         }
         Ok(())
     }
@@ -1016,37 +954,36 @@ impl LazyExtents {
         Ok(())
     }
 
-    /// CRCs + content invariants for the extents every strategy reads.
-    fn verify_scan(&self, core: &SegmentCore) -> Result<(), VaqError> {
+    /// CRCs, then the audit's scan-array part, for the extents every
+    /// strategy reads.
+    fn verify_scan(&self, core: &SegmentCore, encoder: &Encoder) -> Result<(), VaqError> {
         self.check_crc(self.ids, "segment ids")?;
         self.check_crc(self.codes, "segment codes")?;
         self.check_crc(self.ti_idx, "TI member ids")?;
         self.check_crc(self.ti_dist, "TI member distances")?;
-        check_scan_content(core.ids.column(), &core.codes, core.n, core.ti.as_ref(), &self.sizes)
+        let report = crate::audit::audit_core_scan(core, self.seg, encoder);
+        audited(report, "the first scan of a mapped segment")
     }
 
-    /// CRC + VAQ110 consistency for the packed extent: the quantized scan
-    /// prunes with bounds computed from these bytes, so a packing that
-    /// disagrees with the code array would silently drop true neighbours.
-    fn verify_packed(&self, core: &SegmentCore) -> Result<(), VaqError> {
+    /// CRC, then VAQ110, for the packed extent (which runs behind
+    /// [`LazyExtents::verify_scan`], so the codes it is held against are
+    /// themselves verified).
+    fn verify_packed(&self, core: &SegmentCore, encoder: &Encoder) -> Result<(), VaqError> {
         self.check_crc(self.packed, "packed codes")?;
-        if PackedCodes::pack(&core.codes, &self.sizes, core.n) != core.packed {
-            return Err(bad("packed codes disagree with the code array"));
-        }
-        Ok(())
+        let report = crate::audit::audit_core_packed(core, encoder);
+        audited(report, "the first quantized scan of a mapped segment")
     }
 }
 
 /// Builds a mapped [`SegmentedVaq`] over a mapped file — the body of
 /// [`SegmentedVaq::open_mapped`]; `None` when the file leaves the packed
-/// extents out and must be loaded owned. Eagerly verified: header,
+/// extents out and must be loaded owned. CRC-verified eagerly: header,
 /// extent table, model, per-segment meta, tombstone bitmaps (deletes
-/// mutate them, and the popcount check needs the words anyway), the
-/// buffer, and the cheap cross-segment id-range probes (first/last
-/// element of each stored ids extent — two page faults per segment, none
-/// for a dense range). Everything else is deferred to
-/// `LazyExtents`; the full structural audit is what `vaq_cli audit` runs
-/// through the owned parse.
+/// mutate them, and their accounting needs the words anyway) and the
+/// buffer; the audit then admits the index on everything but the sealed
+/// segments' scan and packed arrays (of a stored ids extent it reads the
+/// first and last element — two page faults per segment, none for a
+/// dense range). Those arrays are deferred to `LazyExtents`.
 fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>, VaqError> {
     let data = region.as_bytes();
     let t = get_table(data)?;
@@ -1058,7 +995,6 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>
     let sizes: Vec<usize> = model.encoder.table_sizes().collect();
     let m = sizes.len();
     let mut segments = Vec::with_capacity(nsegs);
-    let mut prev_last: Option<u32> = None;
     for s in 0..nsegs {
         let base = 1 + s * SEG_EXTENTS;
         t.verify_crc(data, base, "segment meta")?;
@@ -1084,7 +1020,6 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>
         t.verify_crc(data, base + WORDS, "segment tombstone")?;
         let words = U64Storage::mapped(Arc::clone(region), span(WORDS).offset, n.div_ceil(64))
             .ok_or_else(misaligned)?;
-        check_tombstone_words(&words, meta.dead, n)?;
         let tombstones = Tombstones::from_storage(words, meta.dead);
         let (ti, ti_idx_span, ti_dist_span) = match meta.ti {
             None => (None, ExtentSpan::default(), ExtentSpan::default()),
@@ -1109,43 +1044,23 @@ fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>
             state_scan: AtomicU8::new(0),
             state_packed: AtomicU8::new(0),
             region: Arc::clone(region),
+            seg: s,
             ids: (span(IDS), t.crcs[base + IDS]),
             codes: (span(CODES), t.crcs[base + CODES]),
             packed: (span(PACKED), t.crcs[base + PACKED]),
             ti_idx: (ti_idx_span, t.crcs[base + TI_IDX]),
             ti_dist: (ti_dist_span, t.crcs[base + TI_DIST]),
-            sizes: sizes.clone(),
         };
         let core = SegmentCore { ids, codes, n, packed, ti, lazy: Some(Arc::new(lazy)) };
-        // Cross-segment ordering from the boundary ids only (the full
-        // strict-ascent check of a stored column is deferred with its
-        // extent).
-        if let Some((first, last)) = core.id_span() {
-            if prev_last.is_some_and(|pl| first <= pl) {
-                return Err(bad("segment id ranges overlap or are unsorted"));
-            }
-            if last >= next_id {
-                return Err(bad("id counter behind the stored ids"));
-            }
-            prev_last = Some(last);
-        }
         segments.push(Segment { core: Arc::new(core), tombstones });
     }
     let last = t.extents.len() - 1;
     t.verify_crc(data, last, "buffer")?;
     let mut be = Bytes::copy_from_slice(t.ext(data, last));
-    let buffer = get_buffer(&mut be, &sizes)?;
+    let buffer = get_buffer(&mut be, m)?;
     expect_drained(&be, "buffer extent")?;
-    if let Some((first, last)) = buffer.id_span() {
-        if last >= next_id {
-            return Err(bad("id counter behind the stored ids"));
-        }
-        if prev_last.is_some_and(|pl| first <= pl) {
-            return Err(bad("buffer ids overlap the sealed segments"));
-        }
-    }
     let index = SegmentedVaq::from_parts(model, policy, segments, buffer, next_id);
-    index.normalize_after_load();
+    index.admit_loaded("a mapped open", |_| false)?;
     Ok(Some(index))
 }
 
@@ -1185,7 +1100,7 @@ fn get_model_policy(buf: &mut Bytes) -> Result<(Model, SegmentPolicy, u32), VaqE
     if bits.len() != layout.ranges.len() {
         return Err(bad("bits/subspace count mismatch"));
     }
-    let codebooks = get_codebooks(buf, &bits, &layout.ranges)?;
+    let codebooks = get_codebooks(buf, bits.len())?;
     let encoder = Encoder { codebooks, bits: bits.clone(), ranges: layout.ranges.clone() };
     let m = encoder.num_subspaces();
     let default_strategy = get_strategy(buf)?;
@@ -1231,20 +1146,18 @@ fn put_buffer(buf: &mut BytesMut, buffer: &Buffer) {
     }
 }
 
-/// Reads and validates the write buffer. Each array's bytes are taken
-/// *before* it is allocated: the counts are untrusted, and a fabricated
-/// one must fail the length check, not reserve memory.
-fn get_buffer(buf: &mut Bytes, sizes: &[usize]) -> Result<Buffer, VaqError> {
+/// Reads the write buffer of an `m`-subspace index. Each array's bytes
+/// are taken *before* it is allocated: the counts are untrusted, and a
+/// fabricated one must fail the length check, not reserve memory.
+fn get_buffer(buf: &mut Bytes, m: usize) -> Result<Buffer, VaqError> {
     let rows = take_len(buf, "buffer row count")?;
     let first_id = take(buf, 4)?.get_u32_le();
     check_id_range(first_id, rows)?;
-    let code_bytes = checked_size(checked_size(rows, sizes.len())?, 2)?;
+    let code_bytes = checked_size(checked_size(rows, m)?, 2)?;
     let codes: Vec<u16> = le_vec(&take(buf, code_bytes)?, u16::from_le_bytes);
-    check_scan_content(&[], &codes, rows, None, sizes)?;
     let dead = take_len(buf, "tombstone dead count")?;
     let nwords = take_len(buf, "tombstone word count")?;
     let words: Vec<u64> = le_vec(&take(buf, checked_size(nwords, 8)?)?, u64::from_le_bytes);
-    check_tombstone_words(&words, dead, rows)?;
     let tombstones = Tombstones::from_storage(words.into(), dead);
     Ok(Buffer { first_id, rows, codes, tombstones })
 }
@@ -1351,29 +1264,12 @@ fn get_layout(buf: &mut Bytes) -> Result<SubspaceLayout, VaqError> {
     Ok(SubspaceLayout { perm, ranges, variance_share, pc_share })
 }
 
-/// Reads the per-subspace codebooks, validated against the bit plan and
-/// subspace widths.
-fn get_codebooks(
-    buf: &mut Bytes,
-    bits: &[usize],
-    ranges: &[(usize, usize)],
-) -> Result<Vec<Matrix>, VaqError> {
-    let ncb = take_len(buf, "codebook count")?;
-    if ncb != ranges.len() {
+/// Reads the codebooks, one per subspace.
+fn get_codebooks(buf: &mut Bytes, m: usize) -> Result<Vec<Matrix>, VaqError> {
+    if take_len(buf, "codebook count")? != m {
         return Err(bad("codebook count mismatch"));
     }
-    let mut codebooks = Vec::with_capacity(ncb);
-    for (s, &(lo, hi)) in ranges.iter().enumerate() {
-        let cb = get_matrix(buf)?;
-        if cb.cols() != hi - lo {
-            return Err(bad(&format!("codebook {s} width mismatch")));
-        }
-        if bits[s] > crate::audit::MAX_CODE_BITS || cb.rows() > 1usize << bits[s] {
-            return Err(bad(&format!("codebook {s} larger than its bit width")));
-        }
-        codebooks.push(cb);
-    }
-    Ok(codebooks)
+    (0..m).map(|_| get_matrix(buf)).collect()
 }
 
 fn put_strategy(buf: &mut BytesMut, strategy: SearchStrategy) {
@@ -1623,7 +1519,7 @@ mod tests {
         clean[off + 1] = 0xff;
         assert!(err_text(Vaq::from_bytes(&clean)).contains("checksum mismatch"));
         reseal(&mut clean);
-        assert!(err_text(Vaq::from_bytes(&clean)).contains("code exceeds dictionary size"));
+        assert!(err_text(Vaq::from_bytes(&clean)).contains("VAQ106"));
     }
 
     #[test]
@@ -1771,8 +1667,8 @@ mod tests {
         assert!(load(first_id_of_segment(1), 1 << 20).contains("audit"));
         assert!(load(first_id_of_buffer, 200).contains("audit"));
 
-        // The mapped open skips the audit and must find them itself
-        // (where files cannot be mapped it loads owned, and audits).
+        // The mapped open runs the same audit on everything but the scan
+        // arrays (where files cannot be mapped it loads owned).
         let path = tmp_dir("hostile-ids").join("index.vaq");
         seg.save_mapped(&path).unwrap();
         let clean = std::fs::read(&path).unwrap();
@@ -1801,6 +1697,139 @@ mod tests {
         bytes[last] ^= 0x40;
         reseal(&mut bytes);
         assert!(err_text(SegmentedVaq::from_bytes(&bytes)).contains("tombstone"));
+    }
+
+    /// CRC-valid hostile files — what a writer that is not this program
+    /// could hand us — are refused alike by the owned parser and by the
+    /// mapped reader: the same diagnostic code, at open for what the
+    /// mapped reader checks eagerly and at the first scan that touches
+    /// the array otherwise, after which the segment stays poisoned.
+    #[test]
+    fn crc_valid_hostile_edits_are_refused_alike_owned_and_mapped() {
+        use crate::segment::{Buffer, Model, Segment, SegmentIds, Tombstones};
+        use vaq_linalg::PackedCodes;
+
+        struct Parts {
+            model: Model,
+            segments: Vec<Segment>,
+            buffer: Buffer,
+            next_id: u32,
+        }
+        #[derive(PartialEq)]
+        enum Caught {
+            AtOpen,
+            ByAnyScan,
+            ByQuantizedScan,
+        }
+        fn core(p: &mut Parts) -> &mut crate::segment::SegmentCore {
+            Arc::make_mut(&mut p.segments[0].core)
+        }
+        fn repacked(p: &mut Parts, edit: impl FnOnce(&mut Vec<u8>)) {
+            let sizes: Vec<usize> = p.model.encoder.table_sizes().collect();
+            let core = core(p);
+            let mut bytes = core.packed.data().to_vec();
+            edit(&mut bytes);
+            core.packed = PackedCodes::from_parts(bytes.into(), &sizes, core.n).unwrap();
+        }
+        fn tombstones(p: &mut Parts, extra_bit: Option<usize>) {
+            let seg = &mut p.segments[0];
+            let mut words = seg.tombstones.words().to_vec();
+            if let Some(bit) = extra_bit {
+                words[bit / 64] |= 1 << (bit % 64);
+            }
+            seg.tombstones = Tombstones::from_storage(words.into(), seg.tombstones.dead() + 1);
+        }
+        let edits: Vec<(&str, &str, Caught, fn(&mut Parts))> = vec![
+            ("pad-lane packed byte", "VAQ110", Caught::ByQuantizedScan, |p| {
+                // 150 rows: the last block's lanes 22.. are padding.
+                repacked(p, |bytes| *bytes.last_mut().unwrap() = 0xff)
+            }),
+            ("real-lane packed byte", "VAQ110", Caught::ByQuantizedScan, |p| {
+                repacked(p, |bytes| bytes[0] ^= 1)
+            }),
+            ("out-of-range code", "VAQ106", Caught::ByAnyScan, |p| {
+                core(p).codes.to_mut()[0] = u16::MAX
+            }),
+            ("unsorted TI distances", "VAQ108", Caught::ByAnyScan, |p| {
+                let ti = core(p).ti.as_mut().unwrap();
+                let (start, end) = (0..ti.num_clusters())
+                    .map(|c| ti.cluster_range(c))
+                    .find(|&(s, e)| ti.member_dist[s] < ti.member_dist[e - 1])
+                    .unwrap();
+                ti.member_dist.to_mut()[start..end].reverse();
+            }),
+            ("non-finite TI distance", "VAQ108", Caught::ByAnyScan, |p| {
+                core(p).ti.as_mut().unwrap().member_dist.to_mut()[0] = f32::NAN
+            }),
+            ("double-assigned TI member", "VAQ108", Caught::ByAnyScan, |p| {
+                let idx = core(p).ti.as_mut().unwrap().member_idx.to_mut();
+                idx[0] = idx[1];
+            }),
+            ("tombstone bit past n", "VAQ111", Caught::AtOpen, |p| tombstones(p, Some(191))),
+            ("popcount != dead", "VAQ111", Caught::AtOpen, |p| tombstones(p, None)),
+            ("overlapping id range", "VAQ111", Caught::AtOpen, |p| {
+                Arc::make_mut(&mut p.segments[1].core).ids = SegmentIds::Dense(100)
+            }),
+            ("id counter behind the ids", "VAQ111", Caught::AtOpen, |p| p.next_id = 10),
+            ("duplicate perm entry", "VAQ105", Caught::AtOpen, |p| {
+                p.model.layout.perm[1] = p.model.layout.perm[0]
+            }),
+            ("zero-bit subspace", "VAQ101", Caught::AtOpen, |p| {
+                p.model.bits[0] = 0;
+                p.model.encoder.bits[0] = 0;
+            }),
+        ];
+
+        let (clean, data) = populated();
+        let (set, next_id) = clean.persist_snapshot();
+        assert_eq!((set.segments[0].core.n, set.segments.len() > 1), (150, true));
+        let path = tmp_dir("hostile-table").join("index.vaq");
+        let strategies = [
+            SearchStrategy::FullScan,
+            SearchStrategy::TiEa { visit_frac: 1.0 },
+            SearchStrategy::Quantized,
+        ];
+        for (what, code, caught, edit) in edits {
+            let mut parts = Parts {
+                model: clean.shared_model().clone(),
+                segments: set.segments.clone(),
+                buffer: (*set.buffer).clone(),
+                next_id,
+            };
+            edit(&mut parts);
+            let Parts { model, segments, buffer, next_id } = parts;
+            SegmentedVaq::from_parts(model, policy(), segments, buffer, next_id)
+                .save_mapped(&path)
+                .unwrap();
+
+            let owned = err_text(SegmentedVaq::from_bytes(&std::fs::read(&path).unwrap()));
+            assert!(owned.contains(code), "{what}, owned: {owned}");
+            let mapped = match SegmentedVaq::open_mapped(&path) {
+                Ok(mapped) => mapped,
+                // Also where files cannot be mapped and the open loads owned.
+                Err(e) => {
+                    let msg = err_text::<()>(Err(e));
+                    assert!(msg.contains(code), "{what}, mapped open: {msg}");
+                    continue;
+                }
+            };
+            assert!(caught != Caught::AtOpen, "{what}: the mapped open accepted it");
+            let mut refused = 0;
+            for strategy in strategies {
+                let touches = caught == Caught::ByAnyScan || strategy == SearchStrategy::Quantized;
+                for retry in [false, true] {
+                    let answer = mapped.search_with(data.row(3), 5, strategy);
+                    if !touches {
+                        assert_eq!(answer.unwrap().0.len(), 5, "{what} {strategy:?}");
+                        continue;
+                    }
+                    let msg = err_text(answer);
+                    let want = if refused == 0 { code } else { "previously failed verification" };
+                    assert!(msg.contains(want), "{what} {strategy:?} retry {retry}: {msg}");
+                    refused += 1;
+                }
+            }
+        }
     }
 
     #[test]

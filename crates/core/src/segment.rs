@@ -230,9 +230,9 @@ impl Tombstones {
     }
 
     /// Rebuilds a bitmap from persisted parts, owned or a window of a
-    /// mapped file. The loader checks sizing, popcount and tail bits
-    /// first — eagerly even when mapped: deletes mutate the bitmap, so it
-    /// cannot be lazy.
+    /// mapped file. The audit checks sizing, popcount and tail bits at
+    /// open — even when mapped: deletes mutate the bitmap, so it cannot
+    /// be lazy.
     pub(crate) fn from_storage(words: U64Storage, dead: usize) -> Tombstones {
         Tombstones { words, dead }
     }
@@ -321,22 +321,26 @@ pub(crate) struct SegmentCore {
     pub(crate) packed: PackedCodes,
     pub(crate) ti: Option<TiPartition>,
     /// Deferred CRC + content verification for a mapped segment's
-    /// scan-path extents. `None` for owned segments, which are verified
-    /// eagerly at parse time.
+    /// scan-path extents. `None` for owned segments, which are audited
+    /// whole at parse time.
     pub(crate) lazy: Option<Arc<crate::persist::LazyExtents>>,
 }
 
 impl SegmentCore {
-    /// Verifies a mapped segment's lazily-checked extents (checksums and
-    /// the content invariants the scan paths rely on) exactly once, on
-    /// first search touch. `needs_packed` says the caller will read the
+    /// Verifies a mapped segment's lazily-checked extents (checksums,
+    /// then the audit of the arrays the scan paths rely on) exactly once,
+    /// on first search touch. `needs_packed` says the caller will read the
     /// packed-codes extent (quantized scans) — leaving it unverified
     /// otherwise keeps those pages non-resident. Owned segments return
     /// `Ok` immediately.
-    pub(crate) fn ensure_verified(&self, needs_packed: bool) -> Result<(), VaqError> {
+    pub(crate) fn ensure_verified(
+        &self,
+        enc: &Encoder,
+        needs_packed: bool,
+    ) -> Result<(), VaqError> {
         match &self.lazy {
             None => Ok(()),
-            Some(lazy) => lazy.verify_once(self, needs_packed),
+            Some(lazy) => lazy.verify_once(self, enc, needs_packed),
         }
     }
 
@@ -644,23 +648,30 @@ impl SegmentedVaq {
         (read_current(&self.shared), st.next_id)
     }
 
-    /// Restores the VAQ111 quiescence invariant after a load: an index
-    /// serialized mid-ingest can carry a buffer at or above the seal
-    /// threshold, which a live index only exhibits while a maintenance
-    /// pass is in flight. Seal it down synchronously.
-    pub(crate) fn normalize_after_load(&self) {
+    /// Admits an index assembled from untrusted bytes: the audit must pass
+    /// (`arrays` as in [`crate::audit::audit_index`]), then the VAQ111
+    /// quiescence invariant is restored — an index serialized mid-ingest
+    /// can carry a buffer at or above the seal threshold, which a live
+    /// index only exhibits while a maintenance pass is in flight. The
+    /// pass is claimed first and run last, so no seal decodes a buffered
+    /// code through the dictionaries before VAQ106 has vouched for it.
+    pub(crate) fn admit_loaded(
+        &self,
+        after: &str,
+        arrays: impl Fn(&SegmentCore) -> bool,
+    ) -> Result<(), VaqError> {
         let claimed = {
             let mut st = wlock(&self.shared);
             let pending = !st.maintenance
                 && read_current(&self.shared).buffer.rows >= self.shared.policy.seal_threshold;
-            if pending {
-                st.maintenance = true;
-            }
+            st.maintenance |= pending;
             pending
         };
+        crate::persist::audited(crate::audit::audit_index(self, arrays), after)?;
         if claimed {
             maintenance_task(&self.shared);
         }
+        Ok(())
     }
 
     /// Live (non-deleted) vector count.
@@ -972,6 +983,7 @@ impl SegmentedVaq {
     pub fn open_durable(path: &Path) -> Result<SegmentedVaq, VaqError> {
         let _span = crate::obs::span("segment.recover");
         let (index, manifest_seq) = SegmentedVaq::load_with_seq(path)?;
+        let loaded = index.snapshot();
         // A stale staging file from an interrupted commit is dead weight;
         // the rename never happened, so it holds a torn manifest.
         if std::fs::remove_file(crate::persist::tmp_path(path)).is_ok() {
@@ -1007,10 +1019,12 @@ impl SegmentedVaq {
             last_seq = rec.seq;
             replayed += 1;
         }
-        index.normalize_after_load();
         // Replayed records are as untrusted as the manifest: re-run the
-        // full structural audit on the recovered state.
-        crate::persist::audited(&index, "recovery")?;
+        // audit on the recovered state, walking the arrays only of the
+        // segments built since the load above walked the others'.
+        index.admit_loaded("recovery", |core| {
+            !loaded.segments.iter().any(|seg| std::ptr::eq(&*seg.core, core))
+        })?;
         crate::obs::counter_add("wal.replayed", replayed);
         crate::obs::event(
             "segment.recover",
@@ -1060,10 +1074,10 @@ impl SegmentedVaq {
         if rows == 0 || codes.len() != expect {
             return Err(wal::corrupt("add record shape mismatch"));
         }
-        for (i, &c) in codes.iter().enumerate() {
-            if usize::from(c) >= model.encoder.codebooks[i % m].rows() {
-                return Err(wal::corrupt("code exceeds dictionary size"));
-            }
+        let mut report = crate::audit::AuditReport::new();
+        crate::audit::audit_codes(&mut report, codes, rows, &model.encoder);
+        if let Some(issue) = report.issues().first() {
+            return Err(wal::corrupt(&issue.to_string()));
         }
         let rows_u32 =
             u32::try_from(rows).map_err(|_| wal::corrupt("add row count does not fit u32"))?;
@@ -1199,7 +1213,8 @@ fn search_set(
         // A mapped segment's extents are checksum/content-verified on the
         // first search that touches them (lazy CRC); a failure is a typed
         // corruption error, never a wrong answer or a panic.
-        seg.core.ensure_verified(matches!(strategy, SearchStrategy::Quantized))?;
+        let needs_packed = matches!(strategy, SearchStrategy::Quantized);
+        seg.core.ensure_verified(&model.encoder, needs_packed)?;
         let view = seg.core.view(&model.encoder).with_dead(seg.tombstones.filter());
         let (part, s) = engine.search_squared(&view, &projected, k, strategy);
         stats += s;
@@ -1719,7 +1734,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "obs")]
     fn maintenance_events_reach_the_obs_ring() {
         let train = toy_data(40, 6, 51);
         let pol = SegmentPolicy::default()

@@ -198,10 +198,9 @@ impl PackedCodes {
     /// (owned or mapped) plus the plan that produced them. Recomputes
     /// the packable-subspace selection and row structure from
     /// `table_sizes` (a pure function of the plan) and validates the
-    /// byte length; `None` on any mismatch. Byte *content*
-    /// (`data[..] < sizes[j]`) is not validated here — mapped loaders
-    /// defer that to the lazy per-segment verification, owned loaders
-    /// check it eagerly.
+    /// byte length; `None` on any mismatch. Byte *content* is
+    /// [`PackedCodes::verify`]'s business, which every loader calls
+    /// before a kernel reads the bytes.
     pub fn from_parts(data: CodesStorage, table_sizes: &[usize], n: usize) -> Option<Self> {
         let m = table_sizes.len();
         let plan = pack_plan(table_sizes);
@@ -289,6 +288,55 @@ impl PackedCodes {
         }
         self.n = n_total;
         self.blocks = blocks;
+    }
+
+    /// `Ok` exactly when this packing is what [`PackedCodes::pack`] derives
+    /// from `codes` (audit code VAQ110), checked in place with no second
+    /// packing allocated: every real lane holds its row's encoded byte and
+    /// every pad lane of the tail block the zero the packer writes — the
+    /// kernels index the query tables by pad lanes too, so a stray pad
+    /// byte is an out-of-bounds table read, not dead weight. `Err` carries
+    /// the first divergence.
+    pub fn verify(&self, codes: &[u16], table_sizes: &[usize], n: usize) -> Result<(), String> {
+        let m = table_sizes.len();
+        if (self.n, self.m_total) != (n, m) {
+            return Err(format!(
+                "packed codes cover {} vectors x {} subspaces, codes say {n} x {m}",
+                self.n, self.m_total
+            ));
+        }
+        let plan = pack_plan(table_sizes);
+        let in_range = |row: &[u16]| {
+            plan.subspaces.iter().zip(&plan.sizes).all(|(&s, &sz)| usize::from(row[s]) < sz)
+        };
+        let packable = codes.len() == n * m && !plan.subspaces.is_empty();
+        if !self.is_active() {
+            if packable && codes.chunks_exact(m).all(in_range) {
+                return Err("packed codes missing although the plan has packable subspaces".into());
+            }
+            return Ok(());
+        }
+        let (nr, blocks) = (plan.rows.len(), n.div_ceil(BLOCK).max(1));
+        let data = self.data();
+        let same_plan = (&self.subspaces, &self.sizes, &self.rows, self.truncated)
+            == (&plan.subspaces, &plan.sizes, &plan.rows, plan.truncated);
+        if !packable || !same_plan || data.len() != blocks * nr * BLOCK {
+            return Err("packed codes were built for another plan or code array".into());
+        }
+        for (i, row) in codes.chunks_exact(m).enumerate() {
+            let at = i / BLOCK * nr * BLOCK + i % BLOCK;
+            let mirrored = |(r, &pr): (usize, &PackedRow)| {
+                data[at + r * BLOCK] == encode_row_byte(pr, row, &plan.subspaces)
+            };
+            if !(in_range(row) && plan.rows.iter().enumerate().all(mirrored)) {
+                return Err(format!("packed bytes of vector {i} disagree with its codes"));
+            }
+        }
+        let (tail, pad_from) = (&data[(blocks - 1) * nr * BLOCK..], n - (blocks - 1) * BLOCK);
+        if tail.chunks_exact(BLOCK).any(|lanes| lanes[pad_from..].iter().any(|&b| b != 0)) {
+            return Err("packed pad lanes are not the zeros the packer writes".into());
+        }
+        Ok(())
     }
 
     /// `true` when at least one subspace was packed and the quantized
@@ -1299,6 +1347,16 @@ mod tests {
         let rebuilt =
             PackedCodes::from_parts(packed.data().to_vec().into(), MIXED_SIZES, 45).unwrap();
         assert_eq!(rebuilt, packed);
+        // `verify` accepts exactly the packer's bytes: one changed byte is
+        // refused in a real lane (block 0, lane 0) and in a pad lane (45
+        // rows leave lane 31 of the tail block unused) alike.
+        assert_eq!(rebuilt.verify(&codes, MIXED_SIZES, 45), Ok(()));
+        for at in [0, packed.data().len() - 1] {
+            let mut bytes = packed.data().to_vec();
+            bytes[at] ^= 0x80;
+            let doctored = PackedCodes::from_parts(bytes.into(), MIXED_SIZES, 45).unwrap();
+            assert!(doctored.verify(&codes, MIXED_SIZES, 45).is_err(), "byte {at}");
+        }
         // Any other byte length is rejected — one byte per packed
         // subspace (no nibble pairs) included.
         let truncated = packed.data()[..packed.data().len() - 1].to_vec();
