@@ -280,8 +280,8 @@ fn cmd_eval(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads an index file through the owned parser (every checksum
-/// verified, full audit run), returning it with the loader's one-line
+/// Loads an index file with `SegmentedVaq::load` (every checksum
+/// verified, every array it read audited), returning it with its one-line
 /// account of what the file held — bit plan, segment, TI, buffer and
 /// tombstone counts (the `persist.load` obs event).
 fn load_any(opts: &Opts) -> Result<(PathBuf, SegmentedVaq, String), String> {

@@ -415,9 +415,9 @@ fn audit_model(model: &Model) -> AuditReport {
 }
 
 /// The invariants of sealed segment `s` on its own, split by what they
-/// read so a mapped open can run each part when its bytes are trusted:
+/// read so a reader can run each part when its bytes are trusted:
 /// [`audit_core_shape`] at open, [`audit_core_scan`] and
-/// [`audit_core_packed`] after the lazy CRC of the extents they walk.
+/// [`audit_core_packed`] after the CRC of the extents they walk.
 fn audit_core(r: &mut AuditReport, core: &SegmentCore, s: usize, encoder: &Encoder) {
     audit_core_shape(r, core, s, encoder);
     r.merge(audit_core_scan(core, s, encoder));
@@ -513,21 +513,30 @@ impl Audit for Vaq {
 /// The full audit of a segmented index: every array of every segment.
 impl Audit for crate::segment::SegmentedVaq {
     fn audit(&self) -> AuditReport {
-        audit_index(self, |_| true)
+        audit_index(self, |_| ArrayParts { scan: true, packed: true })
     }
+}
+
+/// Which of a sealed segment's arrays to walk: the ones every strategy
+/// reads ([`audit_core_scan`]) and the packing ([`audit_core_packed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ArrayParts {
+    pub(crate) scan: bool,
+    pub(crate) packed: bool,
 }
 
 /// The model's invariants, each sealed segment's own, and VAQ111 across
 /// them — tombstone accounting, pairwise disjoint ascending id ranges
 /// below the id counter, buffer ids above every sealed id, and (when no
 /// maintenance pass is in flight) a buffer below the seal threshold —
-/// plus VAQ112 on a durable index. `arrays` picks the segments whose scan
-/// and packed arrays are walked too: all of them for a full audit, none
-/// for a mapped open (each runs behind its lazy CRC instead), the newly
-/// sealed ones after a WAL replay.
+/// plus VAQ112 on a durable index. `arrays` picks per segment the array
+/// parts walked too: both for a full audit, neither for a file being
+/// opened (the reader holds each part against its extent's CRC first,
+/// see `persist`), the scan part of the newly sealed ones after a WAL
+/// replay.
 pub(crate) fn audit_index(
     index: &crate::segment::SegmentedVaq,
-    arrays: impl Fn(&SegmentCore) -> bool,
+    arrays: impl Fn(&SegmentCore) -> ArrayParts,
 ) -> AuditReport {
     let model = index.shared_model();
     let set = index.snapshot();
@@ -538,8 +547,11 @@ pub(crate) fn audit_index(
     let mut prev_last: Option<u32> = None;
     for (s, seg) in set.segments.iter().enumerate() {
         audit_core_shape(&mut r, &seg.core, s, &model.encoder);
-        if arrays(&seg.core) {
+        let parts = arrays(&seg.core);
+        if parts.scan {
             r.merge(audit_core_scan(&seg.core, s, &model.encoder));
+        }
+        if parts.packed {
             r.merge(audit_core_packed(&seg.core, &model.encoder));
         }
         if let Some((first, last)) = seg.core.id_span() {

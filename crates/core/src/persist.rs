@@ -38,8 +38,7 @@
 //! * the **packed** extent — the blocked packing is a pure function of
 //!   the codes, so only [`SegmentedVaq::save_mapped`] materialises it
 //!   (+29 % file size on a 128-bit plan); every other writer leaves it at
-//!   length 0 and the owned parser re-derives it with
-//!   [`PackedCodes::pack`];
+//!   length 0 and the reader re-derives it with [`PackedCodes::pack`];
 //! * the **ids** extent — an empty one means the dense range starting at
 //!   the meta's first id, which is what every segment holds until a
 //!   compaction drops rows from it (4 B/row saved; the buffer's ids are
@@ -55,20 +54,24 @@
 //! calls it on the assembled index before returning it.
 //!
 //! The header, the table and **every extent** carry a CRC32C
-//! ([`crate::crc`], in-tree). The owned parser ([`Vaq::load`],
-//! [`SegmentedVaq::load`], [`SegmentedVaq::open_durable`], both
-//! `from_bytes`) verifies all of them and requires the inter-extent
-//! padding to be zero before a single field is parsed, so *every*
-//! single-byte mutation of a file is reported as corruption instead of
-//! being interpreted; then the full audit runs, once.
-//! [`SegmentedVaq::open_mapped`] shares the header, table, meta and size
-//! checks, verifies the small extents and runs the audit on everything
-//! but the sealed segments' arrays at open, leaves the padding unread,
-//! and gives each segment's arrays their CRC and their part of the audit
-//! on first touch (see `LazyExtents`) — so it accepts exactly the files
-//! the owned parser does. The `wal_seq` header field records the last
-//! write-ahead-log sequence number baked into the snapshot (see
-//! `crate::segment::wal`); plain saves write 0.
+//! ([`crate::crc`], in-tree), and **one reader** (`read_index`) assembles
+//! the index from a file's bytes for every way in; two decisions are all
+//! that differs. [`Vaq::load`], [`SegmentedVaq::load`],
+//! [`SegmentedVaq::open_durable`] and both `from_bytes` get *copies* of
+//! the sealed segments' arrays, verified *at open*, and require the
+//! inter-extent padding to be zero, so *every* single-byte mutation of a
+//! file is reported as corruption instead of being interpreted.
+//! [`SegmentedVaq::open_mapped`] gets *views* of them in the mapping,
+//! verified *on first touch* (see `LazyExtents`), and leaves the padding
+//! unread. Verified means one thing at either time — the extents' CRCs,
+//! then the part of the audit that walks those arrays — and header,
+//! table, the small extents' CRCs, field guards and the audit of
+//! everything else are one code path, so both accept exactly the same
+//! files. The packing is held against the codes (VAQ110) where it was
+//! *read* from a packed extent; one the reader derived from those codes
+//! a line earlier has nothing to disagree with. The `wal_seq` header
+//! field records the last write-ahead-log sequence number baked into the
+//! snapshot (see `crate::segment::wal`); plain saves write 0.
 //!
 //! Saves are **atomic**: the bytes are streamed to `<path>.tmp`, the file
 //! and its parent directory are fsynced, and the tmp is renamed over the
@@ -80,7 +83,7 @@
 //! failed filesystem operation returns [`VaqError::Io`] with its
 //! `source()` chain intact — never a panic.
 
-use crate::audit::AuditReport;
+use crate::audit::{audit_core_packed, audit_core_scan, ArrayParts, AuditReport};
 use crate::encoder::Encoder;
 use crate::search::SearchStrategy;
 use crate::segment::{
@@ -466,11 +469,11 @@ impl SegmentedVaq {
     /// tombstones, and policy exactly — a saved [`Vaq`] is one sealed
     /// segment with ids `0..n` under a default [`SegmentPolicy`] and
     /// returns byte-identical search results to the original. Every
-    /// checksum is verified, the full structural audit must pass, and
+    /// checksum is verified, the audit must pass (see `read_index`), and
     /// the quiescence invariant is restored (an over-threshold buffer is
     /// sealed) before the index is returned.
     pub fn from_bytes(data: &[u8]) -> Result<SegmentedVaq, VaqError> {
-        Ok(parse_owned(data)?.0)
+        Ok(read_index(data, None)?.0)
     }
 
     /// Atomically writes the segmented index to a file (tmp + fsync +
@@ -496,7 +499,7 @@ impl SegmentedVaq {
     /// [`SegmentedVaq::load`] plus the file's recorded WAL sequence
     /// number — the replay cursor durable recovery resumes from.
     pub(crate) fn load_with_seq(path: &Path) -> Result<(SegmentedVaq, u64), VaqError> {
-        parse_owned(&read_index_file(path)?)
+        read_index(&read_index_file(path)?, None)
     }
 
     /// Atomically writes the index with the packed extents materialised,
@@ -517,11 +520,11 @@ impl SegmentedVaq {
     /// (see `LazyExtents`). Answers are byte-identical to
     /// [`SegmentedVaq::load`].
     ///
-    /// Degrades to a fully-owned [`SegmentedVaq::load`] when the platform
-    /// cannot map files or the mapping fails (recorded at the
-    /// `persist.mmap` fault site), or when the file leaves the packed
-    /// extents out (every writer but `save_mapped` does) and so has
-    /// nothing to scan in place.
+    /// Degrades to a fully-owned index, recorded at the `persist.mmap`
+    /// fault site: through [`SegmentedVaq::load`] when the platform cannot
+    /// map files or the mapping fails, and by reading the mapped bytes
+    /// the way `load` reads a file when they leave the packed extents out
+    /// (every writer but `save_mapped` does): nothing to scan in place.
     pub fn open_mapped(path: &Path) -> Result<SegmentedVaq, VaqError> {
         let _span = crate::obs::span("persist.open_mapped");
         if crate::faults::fired("persist.mmap") {
@@ -539,17 +542,13 @@ impl SegmentedVaq {
         };
         // The mapping outlives the descriptor; the region owns the pages.
         drop(f);
-        let Some(index) = mapped_from_region(&region)? else {
-            return SegmentedVaq::load(path);
-        };
-        crate::obs::counter_add("persist.mapped_opens", 1);
-        Ok(index)
+        Ok(read_index(region.as_bytes(), Some(&region))?.0)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Reading: header, extent table, per-segment layout (shared), then the
-// owned parser and the mapped reader
+// Reading: header, extent table, per-segment layout, array verification,
+// then the one reader
 // ---------------------------------------------------------------------------
 
 /// Parses and verifies the header against the real file length `flen`:
@@ -600,11 +599,38 @@ impl Table {
         &data[s.offset..s.offset + s.len]
     }
 
-    fn verify_crc(&self, data: &[u8], i: usize, what: &str) -> Result<(), VaqError> {
-        if crate::crc::crc32c(self.ext(data, i)) != self.crcs[i] {
-            return Err(bad(&format!("{what} extent checksum mismatch")));
+    /// Extent `i`'s span and stored CRC.
+    fn entry(&self, i: usize) -> (ExtentSpan, u32) {
+        (self.extents[i], self.crcs[i])
+    }
+
+    /// Array extent `i`, its length checked by the caller, as a segment's
+    /// typed storage: a copy, or a view in the mapping that `data` is.
+    fn array<T, S: From<Vec<T>>, const N: usize>(
+        &self,
+        data: &[u8],
+        mapped: Option<&Arc<MappedRegion>>,
+        i: usize,
+        decode: fn([u8; N]) -> T,
+        view: fn(Arc<MappedRegion>, usize, usize) -> Option<S>,
+    ) -> Result<S, VaqError> {
+        match mapped {
+            None => Ok(le_vec(self.ext(data, i), decode).into()),
+            Some(region) => {
+                view(Arc::clone(region), self.extents[i].offset, self.extents[i].len / N)
+                    .ok_or_else(|| bad("mapped extent misaligned for its element type"))
+            }
         }
-        Ok(())
+    }
+
+    /// Where sealed segment `s` keeps its arrays.
+    fn arrays(&self, s: usize) -> ArrayExtents {
+        let base = 1 + s * SEG_EXTENTS;
+        ArrayExtents {
+            seg: s,
+            scan: [IDS, CODES, TI_IDX, TI_DIST].map(|slot| self.entry(base + slot)),
+            packed: self.entry(base + PACKED),
+        }
     }
 
     /// Extent count → sealed segment count.
@@ -623,7 +649,7 @@ impl Table {
 
 /// Parses and verifies the header and extent table against the real file
 /// length: a span escaping the file dies here, before any per-extent
-/// work. Also enforces the layout invariants the mapped reader relies
+/// work. Also enforces the layout invariants viewing arrays in place relies
 /// on — page-aligned, non-overlapping, ascending extents that end
 /// exactly at the end of the file (VAQ113).
 fn get_table(data: &[u8]) -> Result<Table, VaqError> {
@@ -673,7 +699,12 @@ struct SegMeta {
     ti: Option<(Matrix, Vec<usize>, usize, usize)>,
 }
 
-fn get_seg_meta(buf: &mut Bytes) -> Result<SegMeta, VaqError> {
+/// Parses the meta extent of the segment whose extents start at `base`
+/// and checks every array extent's length against it, before any array
+/// is copied or viewed. The packed extent is sized by
+/// [`PackedCodes::from_parts`].
+fn get_seg_layout(data: &[u8], t: &Table, base: usize, model: &Model) -> Result<SegMeta, VaqError> {
+    let buf = &mut Bytes::copy_from_slice(t.ext(data, base));
     let n = take_len(buf, "row count")?;
     if n == 0 {
         return Err(bad("segment is empty"));
@@ -698,18 +729,8 @@ fn get_seg_meta(buf: &mut Bytes) -> Result<SegMeta, VaqError> {
         }
         _ => return Err(bad("bad TI flag")),
     };
-    Ok(SegMeta { n, dead, first_id, ti })
-}
-
-/// Parses the meta extent of the segment whose extents start at `base`
-/// and checks every array extent's length against it — the part of a
-/// segment parse the owned and the mapped readers share. The packed
-/// extent is sized by [`PackedCodes::from_parts`].
-fn get_seg_layout(data: &[u8], t: &Table, base: usize, model: &Model) -> Result<SegMeta, VaqError> {
-    let mut me = Bytes::copy_from_slice(t.ext(data, base));
-    let meta = get_seg_meta(&mut me)?;
-    expect_drained(&me, "segment meta extent")?;
-    let n = meta.n;
+    expect_drained(buf, "segment meta extent")?;
+    let meta = SegMeta { n, dead, first_id, ti };
     let rows_by = |elem: usize| checked_size(n, elem);
     let expect = |slot: usize, len: usize, what: &str| {
         if t.extents[base + slot].len == len {
@@ -778,40 +799,195 @@ pub(crate) fn audited(report: AuditReport, after: &str) -> Result<(), VaqError> 
     }
 }
 
-/// The one owned parser: every extent checksum is verified and the
-/// inter-extent padding required to be zero before any field is read,
-/// then every array is copied out under the format's own guards, and the
-/// full audit admits the assembled index, which is returned with the
-/// file's `wal_seq`. This is what every load, `vaq_cli audit`, the chaos
-/// harness, and the `persist.mmap` degrade path go through.
-fn parse_owned(data: &[u8]) -> Result<(SegmentedVaq, u64), VaqError> {
-    if crate::faults::fired("persist.from_bytes") {
+/// Holds the bytes of one extent against its stored CRC32C.
+fn check_crc(data: &[u8], (span, crc): (ExtentSpan, u32), what: &str) -> Result<(), VaqError> {
+    let bytes = data.get(span.offset..span.offset.saturating_add(span.len));
+    if bytes.map(crate::crc::crc32c) != Some(crc) {
+        return Err(bad(&format!("{what} extent checksum mismatch")));
+    }
+    Ok(())
+}
+
+/// Where one sealed segment's array extents sit and what they must hash
+/// to: all it takes to verify them, at open or later.
+#[derive(Debug)]
+struct ArrayExtents {
+    /// The segment's position in the file, for the audit's messages.
+    seg: usize,
+    /// ids, codes and both TI member tables: what every strategy reads.
+    scan: [(ExtentSpan, u32); 4],
+    /// The blocked packing, which only a quantized scan reads.
+    packed: (ExtentSpan, u32),
+}
+
+impl ArrayExtents {
+    /// The parts that hold bytes from outside this process: the scan
+    /// arrays always, the packing when its extent stores one. A packing
+    /// the reader derived from the codes cannot disagree with them, so
+    /// VAQ110 has nothing to say about it; the full audit still asks.
+    fn read_parts(&self) -> ArrayParts {
+        ArrayParts { scan: true, packed: self.packed.0.len != 0 }
+    }
+
+    /// The one statement that a segment's arrays can be trusted, made at
+    /// open for copies and on first touch for views: per part, the CRC of
+    /// its extents in `data`, then the audit that walks them (the packing
+    /// after the codes it is held against).
+    fn verify(
+        &self,
+        data: &[u8],
+        core: &SegmentCore,
+        encoder: &Encoder,
+        parts: ArrayParts,
+    ) -> Result<(), VaqError> {
+        if parts.scan {
+            for &entry in &self.scan {
+                check_crc(data, entry, "segment scan array")?;
+            }
+            audited(audit_core_scan(core, self.seg, encoder), "reading a segment's scan arrays")?;
+        }
+        if parts.packed {
+            check_crc(data, self.packed, "packed codes")?;
+            audited(audit_core_packed(core, encoder), "reading a segment's packed codes")?;
+        }
+        Ok(())
+    }
+}
+
+/// Deferred verification of one mapped segment's arrays: not at open —
+/// the first search that scans the segment makes
+/// [`ArrayExtents::verify`]'s statement about the extents it will read,
+/// and the verdict is cached. A failed one poisons the segment: every
+/// later search reports the same typed corruption error. Verification
+/// never mutates, so two racing first touches at worst duplicate it.
+#[derive(Debug)]
+pub(crate) struct LazyExtents {
+    /// The verdict on the scan arrays and the one on the packing, which
+    /// only a quantized scan asks for: 0 unverified, 1 ok, 2 bad.
+    states: [AtomicU8; 2],
+    region: Arc<MappedRegion>,
+    arrays: ArrayExtents,
+}
+
+impl LazyExtents {
+    /// Verifies the scan extents (and, when `needs_packed`, the packed
+    /// extent) exactly once; later calls return the cached verdict.
+    pub(crate) fn verify_once(
+        &self,
+        core: &SegmentCore,
+        encoder: &Encoder,
+        needs_packed: bool,
+    ) -> Result<(), VaqError> {
+        let scan = ArrayParts { scan: true, packed: false };
+        let packed = ArrayParts { scan: false, packed: true };
+        let asked = 1 + usize::from(needs_packed && self.arrays.read_parts().packed);
+        for (state, parts) in self.states.iter().zip([scan, packed]).take(asked) {
+            match state.load(Ordering::SeqCst) {
+                1 => continue,
+                2 => return Err(bad("mapped segment previously failed verification")),
+                _ => {}
+            }
+            let res = self.arrays.verify(self.region.as_bytes(), core, encoder, parts);
+            let (verdict, counter) = match res {
+                Ok(()) => (1, "persist.lazy_extents_verified"),
+                Err(_) => (2, "persist.lazy_extents_failed"),
+            };
+            state.store(verdict, Ordering::SeqCst);
+            crate::obs::counter_add(counter, 1);
+            res?;
+        }
+        Ok(())
+    }
+}
+
+/// The one reader (see the module docs): assembles the index held in
+/// `data` and returns it with the file's `wal_seq`. `mapped` — the
+/// mapping that `data` is, when it is one — makes both decisions: the
+/// sealed segments' arrays are typed views of it, verified on first touch
+/// (of a stored ids extent the open reads the first and last element:
+/// two page faults), instead of copies verified here. At open either
+/// way: the CRC of every other extent — model, segment meta, tombstone
+/// words (deletes mutate them), buffer — before a field of it is parsed,
+/// and the audit of everything but those arrays.
+fn read_index(
+    data: &[u8],
+    mapped: Option<&Arc<MappedRegion>>,
+) -> Result<(SegmentedVaq, u64), VaqError> {
+    if mapped.is_none() && crate::faults::fired("persist.from_bytes") {
         return Err(VaqError::Injected { site: "persist.from_bytes" });
     }
     let t = get_table(data)?;
+    let nsegs = t.num_segments()?;
+    let last = t.extents.len() - 1;
     let mut prev_end = t.end();
     for (i, span) in t.extents.iter().enumerate() {
-        if data[prev_end..span.offset].iter().any(|&b| b != 0) {
+        if mapped.is_none() && data[prev_end..span.offset].iter().any(|&b| b != 0) {
             return Err(bad(&format!("non-zero padding before extent {i}")));
         }
-        t.verify_crc(data, i, "index")?;
         prev_end = span.offset + span.len;
+        // An array extent that holds bytes is `ArrayExtents::verify`'s.
+        let array = (1..last).contains(&i) && !matches!((i - 1) % SEG_EXTENTS, 0 | WORDS);
+        if !(array && span.len != 0) {
+            check_crc(data, t.entry(i), "index")?;
+        }
     }
-    let nsegs = t.num_segments()?;
     let mut mp = Bytes::copy_from_slice(t.ext(data, 0));
     let (model, policy, next_id) = get_model_policy(&mut mp)?;
     expect_drained(&mp, "model extent")?;
     let sizes: Vec<usize> = model.encoder.table_sizes().collect();
     let mut segments = Vec::with_capacity(nsegs);
     for s in 0..nsegs {
-        segments.push(get_segment(data, &t, 1 + s * SEG_EXTENTS, &model, &sizes)?);
+        let base = 1 + s * SEG_EXTENTS;
+        let meta = get_seg_layout(data, &t, base, &model)?;
+        let n = meta.n;
+        let ids = t.array(data, mapped, base + IDS, u32::from_le_bytes, U32Storage::mapped)?;
+        let ids = seg_ids(&meta, ids)?;
+        let codes = t.array(data, mapped, base + CODES, u16::from_le_bytes, U16Storage::mapped)?;
+        let words = t.array(data, mapped, base + WORDS, u64::from_le_bytes, U64Storage::mapped)?;
+        let ti = match meta.ti {
+            None => None,
+            Some((centroids, offsets, psub, pdim)) => {
+                let idx =
+                    t.array(data, mapped, base + TI_IDX, u32::from_le_bytes, U32Storage::mapped)?;
+                let dist =
+                    t.array(data, mapped, base + TI_DIST, f32::from_le_bytes, F32Storage::mapped)?;
+                let ti = TiPartition::from_parts(centroids, offsets, idx, dist, psub, pdim);
+                Some(ti.ok_or_else(|| bad("TI boundaries are inconsistent"))?)
+            }
+        };
+        let raw = t.array(data, mapped, base + PACKED, u8::from_le_bytes, CodesStorage::mapped)?;
+        let packed = match PackedCodes::from_parts(raw, &sizes, n) {
+            Some(packed) => packed,
+            None if t.extents[base + PACKED].len != 0 => {
+                return Err(bad(&format!("segment {s} packed extent sized wrong")));
+            }
+            // No stored packing to scan in place: read the bytes as `load` would.
+            None if mapped.is_some() => {
+                crate::faults::note_degradation(
+                    "persist.mmap: file has no packed extents, loading an owned copy",
+                );
+                return read_index(data, None);
+            }
+            None => PackedCodes::pack(&codes, &sizes, n),
+        };
+        crate::obs::note_truncated_packing(&packed, "persist.load");
+        let arrays = t.arrays(s);
+        let mut core = SegmentCore { ids, codes, n, packed, ti, lazy: None };
+        match mapped {
+            None => arrays.verify(data, &core, &model.encoder, arrays.read_parts())?,
+            Some(region) => {
+                let (states, region) = (Default::default(), Arc::clone(region));
+                core.lazy = Some(Arc::new(LazyExtents { states, region, arrays }));
+            }
+        }
+        let tombstones = Tombstones::from_storage(words, meta.dead);
+        segments.push(Segment { core: Arc::new(core), tombstones });
     }
-    let mut be = Bytes::copy_from_slice(t.ext(data, t.extents.len() - 1));
+    let mut be = Bytes::copy_from_slice(t.ext(data, last));
     let buffer = get_buffer(&mut be, sizes.len())?;
     expect_drained(&be, "buffer extent")?;
     if crate::obs::enabled() {
-        // One line on what the file held, which `vaq_cli audit` / `info`
-        // print.
+        // What the file held, in the line `vaq_cli audit` / `info` print.
         let rows: usize = segments.iter().map(|s| s.core.n).sum();
         let dead: usize = segments.iter().map(|s| s.tombstones.dead()).sum();
         let stored = segments.iter().filter(|s| !s.core.ids.column().is_empty()).count();
@@ -834,234 +1010,11 @@ fn parse_owned(data: &[u8]) -> Result<(SegmentedVaq, u64), VaqError> {
         crate::obs::event("persist.load", &held);
     }
     let index = SegmentedVaq::from_parts(model, policy, segments, buffer, next_id);
-    index.admit_loaded("load", |_| true)?;
+    index.admit_loaded("load", |_| ArrayParts { scan: false, packed: false })?;
+    if mapped.is_some() {
+        crate::obs::counter_add("persist.mapped_opens", 1);
+    }
     Ok((index, t.wal_seq))
-}
-
-/// Copies out the sealed segment whose extents start at `base`. An empty
-/// packed extent is re-derived from the codes (derived state the writer
-/// left out).
-fn get_segment(
-    data: &[u8],
-    t: &Table,
-    base: usize,
-    model: &Model,
-    sizes: &[usize],
-) -> Result<Segment, VaqError> {
-    let meta = get_seg_layout(data, t, base, model)?;
-    let n = meta.n;
-    let ids = seg_ids(&meta, le_vec(t.ext(data, base + IDS), u32::from_le_bytes).into())?;
-    let codes: Vec<u16> = le_vec(t.ext(data, base + CODES), u16::from_le_bytes);
-    let words: Vec<u64> = le_vec(t.ext(data, base + WORDS), u64::from_le_bytes);
-    let ti = match meta.ti {
-        None => None,
-        Some((centroids, offsets, prefix_subspaces, prefix_dim)) => {
-            let idx: Vec<u32> = le_vec(t.ext(data, base + TI_IDX), u32::from_le_bytes);
-            let dist: Vec<f32> = le_vec(t.ext(data, base + TI_DIST), f32::from_le_bytes);
-            let ti = TiPartition::from_parts(
-                centroids,
-                offsets,
-                idx.into(),
-                dist.into(),
-                prefix_subspaces,
-                prefix_dim,
-            )
-            .ok_or_else(|| bad("TI boundaries are inconsistent"))?;
-            Some(ti)
-        }
-    };
-    let packed = match t.ext(data, base + PACKED) {
-        [] => PackedCodes::pack(&codes, sizes, n),
-        bytes => PackedCodes::from_parts(bytes.to_vec().into(), sizes, n)
-            .ok_or_else(|| bad("segment packed extent sized wrong"))?,
-    };
-    crate::obs::note_truncated_packing(&packed, "persist.load");
-    let core = SegmentCore { ids, codes: codes.into(), n, packed, ti, lazy: None };
-    let tombstones = Tombstones::from_storage(words.into(), meta.dead);
-    Ok(Segment { core: Arc::new(core), tombstones })
-}
-
-/// Deferred verification state for one mapped segment. The big extents
-/// are *not* verified at open — the first search that scans the segment
-/// pays one CRC pass over the extents it will actually read (the packed
-/// extent only when a quantized scan needs it) and then the part of the
-/// audit that walks them, and the verdict is cached. A failed
-/// verification poisons the segment: every later search reports the same
-/// typed corruption error. Verification never mutates, so two racing
-/// first touches at worst duplicate the check.
-#[derive(Debug)]
-pub(crate) struct LazyExtents {
-    /// ids + codes + TI member tables: 0 unverified, 1 ok, 2 bad.
-    state_scan: AtomicU8,
-    /// The packed-codes extent (quantized scans only): same encoding.
-    state_packed: AtomicU8,
-    region: Arc<MappedRegion>,
-    /// The segment's position in the file, for the audit's messages.
-    seg: usize,
-    ids: (ExtentSpan, u32),
-    codes: (ExtentSpan, u32),
-    packed: (ExtentSpan, u32),
-    ti_idx: (ExtentSpan, u32),
-    ti_dist: (ExtentSpan, u32),
-}
-
-impl LazyExtents {
-    /// Verifies the scan extents (and, when `needs_packed`, the packed
-    /// extent) exactly once; later calls return the cached verdict.
-    pub(crate) fn verify_once(
-        &self,
-        core: &SegmentCore,
-        encoder: &Encoder,
-        needs_packed: bool,
-    ) -> Result<(), VaqError> {
-        self.verify_group(&self.state_scan, || self.verify_scan(core, encoder))?;
-        if needs_packed {
-            self.verify_group(&self.state_packed, || self.verify_packed(core, encoder))?;
-        }
-        Ok(())
-    }
-
-    fn verify_group(
-        &self,
-        state: &AtomicU8,
-        check: impl FnOnce() -> Result<(), VaqError>,
-    ) -> Result<(), VaqError> {
-        match state.load(Ordering::SeqCst) {
-            1 => return Ok(()),
-            2 => return Err(bad("mapped segment previously failed verification")),
-            _ => {}
-        }
-        let res = check();
-        state.store(if res.is_ok() { 1 } else { 2 }, Ordering::SeqCst);
-        if res.is_ok() {
-            crate::obs::counter_add("persist.lazy_extents_verified", 1);
-        } else {
-            crate::obs::counter_add("persist.lazy_extents_failed", 1);
-        }
-        res
-    }
-
-    fn check_crc(&self, (span, crc): (ExtentSpan, u32), what: &str) -> Result<(), VaqError> {
-        let data = self.region.as_bytes();
-        let end = span
-            .offset
-            .checked_add(span.len)
-            .filter(|&e| e <= data.len())
-            .ok_or_else(|| bad(&format!("mapped {what} extent escapes the file bounds")))?;
-        if crate::crc::crc32c(&data[span.offset..end]) != crc {
-            return Err(bad(&format!("mapped {what} extent checksum mismatch")));
-        }
-        Ok(())
-    }
-
-    /// CRCs, then the audit's scan-array part, for the extents every
-    /// strategy reads.
-    fn verify_scan(&self, core: &SegmentCore, encoder: &Encoder) -> Result<(), VaqError> {
-        self.check_crc(self.ids, "segment ids")?;
-        self.check_crc(self.codes, "segment codes")?;
-        self.check_crc(self.ti_idx, "TI member ids")?;
-        self.check_crc(self.ti_dist, "TI member distances")?;
-        let report = crate::audit::audit_core_scan(core, self.seg, encoder);
-        audited(report, "the first scan of a mapped segment")
-    }
-
-    /// CRC, then VAQ110, for the packed extent (which runs behind
-    /// [`LazyExtents::verify_scan`], so the codes it is held against are
-    /// themselves verified).
-    fn verify_packed(&self, core: &SegmentCore, encoder: &Encoder) -> Result<(), VaqError> {
-        self.check_crc(self.packed, "packed codes")?;
-        let report = crate::audit::audit_core_packed(core, encoder);
-        audited(report, "the first quantized scan of a mapped segment")
-    }
-}
-
-/// Builds a mapped [`SegmentedVaq`] over a mapped file — the body of
-/// [`SegmentedVaq::open_mapped`]; `None` when the file leaves the packed
-/// extents out and must be loaded owned. CRC-verified eagerly: header,
-/// extent table, model, per-segment meta, tombstone bitmaps (deletes
-/// mutate them, and their accounting needs the words anyway) and the
-/// buffer; the audit then admits the index on everything but the sealed
-/// segments' scan and packed arrays (of a stored ids extent it reads the
-/// first and last element — two page faults per segment, none for a
-/// dense range). Those arrays are deferred to `LazyExtents`.
-fn mapped_from_region(region: &Arc<MappedRegion>) -> Result<Option<SegmentedVaq>, VaqError> {
-    let data = region.as_bytes();
-    let t = get_table(data)?;
-    let nsegs = t.num_segments()?;
-    t.verify_crc(data, 0, "model")?;
-    let mut mp = Bytes::copy_from_slice(t.ext(data, 0));
-    let (model, policy, next_id) = get_model_policy(&mut mp)?;
-    expect_drained(&mp, "model extent")?;
-    let sizes: Vec<usize> = model.encoder.table_sizes().collect();
-    let m = sizes.len();
-    let mut segments = Vec::with_capacity(nsegs);
-    for s in 0..nsegs {
-        let base = 1 + s * SEG_EXTENTS;
-        t.verify_crc(data, base, "segment meta")?;
-        let meta = get_seg_layout(data, &t, base, &model)?;
-        let n = meta.n;
-        let span = |slot: usize| t.extents[base + slot];
-        let misaligned = || bad("mapped extent misaligned for its element type");
-        let pstore =
-            CodesStorage::mapped(Arc::clone(region), span(PACKED).offset, span(PACKED).len)
-                .ok_or_else(misaligned)?;
-        let Some(packed) = PackedCodes::from_parts(pstore, &sizes, n) else {
-            if span(PACKED).len == 0 {
-                return Ok(None);
-            }
-            return Err(bad(&format!("segment {s} packed extent sized wrong")));
-        };
-        crate::obs::note_truncated_packing(&packed, "persist.segment_map");
-        let ids = U32Storage::mapped(Arc::clone(region), span(IDS).offset, span(IDS).len / 4)
-            .ok_or_else(misaligned)?;
-        let ids = seg_ids(&meta, ids)?;
-        let codes = U16Storage::mapped(Arc::clone(region), span(CODES).offset, n * m)
-            .ok_or_else(misaligned)?;
-        t.verify_crc(data, base + WORDS, "segment tombstone")?;
-        let words = U64Storage::mapped(Arc::clone(region), span(WORDS).offset, n.div_ceil(64))
-            .ok_or_else(misaligned)?;
-        let tombstones = Tombstones::from_storage(words, meta.dead);
-        let (ti, ti_idx_span, ti_dist_span) = match meta.ti {
-            None => (None, ExtentSpan::default(), ExtentSpan::default()),
-            Some((centroids, offsets, prefix_subspaces, prefix_dim)) => {
-                let idx = U32Storage::mapped(Arc::clone(region), span(TI_IDX).offset, n)
-                    .ok_or_else(misaligned)?;
-                let dist = F32Storage::mapped(Arc::clone(region), span(TI_DIST).offset, n)
-                    .ok_or_else(misaligned)?;
-                let ti = TiPartition::from_parts(
-                    centroids,
-                    offsets,
-                    idx,
-                    dist,
-                    prefix_subspaces,
-                    prefix_dim,
-                )
-                .ok_or_else(|| bad("TI boundaries are inconsistent"))?;
-                (Some(ti), span(TI_IDX), span(TI_DIST))
-            }
-        };
-        let lazy = LazyExtents {
-            state_scan: AtomicU8::new(0),
-            state_packed: AtomicU8::new(0),
-            region: Arc::clone(region),
-            seg: s,
-            ids: (span(IDS), t.crcs[base + IDS]),
-            codes: (span(CODES), t.crcs[base + CODES]),
-            packed: (span(PACKED), t.crcs[base + PACKED]),
-            ti_idx: (ti_idx_span, t.crcs[base + TI_IDX]),
-            ti_dist: (ti_dist_span, t.crcs[base + TI_DIST]),
-        };
-        let core = SegmentCore { ids, codes, n, packed, ti, lazy: Some(Arc::new(lazy)) };
-        segments.push(Segment { core: Arc::new(core), tombstones });
-    }
-    let last = t.extents.len() - 1;
-    t.verify_crc(data, last, "buffer")?;
-    let mut be = Bytes::copy_from_slice(t.ext(data, last));
-    let buffer = get_buffer(&mut be, m)?;
-    expect_drained(&be, "buffer extent")?;
-    let index = SegmentedVaq::from_parts(model, policy, segments, buffer, next_id);
-    index.admit_loaded("a mapped open", |_| false)?;
-    Ok(Some(index))
 }
 
 // ---------------------------------------------------------------------------
@@ -1440,6 +1393,24 @@ mod tests {
         }
     }
 
+    /// Runs `open` with recording on and returns its result with the
+    /// first `kind` event containing `marker` it left in the event ring.
+    /// The ring is process-wide and parallel tests pause and drain it, so
+    /// an attempt that lost its events is repeated.
+    fn ring_after<T>(kind: &str, marker: &str, open: impl Fn() -> T) -> (T, String) {
+        for _ in 0..64 {
+            crate::obs::set_enabled(true);
+            let from = crate::obs::snapshot().events.last().map_or(0, |e| e.seq + 1);
+            let out = open();
+            let events = crate::obs::snapshot().events;
+            let mut new = events.iter().filter(|e| e.seq >= from && e.kind == kind);
+            if let Some(e) = new.find(|e| e.detail.contains(marker)) {
+                return (out, e.detail.clone());
+            }
+        }
+        panic!("no `{kind}` event containing `{marker}` reached the ring");
+    }
+
     #[test]
     fn round_trip_preserves_search_results() {
         let data = toy_data(400);
@@ -1700,10 +1671,13 @@ mod tests {
     }
 
     /// CRC-valid hostile files — what a writer that is not this program
-    /// could hand us — are refused alike by the owned parser and by the
-    /// mapped reader: the same diagnostic code, at open for what the
-    /// mapped reader checks eagerly and at the first scan that touches
-    /// the array otherwise, after which the segment stays poisoned.
+    /// could hand us — are refused alike by the three combinations the
+    /// reader serves: arrays copied and verified at open (`from_bytes`),
+    /// viewed and verified on first touch (`open_mapped`), and the same
+    /// edit written without packed extents and opened with `open_mapped`
+    /// (copied after all). The same diagnostic code from each — at open,
+    /// or for viewed arrays at the first scan that touches them, after
+    /// which the segment stays poisoned.
     #[test]
     fn crc_valid_hostile_edits_are_refused_alike_owned_and_mapped() {
         use crate::segment::{Buffer, Model, Segment, SegmentIds, Tombstones};
@@ -1798,10 +1772,20 @@ mod tests {
             };
             edit(&mut parts);
             let Parts { model, segments, buffer, next_id } = parts;
-            SegmentedVaq::from_parts(model, policy(), segments, buffer, next_id)
-                .save_mapped(&path)
-                .unwrap();
+            let hostile = SegmentedVaq::from_parts(model, policy(), segments, buffer, next_id);
 
+            // A plain `save` leaves the packing out, and with it the two
+            // packed-byte edits: that file is a clean one.
+            hostile.save(&path).unwrap();
+            match SegmentedVaq::open_mapped(&path) {
+                Ok(_) => assert!(caught == Caught::ByQuantizedScan, "{what}: accepted unpacked"),
+                Err(e) => {
+                    let msg = err_text::<()>(Err(e));
+                    assert!(msg.contains(code), "{what}, unpacked: {msg}");
+                }
+            }
+
+            hostile.save_mapped(&path).unwrap();
             let owned = err_text(SegmentedVaq::from_bytes(&std::fs::read(&path).unwrap()));
             assert!(owned.contains(code), "{what}, owned: {owned}");
             let mapped = match SegmentedVaq::open_mapped(&path) {
@@ -1830,6 +1814,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// VAQ110 at open is for packings that were read: a segment whose
+    /// packed extent is empty gets the scan part only — its packing is
+    /// derived from the codes in that very call — while the full audit
+    /// of the loaded index still holds it against them.
+    #[test]
+    fn derived_packings_are_left_to_the_full_audit() {
+        use crate::audit::{ArrayParts, Audit};
+        use vaq_linalg::PackedCodes;
+        let (seg, _) = populated();
+        let path = tmp_dir("parts").join("index.vaq");
+        seg.save_mapped(&path).unwrap();
+        let (plain, packed) = (seg.to_bytes(), std::fs::read(&path).unwrap());
+        let parts = |bytes: &[u8]| get_table(bytes).unwrap().arrays(0).read_parts();
+        assert_eq!(parts(&plain), ArrayParts { scan: true, packed: false });
+        assert_eq!(parts(&packed), ArrayParts { scan: true, packed: true });
+
+        let back = SegmentedVaq::from_bytes(&plain).unwrap();
+        assert!(back.audit().is_ok());
+        let (set, next_id) = back.persist_snapshot();
+        let mut segments = set.segments.clone();
+        let core = Arc::make_mut(&mut segments[0].core);
+        let sizes: Vec<usize> = back.shared_model().encoder.table_sizes().collect();
+        let mut bytes = core.packed.data().to_vec();
+        bytes[0] ^= 1;
+        core.packed = PackedCodes::from_parts(bytes.into(), &sizes, core.n).unwrap();
+        let stale = SegmentedVaq::from_parts(
+            back.shared_model().clone(),
+            policy(),
+            segments,
+            (*set.buffer).clone(),
+            next_id,
+        );
+        assert!(stale.audit().to_string().contains("VAQ110"), "{}", stale.audit());
     }
 
     #[test]
@@ -1862,9 +1881,16 @@ mod tests {
     fn mapped_index_audits_clean_and_stays_writable() {
         use crate::audit::Audit;
         let (seg, data) = populated();
+        // A tombstone count no other test's file has, to tell this one's
+        // `persist.load` lines from theirs.
+        (20..31).for_each(|id| assert!(seg.delete(id)));
         let path = tmp_dir("mutate").join("index.vaq");
         seg.save_mapped(&path).unwrap();
-        let mapped = SegmentedVaq::open_mapped(&path).unwrap();
+        let marker = "(12 tombstoned), TI";
+        let (_, loaded) = ring_after("persist.load", marker, || SegmentedVaq::load(&path).unwrap());
+        let (mapped, opened) =
+            ring_after("persist.load", marker, || SegmentedVaq::open_mapped(&path).unwrap());
+        assert_eq!(opened, loaded, "one reader, one account of what the file held");
         let report = mapped.audit();
         assert!(report.is_ok(), "{report}");
         // Deletes copy the mapped bitmap out (copy-on-write) and
@@ -1886,7 +1912,12 @@ mod tests {
         // A plain `save` leaves the packed extents out.
         let path = dir.join("seg.vaq");
         seg.save(&path).unwrap();
-        assert_eq!(SegmentedVaq::open_mapped(&path).unwrap().search(data.row(9), 5).unwrap(), want);
+        let (back, note) =
+            ring_after("degradation", "persist.mmap", || SegmentedVaq::open_mapped(&path).unwrap());
+        // (Where files cannot be mapped at all, that is what it says.)
+        let expected = ["file has no packed extents", "mapping unavailable", "injected"];
+        assert!(expected.iter().any(|why| note.contains(why)), "{note}");
+        assert_eq!(back.search(data.row(9), 5).unwrap(), want);
         // So does a `Vaq::save`.
         let vaq = Vaq::train(&data, &VaqConfig::new(24, 4).with_ti_clusters(16)).unwrap();
         let path = dir.join("mono.vaq");

@@ -658,7 +658,7 @@ impl SegmentedVaq {
     pub(crate) fn admit_loaded(
         &self,
         after: &str,
-        arrays: impl Fn(&SegmentCore) -> bool,
+        arrays: impl Fn(&SegmentCore) -> crate::audit::ArrayParts,
     ) -> Result<(), VaqError> {
         let claimed = {
             let mut st = wlock(&self.shared);
@@ -1020,10 +1020,12 @@ impl SegmentedVaq {
             replayed += 1;
         }
         // Replayed records are as untrusted as the manifest: re-run the
-        // audit on the recovered state, walking the arrays only of the
-        // segments built since the load above walked the others'.
-        index.admit_loaded("recovery", |core| {
-            !loaded.segments.iter().any(|seg| std::ptr::eq(&*seg.core, core))
+        // audit on the recovered state, walking the scan arrays only of
+        // the segments built since the load above walked the others'
+        // (`build_core` derived their packings from those very codes).
+        index.admit_loaded("recovery", |core| crate::audit::ArrayParts {
+            scan: !loaded.segments.iter().any(|seg| std::ptr::eq(&*seg.core, core)),
+            packed: false,
         })?;
         crate::obs::counter_add("wal.replayed", replayed);
         crate::obs::event(
