@@ -96,9 +96,9 @@ data with every registered fault site armed under a seeded probabilistic
 schedule, asserting each run ends in a clean result or a typed error —
 never a panic, a failed audit, or a silently wrong answer. The same
 schedule then drives a segmented index across seal, tombstone-purge, and
-merge boundaries (sites `segment.seal` / `segment.compact`), checking
-that failed maintenance degrades without losing rows, resurfacing
-deleted rows, or corrupting query answers.
+merge boundaries and through a `save_mapped` → `open_mapped` round trip,
+checking that no row is lost, no deleted row resurfaces, and no query
+answer changes.
 `crash` is the deterministic crash-point recovery harness: a counting
 pass enumerates every IO point a scripted durable workload touches
 (sites `persist.wal_append` / `persist.commit` / `persist.fsync`), then
@@ -396,9 +396,8 @@ fn chaos_run(seed: u64, p: f64, n: usize, d: usize) -> Result<bool, String> {
         return Err(format!("loaded index failed audit: {}", report.issues().len()));
     }
 
-    // Querying may never fail — only degrade. Full-visit TiEa is exact, so
-    // whatever path it takes (TI, audited-out TI, injected bypass) must
-    // agree with the FullScan reference on the same engine state.
+    // Querying may never fail. Full-visit TiEa is exact, so it must agree
+    // with the FullScan reference on the same engine state.
     for qi in (0..n).step_by((n / 8).max(1)) {
         let q: Vec<f32> =
             data.row(qi).iter().map(|v| if v.is_finite() { *v } else { 0.0 }).collect();
@@ -414,11 +413,9 @@ fn chaos_run(seed: u64, p: f64, n: usize, d: usize) -> Result<bool, String> {
         }
     }
 
-    // Segmented phase: the same armed schedule now crosses seal,
-    // tombstone-purge, and merge boundaries (`segment.seal` /
-    // `segment.compact` fire under the probabilistic trigger). Failed
-    // maintenance must degrade — buffer retained, input segments kept —
-    // while queries stay exact and tombstoned rows stay dead.
+    // Segmented phase: the same armed schedule stays armed while adds and
+    // deletes cross seal, tombstone-purge, and merge boundaries; queries
+    // must stay exact and tombstoned rows dead.
     let seg = SegmentedVaq::from_vaq(
         loaded,
         SegmentPolicy::default()
@@ -500,9 +497,8 @@ fn chaos_run(seed: u64, p: f64, n: usize, d: usize) -> Result<bool, String> {
         Ok(verdict) => verdict?,
     }
 
-    // Quiesce deterministically before the final audit: a failed seal
-    // legitimately leaves the buffer over threshold until the next
-    // trigger retries it, which the VAQ111 quiescence check would flag.
+    // Disarm and drain maintenance before the final audit, so the VAQ111
+    // quiescence check sees no pass pending.
     vaq_core::faults::disarm_all();
     seg.flush();
     let report = seg.audit();

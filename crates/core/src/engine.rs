@@ -233,12 +233,6 @@ impl QueryEngine {
     /// scanners, prefix ablations) rather than through a full search.
     pub fn prepare(&mut self, view: &IndexView<'_>, projected_query: &[f32]) {
         let _span = crate::obs::span("query.table_refill");
-        if crate::faults::fired("engine.prepare") {
-            // Treat the cached arena as corrupted: drop it and rebuild from
-            // scratch. Costs one reallocation, never a wrong table.
-            self.arena = TableArena::new();
-            crate::faults::note_degradation("engine.prepare: table arena rebuilt");
-        }
         view.fill_tables(projected_query, &mut self.arena);
         if cfg!(debug_assertions) {
             use crate::audit::Audit;
@@ -560,15 +554,11 @@ fn ti_covers(ti: &TiPartition, n: usize) -> bool {
     }
 }
 
-/// The view's TI partition when [`SearchStrategy::TiEa`] may use it;
-/// `None` (the exact early-abandon scan answers instead) when there is
-/// none, under fault injection, or when it fails [`ti_covers`].
+/// The view's TI partition when [`SearchStrategy::TiEa`] may use it; `None`
+/// (the exact early-abandon scan answers instead) when there is none or it
+/// fails [`ti_covers`] ([`IndexView::with_ti`] takes any partition).
 fn usable_partition<'a>(view: &IndexView<'a>) -> Option<&'a TiPartition> {
     match view.ti() {
-        Some(_) if crate::faults::fired("engine.search") => {
-            crate::faults::note_degradation("engine.search: TI bypassed, EA scan");
-            None
-        }
         Some(ti) if !ti_covers(ti, view.len()) => {
             // A partition that does not cover the database exactly once
             // would silently drop or duplicate candidates.
@@ -581,14 +571,11 @@ fn usable_partition<'a>(view: &IndexView<'a>) -> Option<&'a TiPartition> {
 
 /// The view's packed codes when [`SearchStrategy::Quantized`] may use
 /// them; `None` (the exact early-abandon scan answers instead) when
-/// there is no active packing (e.g. every subspace wider than 8 bits),
-/// under fault injection, or when the packing disagrees with the view.
+/// there is no active packing (e.g. every subspace wider than 8 bits) or
+/// when the packing disagrees with the view — [`IndexView::with_packed`]
+/// accepts one built over other rows.
 fn usable_packing<'a>(view: &IndexView<'a>) -> Option<&'a PackedCodes> {
     match view.packed().filter(|p| p.is_active()) {
-        Some(_) if crate::faults::fired("engine.qscan") => {
-            crate::faults::note_degradation("engine.qscan: SIMD scan bypassed, EA scan");
-            None
-        }
         Some(p) if p.len() != view.len() || p.num_total_subspaces() != view.num_subspaces() => {
             // A packing that disagrees with the view (stale
             // after appends, or borrowed from another index)
@@ -1095,6 +1082,25 @@ mod tests {
         let (tiea, _) = engine.search_with(&view, q, 1, SearchStrategy::TiEa { visit_frac: 1.0 });
         let (ea, _) = engine.search_with(&view, q, 1, SearchStrategy::EarlyAbandon);
         assert_eq!(tiea, ea, "doctored partition was not rejected");
+    }
+
+    #[test]
+    fn partition_over_other_rows_degrades_to_ea() {
+        // `with_ti` takes any partition: one built over the first 300 rows
+        // fails the release-build size-sum check on a 400-row view.
+        let n = 400;
+        let (data, enc, codes, _) = setup(n);
+        let short = TiPartition::build(&enc, &codes[..300 * 4], 300, 16, 2, 1).unwrap();
+        let view = IndexView::from_encoder(&enc, &codes, n).with_ti(Some(&short));
+        let mut engine = QueryEngine::for_view(&view);
+        let q = data.row(350);
+        let strategy = SearchStrategy::TiEa { visit_frac: 1.0 };
+        let ((tiea, _), _) = crate::obs::ring_after("degradation", "TI failed audit", || {
+            engine.clone().search_with(&view, q, 10, strategy)
+        });
+        let (ea, _) = engine.search_with(&view, q, 10, SearchStrategy::EarlyAbandon);
+        assert!(ea.iter().any(|nb| nb.index >= 300), "the answer needs an uncovered row");
+        assert_eq!(tiea, ea);
     }
 
     fn pack_view(enc: &Encoder, codes: &[u16], n: usize) -> PackedCodes {

@@ -548,6 +548,25 @@ mod state {
     }
 }
 
+/// Test helper: runs `act` with recording on and returns its result with
+/// the first `kind` event containing `marker` it left in the event ring.
+/// The ring is process-wide and parallel tests pause and drain it, so an
+/// attempt that lost its events is repeated.
+#[cfg(test)]
+pub(crate) fn ring_after<T>(kind: &str, marker: &str, act: impl Fn() -> T) -> (T, String) {
+    for _ in 0..64 {
+        set_enabled(true);
+        let from = snapshot().events.last().map_or(0, |e| e.seq + 1);
+        let out = act();
+        let events = snapshot().events;
+        let mut new = events.iter().filter(|e| e.seq >= from && e.kind == kind);
+        if let Some(e) = new.find(|e| e.detail.contains(marker)) {
+            return (out, e.detail.clone());
+        }
+    }
+    panic!("no `{kind}` event containing `{marker}` reached the ring");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -384,10 +384,9 @@ fn set_extents<'a>(
     extents
 }
 
-/// Commits an explicit `(set, next_id)` pair without the packed extents —
-/// what durable checkpoints (which already hold the writer lock and must
-/// not re-take it through `persist_snapshot`) write for the state they
-/// pinned.
+/// Commits an explicit `(set, next_id)` pair — what every save and
+/// durable checkpoint writes. A mapped segment is verified before its
+/// bytes get fresh checksums; a failure commits nothing.
 pub(crate) fn commit_set(
     path: &Path,
     model: &Model,
@@ -395,8 +394,12 @@ pub(crate) fn commit_set(
     set: &SegmentSet,
     next_id: u32,
     wal_seq: u64,
+    with_packed: bool,
 ) -> Result<(), VaqError> {
-    commit(path, wal_seq, &set_extents(model, policy, set, next_id, false))
+    set.segments
+        .iter()
+        .try_for_each(|seg| seg.core.ensure_verified(&model.encoder, with_packed))?;
+    commit(path, wal_seq, &set_extents(model, policy, set, next_id, with_packed))
 }
 
 impl Vaq {
@@ -477,14 +480,15 @@ impl SegmentedVaq {
     }
 
     /// Atomically writes the segmented index to a file (tmp + fsync +
-    /// rename; see the module docs). An interrupted save leaves any
-    /// previous file intact. For a crash-recoverable index with a
-    /// write-ahead log, see [`SegmentedVaq::make_durable`].
+    /// rename; see the module docs). An interrupted or refused save (a
+    /// mapped segment failing verification) leaves any previous file
+    /// intact. For a crash-recoverable index with a write-ahead log, see
+    /// [`SegmentedVaq::make_durable`].
     ///
     /// [`SegmentedVaq::make_durable`]: crate::segment::SegmentedVaq::make_durable
     pub fn save(&self, path: &Path) -> Result<(), VaqError> {
         let (set, next_id) = self.persist_snapshot();
-        commit_set(path, self.shared_model(), self.policy(), &set, next_id, 0)
+        commit_set(path, self.shared_model(), self.policy(), &set, next_id, 0, false)
     }
 
     /// Loads a segmented index from a file (see
@@ -508,7 +512,7 @@ impl SegmentedVaq {
     /// [`SegmentedVaq::open_mapped`].
     pub fn save_mapped(&self, path: &Path) -> Result<(), VaqError> {
         let (set, next_id) = self.persist_snapshot();
-        commit(path, 0, &set_extents(self.shared_model(), self.policy(), &set, next_id, true))
+        commit_set(path, self.shared_model(), self.policy(), &set, next_id, 0, true)
     }
 
     /// Opens a file written by [`SegmentedVaq::save_mapped`] out-of-core:
@@ -855,7 +859,7 @@ impl ArrayExtents {
 }
 
 /// Deferred verification of one mapped segment's arrays: not at open —
-/// the first search that scans the segment makes
+/// the first search, compaction or save that reads the segment makes
 /// [`ArrayExtents::verify`]'s statement about the extents it will read,
 /// and the verdict is cached. A failed one poisons the segment: every
 /// later search reports the same typed corruption error. Verification
@@ -1313,6 +1317,7 @@ fn get_usize_slice(buf: &mut Bytes) -> Result<Vec<usize>, VaqError> {
 #[cfg(test)]
 mod tests {
     use super::{get_table, HEADER_LEN, SEG_EXTENTS, TABLE_ENTRY};
+    use crate::obs::ring_after;
     use crate::segment::{SegmentPolicy, SegmentedVaq};
     use crate::sync::Arc;
     use crate::{SearchStrategy, Vaq, VaqConfig, VaqError};
@@ -1391,24 +1396,6 @@ mod tests {
             Err(other) => panic!("expected BadConfig, got {other:?}"),
             Ok(_) => panic!("corrupt file accepted"),
         }
-    }
-
-    /// Runs `open` with recording on and returns its result with the
-    /// first `kind` event containing `marker` it left in the event ring.
-    /// The ring is process-wide and parallel tests pause and drain it, so
-    /// an attempt that lost its events is repeated.
-    fn ring_after<T>(kind: &str, marker: &str, open: impl Fn() -> T) -> (T, String) {
-        for _ in 0..64 {
-            crate::obs::set_enabled(true);
-            let from = crate::obs::snapshot().events.last().map_or(0, |e| e.seq + 1);
-            let out = open();
-            let events = crate::obs::snapshot().events;
-            let mut new = events.iter().filter(|e| e.seq >= from && e.kind == kind);
-            if let Some(e) = new.find(|e| e.detail.contains(marker)) {
-                return (out, e.detail.clone());
-            }
-        }
-        panic!("no `{kind}` event containing `{marker}` reached the ring");
     }
 
     #[test]
@@ -1798,7 +1785,13 @@ mod tests {
                 }
             };
             assert!(caught != Caught::AtOpen, "{what}: the mapped open accepted it");
-            let mut refused = 0;
+            // A save before the first query reads the arrays it copies.
+            let resaved = path.with_file_name("resaved.vaq");
+            let _ = std::fs::remove_file(&resaved);
+            let msg = err_text(mapped.save_mapped(&resaved));
+            assert!(msg.contains(code), "{what}, save before first query: {msg}");
+            assert!(!resaved.exists(), "{what}: the refused save committed a file");
+            let mut refused = 1;
             for strategy in strategies {
                 let touches = caught == Caught::ByAnyScan || strategy == SearchStrategy::Quantized;
                 for retry in [false, true] {
@@ -1814,6 +1807,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A `save_mapped` file of [`populated`] with bit 0 of row 1's first
+    /// code flipped in segment 0 and its CRC left stale — the kind of
+    /// damage a mapped open defers to the first touch.
+    fn stale_crc_flip(name: &str) -> (std::path::PathBuf, Matrix) {
+        let (seg, data) = populated();
+        let path = tmp_dir(name).join("index.vaq");
+        seg.save_mapped(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let m = seg.shared_model().encoder.num_subspaces();
+        let codes = get_table(&bytes).unwrap().extents[1 + super::CODES].offset;
+        bytes[codes + 2 * m] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        (path, data)
+    }
+
+    #[test]
+    fn purge_before_the_first_query_keeps_a_corrupt_mapped_segment() {
+        let (path, data) = stale_crc_flip("purge-unverified");
+        // Where files cannot be mapped, the owned open refuses it at once.
+        if let Err(e) = SegmentedVaq::open_mapped(&path) {
+            assert!(err_text::<()>(Err(e)).contains("checksum mismatch"));
+            return;
+        }
+        let ((index, before), _) = ring_after("degradation", "failed verification", || {
+            let index = SegmentedVaq::open_mapped(&path).unwrap();
+            let before = index.snapshot();
+            (0..150).step_by(2).for_each(|id| assert!(index.delete(id)));
+            index.flush();
+            (index, before)
+        });
+        // The pass sealed the buffer, and merged or purged nothing.
+        let after = index.snapshot();
+        assert_eq!(after.num_segments(), before.num_segments() + 1);
+        for (kept, opened) in after.segments.iter().zip(&before.segments) {
+            assert!(Arc::ptr_eq(&kept.core, &opened.core));
+        }
+        let msg = err_text(index.search(data.row(3), 5));
+        assert!(msg.contains("previously failed verification"), "{msg}");
+    }
+
+    #[test]
+    fn save_before_the_first_query_refuses_a_corrupt_mapped_segment() {
+        let (path, _) = stale_crc_flip("save-unverified");
+        let Ok(index) = SegmentedVaq::open_mapped(&path) else { return };
+        let out = path.with_file_name("resaved.vaq");
+        let _ = std::fs::remove_file(&out);
+        assert!(err_text(index.save(&out)).contains("checksum mismatch"));
+        assert!(!out.exists(), "the refused save committed a file");
     }
 
     /// VAQ110 at open is for packings that were read: a segment whose

@@ -27,7 +27,7 @@ use crate::encoder::Encoder;
 use crate::faults;
 use crate::search::SearchStrategy;
 use crate::segment::{Model, SegmentCore, SegmentIds};
-use crate::subspaces::{SubspaceLayout, SubspaceMode};
+use crate::subspaces::SubspaceLayout;
 use crate::sync::Arc;
 use crate::ti::TiPartition;
 use crate::vaq::{IngressPolicy, Vaq, VaqConfig};
@@ -51,9 +51,6 @@ fn first_non_finite(data: &Matrix) -> Option<(usize, usize)> {
 /// degradation is recorded. `Ok(None)` means the data was already clean
 /// and can be used as-is.
 pub fn ingress_check(data: &Matrix, cfg: &VaqConfig) -> Result<Option<Matrix>, VaqError> {
-    if faults::fired("ingress.validate") {
-        return Err(VaqError::Injected { site: "ingress.validate" });
-    }
     let Some((row, col)) = first_non_finite(data) else {
         return Ok(None);
     };
@@ -159,35 +156,13 @@ impl VarPcaStage {
     /// lines 2–9). Permutes the projection to the layout's PC order.
     pub fn plan_subspaces(mut self, cfg: &VaqConfig) -> Result<SubspacePlan, VaqError> {
         let _span = crate::obs::span("train.subspace_plan");
-        let built = if faults::fired("subspaces.plan") {
-            Err(VaqError::Injected { site: "subspaces.plan" })
-        } else {
-            SubspaceLayout::build(
-                self.pca.eigenvalues(),
-                cfg.num_subspaces,
-                cfg.subspace_mode,
-                cfg.partial_balance,
-                cfg.seed,
-            )
-        };
-        let layout = match built {
-            Ok(layout) => layout,
-            // Clustered construction can fail on degenerate variance
-            // vectors (e.g. too few distinct values to form m non-empty
-            // clusters); the uniform layout is always well-defined, so
-            // degrade to it instead of aborting training.
-            Err(_) if cfg.subspace_mode == SubspaceMode::Clustered => {
-                faults::note_degradation("subspaces.plan: uniform layout fallback");
-                SubspaceLayout::build(
-                    self.pca.eigenvalues(),
-                    cfg.num_subspaces,
-                    SubspaceMode::Uniform,
-                    cfg.partial_balance,
-                    cfg.seed,
-                )?
-            }
-            Err(e) => return Err(e),
-        };
+        let layout = SubspaceLayout::build(
+            self.pca.eigenvalues(),
+            cfg.num_subspaces,
+            cfg.subspace_mode,
+            cfg.partial_balance,
+            cfg.seed,
+        )?;
         // The projection must follow the same PC order as the layout.
         self.pca.permute_components(&layout.perm);
         let plan = SubspacePlan { pca: self.pca, layout };
@@ -261,9 +236,6 @@ impl BitPlan {
         cfg: &VaqConfig,
     ) -> Result<DictionaryStage, VaqError> {
         let _span = crate::obs::span("train.dictionaries");
-        if faults::fired("dictionary.train") {
-            return Err(VaqError::Injected { site: "dictionary.train" });
-        }
         let projected = self.pca.transform(data)?;
         let encoder =
             Encoder::train(&projected, &self.layout, &self.bits, cfg.train_iters, cfg.seed)?;
@@ -305,29 +277,14 @@ impl DictionaryStage {
     pub fn build_ti(self, cfg: &VaqConfig) -> Result<Vaq, VaqError> {
         let _span = crate::obs::span("train.ti_build");
         let ti = if cfg.ti_clusters > 0 {
-            let built = if faults::fired("ti.build") {
-                Err(VaqError::Injected { site: "ti.build" })
-            } else {
-                TiPartition::build(
-                    &self.encoder,
-                    &self.codes,
-                    self.n,
-                    cfg.ti_clusters,
-                    cfg.ti_prefix_subspaces,
-                    cfg.seed ^ 0x71,
-                )
-            };
-            match built {
-                Ok(ti) => Some(ti),
-                // The TI partition is an accelerator, not a correctness
-                // requirement: the engine degrades TiEa to a plain
-                // early-abandon scan when it is absent, so a failed build
-                // costs speed, never answers.
-                Err(_) => {
-                    faults::note_degradation("ti.build: partition dropped, EA-only queries");
-                    None
-                }
-            }
+            Some(TiPartition::build(
+                &self.encoder,
+                &self.codes,
+                self.n,
+                cfg.ti_clusters,
+                cfg.ti_prefix_subspaces,
+                cfg.seed ^ 0x71,
+            )?)
         } else {
             None
         };

@@ -42,10 +42,9 @@
 //!
 //! Sealing and compaction run on a background thread when the
 //! [`crate::threads`] budget allows (and [`SegmentPolicy::background`] is
-//! set); otherwise they run inline at the trigger point. A failed seal
-//! (fault site `segment.seal`) keeps the buffer queryable and retries on a
-//! later trigger; a failed compaction (`segment.compact`) keeps its input
-//! segments. All three maintenance actions emit structured events
+//! set); otherwise they run inline at the trigger point. A compaction
+//! whose source is a mapped segment that fails verification keeps its
+//! input segments. All three maintenance actions emit structured events
 //! (`segment.seal` / `segment.compact` / `segment.tombstone_purge`) into
 //! the [`crate::obs`] event ring under span coverage.
 //!
@@ -327,12 +326,12 @@ pub(crate) struct SegmentCore {
 }
 
 impl SegmentCore {
-    /// Verifies a mapped segment's lazily-checked extents (checksums,
-    /// then the audit of the arrays the scan paths rely on) exactly once,
-    /// on first search touch. `needs_packed` says the caller will read the
-    /// packed-codes extent (quantized scans) — leaving it unverified
-    /// otherwise keeps those pages non-resident. Owned segments return
-    /// `Ok` immediately.
+    /// Verifies a mapped segment's lazily-checked extents (checksums, then
+    /// the audit of the arrays the scan paths rely on) exactly once, before
+    /// a search, compaction or save first reads them. `needs_packed`: the
+    /// caller reads the packed-codes extent too (quantized scans,
+    /// `save_mapped`); leaving it unverified otherwise keeps those pages
+    /// non-resident. Owned segments return `Ok` immediately.
     pub(crate) fn ensure_verified(
         &self,
         enc: &Encoder,
@@ -877,8 +876,8 @@ impl SegmentedVaq {
 
     /// Drains pending maintenance synchronously: joins any in-flight
     /// background pass, then seals and compacts inline until the buffer
-    /// is below the seal threshold and no compaction is eligible. Queries
-    /// keep running throughout.
+    /// is below the seal threshold and no compaction is eligible or can
+    /// run (a mapped source failed verification). Queries keep running.
     pub fn flush(&self) {
         loop {
             let (handle, claimed) = {
@@ -905,7 +904,12 @@ impl SegmentedVaq {
             if let Some(h) = handle {
                 let _ = h.join();
             } else if claimed {
+                let version = self.shared.version.load(Ordering::SeqCst);
                 maintenance_task(&self.shared);
+                // Nothing installed: a compaction source failed verification.
+                if self.shared.version.load(Ordering::SeqCst) == version {
+                    return;
+                }
             } else {
                 thread::yield_now();
             }
@@ -937,6 +941,7 @@ impl SegmentedVaq {
             &set,
             st.next_id,
             last_seq,
+            false,
         )?;
         // Manifest committed: restart the log. A crash between the two
         // leaves the old WAL in place, whose records all sit at or below
@@ -1253,16 +1258,13 @@ fn search_set(
 /// meantime. Runs on the background thread or inline; the `maintenance`
 /// flag is held for the whole pass and cleared at the end — the final
 /// re-check happens under the writer lock, so whenever the flag is down
-/// the buffer is below the seal threshold (audit code VAQ111). A failed
-/// (fault-injected) seal ends the pass instead of retrying hot; the next
-/// add/flush trigger retries it.
+/// the buffer is below the seal threshold (audit code VAQ111).
 fn maintenance_task(shared: &Arc<Shared>) {
     loop {
-        let sealed = seal_step(shared);
+        seal_step(shared);
         compact_step(shared);
         let mut st = wlock(shared);
-        let drained = read_current(shared).buffer.rows < shared.policy.seal_threshold.max(1);
-        if drained || !sealed {
+        if read_current(shared).buffer.rows < shared.policy.seal_threshold.max(1) {
             st.maintenance = false;
             return;
         }
@@ -1272,20 +1274,14 @@ fn maintenance_task(shared: &Arc<Shared>) {
 /// Packs the current buffer prefix into a new sealed segment. The
 /// expensive work (packing + per-segment TI build) runs without any lock
 /// against a frozen prefix — adds only append past it and deletes only
-/// set bits, which are re-read at install time. A failed seal (fault
-/// site `segment.seal`) keeps the buffer intact and queryable and
-/// returns `false` so the maintenance loop gives up instead of spinning.
-fn seal_step(shared: &Arc<Shared>) -> bool {
+/// set bits, which are re-read at install time.
+fn seal_step(shared: &Arc<Shared>) {
     let frozen = read_current(shared);
     let rows = frozen.buffer.rows;
     if rows == 0 {
-        return true;
+        return;
     }
     let _span = crate::obs::span("segment.seal");
-    if crate::faults::fired("segment.seal") {
-        crate::faults::note_degradation("segment.seal: seal failed, write buffer retained");
-        return false;
-    }
     let ids = SegmentIds::Dense(frozen.buffer.first_id);
     let core = build_core(&shared.model, &shared.policy, ids, frozen.buffer.codes.clone());
 
@@ -1319,7 +1315,6 @@ fn seal_step(shared: &Arc<Shared>) -> bool {
     // the marker lets offline tooling see maintenance points in the log.
     journal_note(shared, &wal::WalOp::Seal { rows });
     crate::obs::event("segment.seal", &format!("sealed {rows} rows; {total} segments"));
-    true
 }
 
 /// What the compaction loop should do next, against one snapshot.
@@ -1356,23 +1351,25 @@ fn pick_compaction(set: &SegmentSet, policy: &SegmentPolicy) -> Option<Compactio
 /// Merges small adjacent segments and purges tombstones until no job is
 /// eligible. Each rebuild runs without locks against a frozen snapshot;
 /// deletes that land during the rebuild are re-applied at install. A
-/// failed compaction (fault site `segment.compact`) keeps its inputs.
+/// mapped source's scan arrays are verified before a byte is copied (the
+/// rebuild re-packs, so its packing is not read); a failure keeps the
+/// inputs, and the source stays poisoned for every search.
 fn compact_step(shared: &Arc<Shared>) {
     loop {
         let frozen = read_current(shared);
         let Some(job) = pick_compaction(&frozen, &shared.policy) else { return };
         let _span = crate::obs::span("segment.compact");
-        if crate::faults::fired("segment.compact") {
-            crate::faults::note_degradation(
-                "segment.compact: compaction failed, input segments retained",
-            );
-            return;
-        }
         let (pos, len, kind) = match job {
             CompactionJob::Purge(i) => (i, 1usize, "segment.tombstone_purge"),
             CompactionJob::Merge(i) => (i, 2usize, "segment.compact"),
         };
         let srcs = &frozen.segments[pos..pos + len];
+        if srcs.iter().any(|seg| seg.core.ensure_verified(&shared.model.encoder, false).is_err()) {
+            crate::faults::note_degradation(
+                "segment.compact: source segment failed verification, inputs retained",
+            );
+            return;
+        }
         // Gather live rows (at freeze time) in id order, remembering the
         // (segment, local) source of every merged row so deletes that
         // raced the rebuild can be re-applied at install.
@@ -1433,7 +1430,7 @@ fn compact_step(shared: &Arc<Shared>) {
 
 /// Builds a sealed segment's immutable payload: the blocked packing plus
 /// a per-segment TI partition (best-effort — a TI failure degrades the
-/// segment to exact scans, mirroring `ti.build` at train time).
+/// segment to exact scans, as a view without a partition scans).
 fn build_core(
     model: &Model,
     policy: &SegmentPolicy,
@@ -1752,87 +1749,6 @@ mod tests {
         let kinds: Vec<&str> = events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&"segment.seal"), "no seal event in {kinds:?}");
         assert!(kinds.contains(&"segment.compact"), "no compact event in {kinds:?}");
-    }
-
-    #[cfg(feature = "faults")]
-    #[test]
-    fn failed_seal_keeps_the_buffer_queryable_and_retries() {
-        use crate::faults::{arm, disarm_all, take_degradations, Trigger};
-        let train = toy_data(50, 6, 61);
-        let seg = SegmentedVaq::train(
-            &train,
-            &cfg(),
-            SegmentPolicy::default().with_seal_threshold(8).with_ti_clusters(2).sequential(),
-        )
-        .unwrap();
-        take_degradations();
-        arm("segment.seal", Trigger::Always);
-        let extra = toy_data(30, 6, 62);
-        let ids = seg.add(&extra).unwrap();
-        let segments_during = seg.snapshot().num_segments();
-        // Buffer rows stay searchable despite every seal failing.
-        let hit = seg.search(extra.row(0), 1).unwrap()[0];
-        assert_eq!(hit.index, ids[0]);
-        disarm_all();
-        let notes = take_degradations();
-        assert!(notes.iter().any(|n| n.starts_with("segment.seal")), "{notes:?}");
-        seg.flush();
-        assert!(seg.snapshot().num_segments() > segments_during, "seal never retried");
-        assert!(seg.snapshot().buffer_len() < 8);
-        assert_eq!(seg.search(extra.row(0), 1).unwrap()[0].index, ids[0]);
-    }
-
-    #[cfg(feature = "faults")]
-    #[test]
-    fn failed_compaction_keeps_input_segments() {
-        use crate::faults::{arm, disarm_all, take_degradations, Trigger};
-        let train = toy_data(40, 6, 71);
-        let pol = SegmentPolicy::default()
-            .with_seal_threshold(16)
-            .with_compact_min_segments(2)
-            .with_ti_clusters(2)
-            .sequential();
-        let seg = SegmentedVaq::train(&train, &cfg(), pol).unwrap();
-        take_degradations();
-        arm("segment.compact", Trigger::Always);
-        seg.add(&toy_data(48, 6, 72)).unwrap();
-        seg.flush_sealing_only_for_test();
-        let before = seg.snapshot().num_segments();
-        assert!(before >= 2, "need multiple segments to compact");
-        disarm_all();
-        // With the fault cleared, flush compacts down.
-        seg.flush();
-        assert!(seg.snapshot().num_segments() < before);
-        assert_eq!(seg.len(), 88);
-    }
-
-    #[cfg(feature = "faults")]
-    impl SegmentedVaq {
-        /// Test-only: runs seal steps but leaves compaction to the fault
-        /// schedule under test.
-        fn flush_sealing_only_for_test(&self) {
-            loop {
-                let claimed = {
-                    let mut st = wlock(&self.shared);
-                    if st.maintenance {
-                        false
-                    } else if read_current(&self.shared).buffer.rows
-                        >= self.shared.policy.seal_threshold
-                    {
-                        st.maintenance = true;
-                        true
-                    } else {
-                        return;
-                    }
-                };
-                if claimed {
-                    seal_step(&self.shared);
-                    wlock(&self.shared).maintenance = false;
-                } else {
-                    thread::yield_now();
-                }
-            }
-        }
     }
 
     #[test]

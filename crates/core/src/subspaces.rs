@@ -381,4 +381,50 @@ mod tests {
         let l = SubspaceLayout::build(&steep(6), 6, SubspaceMode::Uniform, false, 0).unwrap();
         assert!(l.ranges.iter().all(|&(lo, hi)| hi - lo == 1));
     }
+
+    mod clustered_proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A degenerate spectrum of `d` values: all zero, all equal,
+        /// one-hot, runs of `run` tied values, or steep enough to
+        /// underflow to zero.
+        fn spectrum(kind: usize, d: usize, level: f64, run: usize, at: usize) -> Vec<f64> {
+            match kind {
+                0 => vec![0.0; d],
+                1 => vec![level; d],
+                2 => (0..d).map(|i| if i == at % d { level } else { 0.0 }).collect(),
+                3 => (0..d).map(|i| level * (d / run - i / run) as f64).collect(),
+                _ => (0..d).map(|i| level.powi(40 * i as i32)).collect(),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            /// Clustered construction fails only where `Uniform` does
+            /// (`m ∉ 1..=d`, no dimensions), so training needs no
+            /// fallback from one to the other.
+            #[test]
+            fn clustered_layout_builds_for_every_m_on_degenerate_spectra(
+                kind in 0usize..5,
+                d in 1usize..=48,
+                level in 0.001f64..0.9,
+                run in 2usize..12,
+                at in 0usize..48,
+                seed in 0u64..1_000,
+            ) {
+                let v = spectrum(kind, d, level, run, at);
+                for m in 1..=d {
+                    for balance in [false, true] {
+                        let built = SubspaceLayout::build(&v, m, SubspaceMode::Clustered, balance, seed);
+                        let Ok(l) = built else {
+                            return Err(TestCaseError::Fail(format!("{v:?}, m {m}: {built:?}")));
+                        };
+                        prop_assert_eq!(l.num_subspaces(), m);
+                        prop_assert!(l.ranges.iter().all(|&(lo, hi)| lo < hi), "{:?}", l.ranges);
+                    }
+                }
+            }
+        }
+    }
 }
