@@ -1277,7 +1277,7 @@ fn crash_workload(base: &[u8], data: &Matrix, path: &Path) -> Result<CrashRun, S
         let mut victims: Vec<u32> = Vec::new();
         for round in 0..2usize {
             // Three 7-row batches per round cross the 12-row seal
-            // threshold, so maintenance markers land mid-schedule.
+            // threshold, so seals and compactions land mid-schedule.
             for _batch in 0..3usize {
                 let hi = cursor + 7;
                 let ids = seg.add(&data.select_rows(&(cursor..hi).collect::<Vec<_>>()))?;

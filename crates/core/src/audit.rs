@@ -518,7 +518,9 @@ impl Audit for crate::segment::SegmentedVaq {
 }
 
 /// Which of a sealed segment's arrays to walk: the ones every strategy
-/// reads ([`audit_core_scan`]) and the packing ([`audit_core_packed`]).
+/// reads ([`audit_core_scan`]) and the packing ([`audit_core_packed`]),
+/// which only a quantized scan reads and a mapped open leaves to its
+/// first use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ArrayParts {
     pub(crate) scan: bool,

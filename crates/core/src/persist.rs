@@ -62,9 +62,10 @@
 //! inter-extent padding to be zero, so *every* single-byte mutation of a
 //! file is reported as corruption instead of being interpreted.
 //! [`SegmentedVaq::open_mapped`] gets *views* of them in the mapping,
-//! verified *on first touch* (see `LazyExtents`), and leaves the padding
-//! unread. Verified means one thing at either time — the extents' CRCs,
-//! then the part of the audit that walks those arrays — and header,
+//! verified at open too, except the packing: only a quantized scan reads
+//! it, so it is verified on first use (see `LazyExtents`); the padding
+//! stays unread. Verified means one thing at either time — the extents'
+//! CRCs, then the part of the audit that walks those arrays — and header,
 //! table, the small extents' CRCs, field guards and the audit of
 //! everything else are one code path, so both accept exactly the same
 //! files. The packing is held against the codes (VAQ110) where it was
@@ -385,8 +386,9 @@ fn set_extents<'a>(
 }
 
 /// Commits an explicit `(set, next_id)` pair — what every save and
-/// durable checkpoint writes. A mapped segment is verified before its
-/// bytes get fresh checksums; a failure commits nothing.
+/// durable checkpoint writes. `with_packed` writes the packings, so a
+/// mapped segment's is verified before its bytes get fresh checksums
+/// (every other array was verified at open); a failure commits nothing.
 pub(crate) fn commit_set(
     path: &Path,
     model: &Model,
@@ -396,9 +398,9 @@ pub(crate) fn commit_set(
     wal_seq: u64,
     with_packed: bool,
 ) -> Result<(), VaqError> {
-    set.segments
-        .iter()
-        .try_for_each(|seg| seg.core.ensure_verified(&model.encoder, with_packed))?;
+    if with_packed {
+        set.segments.iter().try_for_each(|seg| seg.core.ensure_verified(&model.encoder))?;
+    }
     commit(path, wal_seq, &set_extents(model, policy, set, next_id, with_packed))
 }
 
@@ -480,10 +482,9 @@ impl SegmentedVaq {
     }
 
     /// Atomically writes the segmented index to a file (tmp + fsync +
-    /// rename; see the module docs). An interrupted or refused save (a
-    /// mapped segment failing verification) leaves any previous file
-    /// intact. For a crash-recoverable index with a write-ahead log, see
-    /// [`SegmentedVaq::make_durable`].
+    /// rename; see the module docs). An interrupted save leaves any
+    /// previous file intact. For a crash-recoverable index with a
+    /// write-ahead log, see [`SegmentedVaq::make_durable`].
     ///
     /// [`SegmentedVaq::make_durable`]: crate::segment::SegmentedVaq::make_durable
     pub fn save(&self, path: &Path) -> Result<(), VaqError> {
@@ -517,11 +518,12 @@ impl SegmentedVaq {
 
     /// Opens a file written by [`SegmentedVaq::save_mapped`] out-of-core:
     /// the file is memory-mapped and the sealed segments borrow their
-    /// arrays from the mapping instead of copying. Small/structural
-    /// extents (header, extent table, model, per-segment meta, tombstone
-    /// bitmaps, buffer) are checksum-verified eagerly; the big scan
-    /// extents are verified lazily, on the first search that touches them
-    /// (see `LazyExtents`). Answers are byte-identical to
+    /// arrays from the mapping instead of copying. Every extent is
+    /// checksum-verified and audited at open, as [`SegmentedVaq::load`]
+    /// verifies it, except the packed extents, which only a `Quantized`
+    /// search reads: each is verified before the first such search of its
+    /// segment or a `save_mapped` (see `LazyExtents`), so other
+    /// strategies never fault it in. Answers are byte-identical to
     /// [`SegmentedVaq::load`].
     ///
     /// Degrades to a fully-owned index, recorded at the `persist.mmap`
@@ -834,9 +836,9 @@ impl ArrayExtents {
     }
 
     /// The one statement that a segment's arrays can be trusted, made at
-    /// open for copies and on first touch for views: per part, the CRC of
-    /// its extents in `data`, then the audit that walks them (the packing
-    /// after the codes it is held against).
+    /// open for every part but a mapped packing, which is made on first
+    /// use: per part, the CRC of its extents in `data`, then the audit
+    /// that walks them (the packing after the codes it is held against).
     fn verify(
         &self,
         data: &[u8],
@@ -858,61 +860,57 @@ impl ArrayExtents {
     }
 }
 
-/// Deferred verification of one mapped segment's arrays: not at open —
-/// the first search, compaction or save that reads the segment makes
-/// [`ArrayExtents::verify`]'s statement about the extents it will read,
-/// and the verdict is cached. A failed one poisons the segment: every
-/// later search reports the same typed corruption error. Verification
-/// never mutates, so two racing first touches at worst duplicate it.
+/// Deferred verification of one mapped segment's packed extent, the one
+/// array only a quantized scan reads: not at open, so other strategies
+/// never fault its pages in, but before the segment's first `Quantized`
+/// search or a `save_mapped` that copies it. The verdict is cached; a
+/// failed one makes every later quantized search report a typed
+/// corruption error. Verification never mutates, so two racing first
+/// uses at worst duplicate it.
 #[derive(Debug)]
 pub(crate) struct LazyExtents {
-    /// The verdict on the scan arrays and the one on the packing, which
-    /// only a quantized scan asks for: 0 unverified, 1 ok, 2 bad.
-    states: [AtomicU8; 2],
+    /// 0 unverified, 1 ok, 2 bad.
+    state: AtomicU8,
     region: Arc<MappedRegion>,
     arrays: ArrayExtents,
 }
 
 impl LazyExtents {
-    /// Verifies the scan extents (and, when `needs_packed`, the packed
-    /// extent) exactly once; later calls return the cached verdict.
+    /// Verifies the packed extent exactly once; later calls return the
+    /// cached verdict.
     pub(crate) fn verify_once(
         &self,
         core: &SegmentCore,
         encoder: &Encoder,
-        needs_packed: bool,
     ) -> Result<(), VaqError> {
-        let scan = ArrayParts { scan: true, packed: false };
-        let packed = ArrayParts { scan: false, packed: true };
-        let asked = 1 + usize::from(needs_packed && self.arrays.read_parts().packed);
-        for (state, parts) in self.states.iter().zip([scan, packed]).take(asked) {
-            match state.load(Ordering::SeqCst) {
-                1 => continue,
-                2 => return Err(bad("mapped segment previously failed verification")),
-                _ => {}
-            }
-            let res = self.arrays.verify(self.region.as_bytes(), core, encoder, parts);
-            let (verdict, counter) = match res {
-                Ok(()) => (1, "persist.lazy_extents_verified"),
-                Err(_) => (2, "persist.lazy_extents_failed"),
-            };
-            state.store(verdict, Ordering::SeqCst);
-            crate::obs::counter_add(counter, 1);
-            res?;
+        match self.state.load(Ordering::SeqCst) {
+            1 => return Ok(()),
+            2 => return Err(bad("mapped packed codes previously failed verification")),
+            _ => {}
         }
-        Ok(())
+        let parts = ArrayParts { scan: false, packed: true };
+        let res = self.arrays.verify(self.region.as_bytes(), core, encoder, parts);
+        let (verdict, counter) = match res {
+            Ok(()) => (1, "persist.lazy_extents_verified"),
+            Err(_) => (2, "persist.lazy_extents_failed"),
+        };
+        self.state.store(verdict, Ordering::SeqCst);
+        crate::obs::counter_add(counter, 1);
+        res
     }
 }
 
 /// The one reader (see the module docs): assembles the index held in
 /// `data` and returns it with the file's `wal_seq`. `mapped` — the
 /// mapping that `data` is, when it is one — makes both decisions: the
-/// sealed segments' arrays are typed views of it, verified on first touch
-/// (of a stored ids extent the open reads the first and last element:
-/// two page faults), instead of copies verified here. At open either
-/// way: the CRC of every other extent — model, segment meta, tombstone
-/// words (deletes mutate them), buffer — before a field of it is parsed,
-/// and the audit of everything but those arrays.
+/// sealed segments' arrays are typed views of it instead of copies, and
+/// a packing read from the file is verified on first use (`LazyExtents`)
+/// instead of here. Here either way: the CRC of every other extent —
+/// model, segment meta, tombstone words (deletes mutate them), buffer —
+/// before a field of it is parsed; [`ArrayExtents::verify`] on each
+/// segment's arrays — copies as each segment is assembled, views once
+/// all are (of a stored ids extent the assembly reads the first element
+/// before that); then the audit of everything else.
 fn read_index(
     data: &[u8],
     mapped: Option<&Arc<MappedRegion>>,
@@ -978,18 +976,31 @@ fn read_index(
         let arrays = t.arrays(s);
         let mut core = SegmentCore { ids, codes, n, packed, ti, lazy: None };
         match mapped {
+            // While the copies are still in cache.
             None => arrays.verify(data, &core, &model.encoder, arrays.read_parts())?,
             Some(region) => {
-                let (states, region) = (Default::default(), Arc::clone(region));
-                core.lazy = Some(Arc::new(LazyExtents { states, region, arrays }));
+                let (state, region) = (AtomicU8::new(0), Arc::clone(region));
+                core.lazy = Some(Arc::new(LazyExtents { state, region, arrays }));
             }
         }
         let tombstones = Tombstones::from_storage(words, meta.dead);
         segments.push(Segment { core: Arc::new(core), tombstones });
     }
-    let mut be = Bytes::copy_from_slice(t.ext(data, last));
-    let buffer = get_buffer(&mut be, sizes.len())?;
-    expect_drained(&be, "buffer extent")?;
+    let buffer = {
+        let mut be = Bytes::copy_from_slice(t.ext(data, last));
+        let buffer = get_buffer(&mut be, sizes.len())?;
+        expect_drained(&be, "buffer extent")?;
+        buffer
+    };
+    // Views' scan arrays, once the buffer extent's copy is gone, so that
+    // it never sits beside the pages this faults in. A mapped packing
+    // waits for its first reader (`LazyExtents`).
+    if mapped.is_some() {
+        for (s, seg) in segments.iter().enumerate() {
+            let scan = ArrayParts { scan: true, packed: false };
+            t.arrays(s).verify(data, &seg.core, &model.encoder, scan)?;
+        }
+    }
     if crate::obs::enabled() {
         // What the file held, in the line `vaq_cli audit` / `info` print.
         let rows: usize = segments.iter().map(|s| s.core.n).sum();
@@ -1625,8 +1636,8 @@ mod tests {
         assert!(load(first_id_of_segment(1), 1 << 20).contains("audit"));
         assert!(load(first_id_of_buffer, 200).contains("audit"));
 
-        // The mapped open runs the same audit on everything but the scan
-        // arrays (where files cannot be mapped it loads owned).
+        // The mapped open runs the same audit (where files cannot be
+        // mapped it loads owned).
         let path = tmp_dir("hostile-ids").join("index.vaq");
         seg.save_mapped(&path).unwrap();
         let clean = std::fs::read(&path).unwrap();
@@ -1659,12 +1670,12 @@ mod tests {
 
     /// CRC-valid hostile files — what a writer that is not this program
     /// could hand us — are refused alike by the three combinations the
-    /// reader serves: arrays copied and verified at open (`from_bytes`),
-    /// viewed and verified on first touch (`open_mapped`), and the same
-    /// edit written without packed extents and opened with `open_mapped`
-    /// (copied after all). The same diagnostic code from each — at open,
-    /// or for viewed arrays at the first scan that touches them, after
-    /// which the segment stays poisoned.
+    /// reader serves: arrays copied (`from_bytes`), viewed (`open_mapped`),
+    /// and the same edit written without packed extents and opened with
+    /// `open_mapped` (copied after all). The same diagnostic code from
+    /// each, at open — except for a mapped packing, which the first
+    /// `save_mapped` or `Quantized` search that reads it refuses, after
+    /// which every quantized search does.
     #[test]
     fn crc_valid_hostile_edits_are_refused_alike_owned_and_mapped() {
         use crate::segment::{Buffer, Model, Segment, SegmentIds, Tombstones};
@@ -1679,7 +1690,6 @@ mod tests {
         #[derive(PartialEq)]
         enum Caught {
             AtOpen,
-            ByAnyScan,
             ByQuantizedScan,
         }
         fn core(p: &mut Parts) -> &mut crate::segment::SegmentCore {
@@ -1708,10 +1718,10 @@ mod tests {
             ("real-lane packed byte", "VAQ110", Caught::ByQuantizedScan, |p| {
                 repacked(p, |bytes| bytes[0] ^= 1)
             }),
-            ("out-of-range code", "VAQ106", Caught::ByAnyScan, |p| {
+            ("out-of-range code", "VAQ106", Caught::AtOpen, |p| {
                 core(p).codes.to_mut()[0] = u16::MAX
             }),
-            ("unsorted TI distances", "VAQ108", Caught::ByAnyScan, |p| {
+            ("unsorted TI distances", "VAQ108", Caught::AtOpen, |p| {
                 let ti = core(p).ti.as_mut().unwrap();
                 let (start, end) = (0..ti.num_clusters())
                     .map(|c| ti.cluster_range(c))
@@ -1719,10 +1729,10 @@ mod tests {
                     .unwrap();
                 ti.member_dist.to_mut()[start..end].reverse();
             }),
-            ("non-finite TI distance", "VAQ108", Caught::ByAnyScan, |p| {
+            ("non-finite TI distance", "VAQ108", Caught::AtOpen, |p| {
                 core(p).ti.as_mut().unwrap().member_dist.to_mut()[0] = f32::NAN
             }),
-            ("double-assigned TI member", "VAQ108", Caught::ByAnyScan, |p| {
+            ("double-assigned TI member", "VAQ108", Caught::AtOpen, |p| {
                 let idx = core(p).ti.as_mut().unwrap().member_idx.to_mut();
                 idx[0] = idx[1];
             }),
@@ -1784,36 +1794,32 @@ mod tests {
                     continue;
                 }
             };
-            assert!(caught != Caught::AtOpen, "{what}: the mapped open accepted it");
-            // A save before the first query reads the arrays it copies.
+            assert!(caught == Caught::ByQuantizedScan, "{what}: the mapped open accepted it");
+            // A `save_mapped` before the first query reads the packing it copies.
             let resaved = path.with_file_name("resaved.vaq");
             let _ = std::fs::remove_file(&resaved);
             let msg = err_text(mapped.save_mapped(&resaved));
             assert!(msg.contains(code), "{what}, save before first query: {msg}");
             assert!(!resaved.exists(), "{what}: the refused save committed a file");
-            let mut refused = 1;
             for strategy in strategies {
-                let touches = caught == Caught::ByAnyScan || strategy == SearchStrategy::Quantized;
                 for retry in [false, true] {
                     let answer = mapped.search_with(data.row(3), 5, strategy);
-                    if !touches {
+                    if strategy != SearchStrategy::Quantized {
                         assert_eq!(answer.unwrap().0.len(), 5, "{what} {strategy:?}");
                         continue;
                     }
                     let msg = err_text(answer);
-                    let want = if refused == 0 { code } else { "previously failed verification" };
-                    assert!(msg.contains(want), "{what} {strategy:?} retry {retry}: {msg}");
-                    refused += 1;
+                    let want = "previously failed verification";
+                    assert!(msg.contains(want), "{what} retry {retry}: {msg}");
                 }
             }
         }
     }
 
     /// A `save_mapped` file of [`populated`] with bit 0 of row 1's first
-    /// code flipped in segment 0 and its CRC left stale — the kind of
-    /// damage a mapped open defers to the first touch.
-    fn stale_crc_flip(name: &str) -> (std::path::PathBuf, Matrix) {
-        let (seg, data) = populated();
+    /// code flipped in segment 0 and its CRC left stale.
+    fn stale_crc_flip(name: &str) -> std::path::PathBuf {
+        let (seg, _) = populated();
         let path = tmp_dir(name).join("index.vaq");
         seg.save_mapped(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1821,42 +1827,31 @@ mod tests {
         let codes = get_table(&bytes).unwrap().extents[1 + super::CODES].offset;
         bytes[codes + 2 * m] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
-        (path, data)
+        path
     }
 
+    /// The stale-CRC flip is refused by the mapped open itself, as by
+    /// every other way in, so no delete-and-flush pass can purge or merge
+    /// the segment before it is verified: the file is left as it was.
     #[test]
     fn purge_before_the_first_query_keeps_a_corrupt_mapped_segment() {
-        let (path, data) = stale_crc_flip("purge-unverified");
-        // Where files cannot be mapped, the owned open refuses it at once.
-        if let Err(e) = SegmentedVaq::open_mapped(&path) {
-            assert!(err_text::<()>(Err(e)).contains("checksum mismatch"));
-            return;
-        }
-        let ((index, before), _) = ring_after("degradation", "failed verification", || {
-            let index = SegmentedVaq::open_mapped(&path).unwrap();
-            let before = index.snapshot();
-            (0..150).step_by(2).for_each(|id| assert!(index.delete(id)));
-            index.flush();
-            (index, before)
-        });
-        // The pass sealed the buffer, and merged or purged nothing.
-        let after = index.snapshot();
-        assert_eq!(after.num_segments(), before.num_segments() + 1);
-        for (kept, opened) in after.segments.iter().zip(&before.segments) {
-            assert!(Arc::ptr_eq(&kept.core, &opened.core));
-        }
-        let msg = err_text(index.search(data.row(3), 5));
-        assert!(msg.contains("previously failed verification"), "{msg}");
+        let path = stale_crc_flip("purge-unverified");
+        let on_disk = std::fs::read(&path).unwrap();
+        let msg = err_text(SegmentedVaq::open_mapped(&path));
+        assert!(msg.contains("checksum mismatch"), "{msg}");
+        assert_eq!(std::fs::read(&path).unwrap(), on_disk, "the refused open changed the file");
     }
 
+    /// The stale-CRC flip is refused by the mapped open itself, so no copy
+    /// (`to_bytes`, a save) or id probe (`delete`, `contains`, `live_ids`)
+    /// can read it first; the owned loader refuses the same bytes.
     #[test]
     fn save_before_the_first_query_refuses_a_corrupt_mapped_segment() {
-        let (path, _) = stale_crc_flip("save-unverified");
-        let Ok(index) = SegmentedVaq::open_mapped(&path) else { return };
-        let out = path.with_file_name("resaved.vaq");
-        let _ = std::fs::remove_file(&out);
-        assert!(err_text(index.save(&out)).contains("checksum mismatch"));
-        assert!(!out.exists(), "the refused save committed a file");
+        let path = stale_crc_flip("save-unverified");
+        let mapped = err_text(SegmentedVaq::open_mapped(&path));
+        assert!(mapped.contains("checksum mismatch"), "mapped: {mapped}");
+        let owned = err_text(SegmentedVaq::from_bytes(&std::fs::read(&path).unwrap()));
+        assert!(owned.contains("checksum mismatch"), "owned: {owned}");
     }
 
     /// VAQ110 at open is for packings that were read: a segment whose

@@ -42,9 +42,8 @@
 //!
 //! Sealing and compaction run on a background thread when the
 //! [`crate::threads`] budget allows (and [`SegmentPolicy::background`] is
-//! set); otherwise they run inline at the trigger point. A compaction
-//! whose source is a mapped segment that fails verification keeps its
-//! input segments. All three maintenance actions emit structured events
+//! set); otherwise they run inline at the trigger point. All three
+//! maintenance actions emit structured events
 //! (`segment.seal` / `segment.compact` / `segment.tombstone_purge`) into
 //! the [`crate::obs`] event ring under span coverage.
 //!
@@ -319,27 +318,22 @@ pub(crate) struct SegmentCore {
     /// inactive when no subspace fits in 8 bits.
     pub(crate) packed: PackedCodes,
     pub(crate) ti: Option<TiPartition>,
-    /// Deferred CRC + content verification for a mapped segment's
-    /// scan-path extents. `None` for owned segments, which are audited
-    /// whole at parse time.
+    /// Deferred CRC + content verification for a mapped segment's packed
+    /// extent. `None` for owned segments, whose arrays are all verified
+    /// at parse time.
     pub(crate) lazy: Option<Arc<crate::persist::LazyExtents>>,
 }
 
 impl SegmentCore {
-    /// Verifies a mapped segment's lazily-checked extents (checksums, then
-    /// the audit of the arrays the scan paths rely on) exactly once, before
-    /// a search, compaction or save first reads them. `needs_packed`: the
-    /// caller reads the packed-codes extent too (quantized scans,
-    /// `save_mapped`); leaving it unverified otherwise keeps those pages
-    /// non-resident. Owned segments return `Ok` immediately.
-    pub(crate) fn ensure_verified(
-        &self,
-        enc: &Encoder,
-        needs_packed: bool,
-    ) -> Result<(), VaqError> {
+    /// Verifies a mapped segment's packing (its checksum, then VAQ110)
+    /// exactly once, before a quantized search or a `save_mapped` first
+    /// reads it; leaving it unverified until then keeps those pages
+    /// non-resident. Every other array was verified at open, and owned
+    /// segments return `Ok` immediately.
+    pub(crate) fn ensure_verified(&self, enc: &Encoder) -> Result<(), VaqError> {
         match &self.lazy {
             None => Ok(()),
-            Some(lazy) => lazy.verify_once(self, enc, needs_packed),
+            Some(lazy) => lazy.verify_once(self, enc),
         }
     }
 
@@ -511,18 +505,6 @@ fn journal_append(shared: &Shared, op: impl FnOnce() -> wal::WalOp) -> Result<()
         j.append(&op())?;
     }
     Ok(())
-}
-
-/// Best-effort advisory marker (seal/compact commit points): a failed
-/// append is recorded as a degradation, never an error — markers carry no
-/// state replay depends on.
-fn journal_note(shared: &Shared, op: &wal::WalOp) {
-    let mut j = jlock(shared);
-    if let Some(j) = j.as_mut() {
-        if j.append(op).is_err() {
-            crate::faults::note_degradation("segment.wal: advisory marker append failed");
-        }
-    }
 }
 
 /// Installs a new snapshot. Callers mutating index *state* must hold the
@@ -876,8 +858,8 @@ impl SegmentedVaq {
 
     /// Drains pending maintenance synchronously: joins any in-flight
     /// background pass, then seals and compacts inline until the buffer
-    /// is below the seal threshold and no compaction is eligible or can
-    /// run (a mapped source failed verification). Queries keep running.
+    /// is below the seal threshold and no compaction is eligible. Queries
+    /// keep running.
     pub fn flush(&self) {
         loop {
             let (handle, claimed) = {
@@ -892,24 +874,17 @@ impl SegmentedVaq {
                     let cur = read_current(&self.shared);
                     let pending = cur.buffer.rows >= self.shared.policy.seal_threshold
                         || pick_compaction(&cur, &self.shared.policy).is_some();
-                    if pending {
-                        st.maintenance = true;
-                    }
                     if !pending {
                         return;
                     }
+                    st.maintenance = true;
                     (None, true)
                 }
             };
             if let Some(h) = handle {
                 let _ = h.join();
             } else if claimed {
-                let version = self.shared.version.load(Ordering::SeqCst);
                 maintenance_task(&self.shared);
-                // Nothing installed: a compaction source failed verification.
-                if self.shared.version.load(Ordering::SeqCst) == version {
-                    return;
-                }
             } else {
                 thread::yield_now();
             }
@@ -1051,9 +1026,9 @@ impl SegmentedVaq {
         Ok(index)
     }
 
-    /// Applies one replayed WAL record. Seal/compact markers are
-    /// advisory: maintenance is re-derived from policy, and the logical
-    /// state replay must reproduce does not depend on segmentation.
+    /// Applies one replayed WAL record. Maintenance is not logged: it is
+    /// re-derived from policy, and the logical state replay must
+    /// reproduce does not depend on segmentation.
     fn apply_wal(&self, op: &wal::WalOp) -> Result<(), VaqError> {
         match op {
             wal::WalOp::Add { first_id, rows, codes } => {
@@ -1066,7 +1041,6 @@ impl SegmentedVaq {
                 let _ = self.try_delete(*id)?;
                 Ok(())
             }
-            wal::WalOp::Seal { .. } | wal::WalOp::Compact { .. } => Ok(()),
         }
     }
 
@@ -1217,11 +1191,12 @@ fn search_set(
         if seg.live() == 0 {
             continue;
         }
-        // A mapped segment's extents are checksum/content-verified on the
-        // first search that touches them (lazy CRC); a failure is a typed
-        // corruption error, never a wrong answer or a panic.
-        let needs_packed = matches!(strategy, SearchStrategy::Quantized);
-        seg.core.ensure_verified(&model.encoder, needs_packed)?;
+        // A mapped segment's packing is verified before the first scan
+        // that reads it; a failure is a typed corruption error, never a
+        // wrong answer or a panic.
+        if matches!(strategy, SearchStrategy::Quantized) {
+            seg.core.ensure_verified(&model.encoder)?;
+        }
         let view = seg.core.view(&model.encoder).with_dead(seg.tombstones.filter());
         let (part, s) = engine.search_squared(&view, &projected, k, strategy);
         stats += s;
@@ -1311,9 +1286,6 @@ fn seal_step(shared: &Arc<Shared>) {
     segments.push(Segment { core: Arc::new(core), tombstones });
     let total = segments.len();
     install(shared, SegmentSet { segments, buffer: Arc::new(rest) });
-    // Advisory commit marker: replay re-derives sealing from policy, but
-    // the marker lets offline tooling see maintenance points in the log.
-    journal_note(shared, &wal::WalOp::Seal { rows });
     crate::obs::event("segment.seal", &format!("sealed {rows} rows; {total} segments"));
 }
 
@@ -1350,10 +1322,7 @@ fn pick_compaction(set: &SegmentSet, policy: &SegmentPolicy) -> Option<Compactio
 
 /// Merges small adjacent segments and purges tombstones until no job is
 /// eligible. Each rebuild runs without locks against a frozen snapshot;
-/// deletes that land during the rebuild are re-applied at install. A
-/// mapped source's scan arrays are verified before a byte is copied (the
-/// rebuild re-packs, so its packing is not read); a failure keeps the
-/// inputs, and the source stays poisoned for every search.
+/// deletes that land during the rebuild are re-applied at install.
 fn compact_step(shared: &Arc<Shared>) {
     loop {
         let frozen = read_current(shared);
@@ -1364,12 +1333,6 @@ fn compact_step(shared: &Arc<Shared>) {
             CompactionJob::Merge(i) => (i, 2usize, "segment.compact"),
         };
         let srcs = &frozen.segments[pos..pos + len];
-        if srcs.iter().any(|seg| seg.core.ensure_verified(&shared.model.encoder, false).is_err()) {
-            crate::faults::note_degradation(
-                "segment.compact: source segment failed verification, inputs retained",
-            );
-            return;
-        }
         // Gather live rows (at freeze time) in id order, remembering the
         // (segment, local) source of every merged row so deletes that
         // raced the rebuild can be re-applied at install.
@@ -1420,7 +1383,6 @@ fn compact_step(shared: &Arc<Shared>) {
         segments.extend_from_slice(&cur.segments[pos + len..]);
         let total = segments.len();
         install(shared, SegmentSet { segments, buffer: Arc::clone(&cur.buffer) });
-        journal_note(shared, &wal::WalOp::Compact { segments: len });
         crate::obs::event(
             kind,
             &format!("compacted {len} segment(s), purged {dropped} rows; {total} segments"),
@@ -1428,9 +1390,8 @@ fn compact_step(shared: &Arc<Shared>) {
     }
 }
 
-/// Builds a sealed segment's immutable payload: the blocked packing plus
-/// a per-segment TI partition (best-effort — a TI failure degrades the
-/// segment to exact scans, as a view without a partition scans).
+/// Builds a sealed segment's immutable payload: the blocked packing plus,
+/// unless the policy turns it off, a per-segment TI partition.
 fn build_core(
     model: &Model,
     policy: &SegmentPolicy,
@@ -1445,19 +1406,17 @@ fn build_core(
     if policy.ti_clusters > 0 && n > 0 {
         let first = core.id_span().map_or(0, |(first, _)| first);
         let seed = model.seed ^ u64::from(first).rotate_left(17);
-        match TiPartition::build(
+        // `build` fails only for `n = 0` or codes that are not `n × m`,
+        // both ruled out here.
+        core.ti = TiPartition::build(
             &model.encoder,
             &core.codes,
             n,
             policy.ti_clusters.min(n),
             model.ti_prefix_subspaces,
             seed,
-        ) {
-            Ok(ti) => core.ti = Some(ti),
-            Err(_) => crate::faults::note_degradation(
-                "segment.seal: per-segment TI build failed, segment scans exactly",
-            ),
-        }
+        )
+        .ok();
     }
     core
 }

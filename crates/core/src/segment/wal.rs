@@ -3,11 +3,11 @@
 //!
 //! Every logical mutation (`add`, `delete`, and therefore `update`, which
 //! is a delete + add) appends one checksummed, length-prefixed record
-//! *before* the in-memory state changes; seals and compactions append
-//! advisory commit markers. After a crash, recovery loads the last
-//! committed manifest and replays the WAL suffix whose sequence numbers
-//! exceed the manifest's `wal_seq` watermark, reaching the exact
-//! pre-crash logical state.
+//! *before* the in-memory state changes; seals and compactions log
+//! nothing, since replay re-derives them from policy. After a crash,
+//! recovery loads the last committed manifest and replays the WAL suffix
+//! whose sequence numbers exceed the manifest's `wal_seq` watermark,
+//! reaching the exact pre-crash logical state.
 //!
 //! ## On-disk format
 //!
@@ -16,14 +16,13 @@
 //! ```text
 //! frame:   len u32 | crc32c u32 | payload[len]
 //! payload: seq u64 | op u8 | body
-//! body:    Add     → first_id u32 | rows u64 | ncodes u64 | codes [u16]
-//!          Delete  → id u32
-//!          Seal    → rows u64            (advisory marker)
-//!          Compact → segments u64        (advisory marker)
+//! body:    Add (op 1)    → first_id u32 | rows u64 | ncodes u64 | codes [u16]
+//!          Delete (op 2) → id u32
 //! ```
 //!
 //! `Add` stores the already-encoded codes, not raw vectors: replay is a
-//! deterministic buffer append, never a re-encode.
+//! deterministic buffer append, never a re-encode. Any other op tag is
+//! typed corruption.
 //!
 //! ## Torn tails vs. corruption
 //!
@@ -55,8 +54,6 @@ use std::path::{Path, PathBuf};
 
 const OP_ADD: u8 = 1;
 const OP_DELETE: u8 = 2;
-const OP_SEAL: u8 = 3;
-const OP_COMPACT: u8 = 4;
 
 /// Bytes of a frame header (`len u32 | crc u32`).
 const FRAME_HEADER: usize = 8;
@@ -69,11 +66,6 @@ pub(crate) enum WalOp {
     Add { first_id: u32, rows: usize, codes: Vec<u16> },
     /// One id tombstoned.
     Delete { id: u32 },
-    /// Advisory marker: a seal moved `rows` buffered rows into a sealed
-    /// segment. Replay ignores it (sealing is re-derived from policy).
-    Seal { rows: usize },
-    /// Advisory marker: a compaction rewrote `segments` segment(s).
-    Compact { segments: usize },
 }
 
 /// A decoded record: its sequence number plus the op.
@@ -111,14 +103,6 @@ fn encode_frame(seq: u64, op: &WalOp) -> Result<Vec<u8>, VaqError> {
         WalOp::Delete { id } => {
             payload.put_u8(OP_DELETE);
             payload.put_u32_le(*id);
-        }
-        WalOp::Seal { rows } => {
-            payload.put_u8(OP_SEAL);
-            payload.put_u64_le(wide(*rows));
-        }
-        WalOp::Compact { segments } => {
-            payload.put_u8(OP_COMPACT);
-            payload.put_u64_le(wide(*segments));
         }
     }
     let len = u32::try_from(payload.len())
@@ -159,23 +143,8 @@ fn decode_payload(mut p: Bytes) -> Result<WalRecord, VaqError> {
             }
             WalOp::Delete { id: p.get_u32_le() }
         }
-        OP_SEAL => {
-            if p.remaining() != 8 {
-                return Err(corrupt("seal record length mismatch"));
-            }
-            WalOp::Seal { rows: narrow(p.get_u64_le(), "wal seal row count")? }
-        }
-        OP_COMPACT => {
-            if p.remaining() != 8 {
-                return Err(corrupt("compact record length mismatch"));
-            }
-            WalOp::Compact { segments: narrow(p.get_u64_le(), "wal compact count")? }
-        }
         tag => return Err(corrupt(&format!("unknown op tag {tag}"))),
     };
-    if !matches!(op, WalOp::Add { .. }) && p.remaining() != 0 {
-        return Err(corrupt("record has trailing bytes"));
-    }
     Ok(WalRecord { seq, op })
 }
 
@@ -379,8 +348,6 @@ mod tests {
         vec![
             WalOp::Add { first_id: 10, rows: 2, codes: vec![1, 2, 3, 4] },
             WalOp::Delete { id: 11 },
-            WalOp::Seal { rows: 2 },
-            WalOp::Compact { segments: 3 },
         ]
     }
 
@@ -392,10 +359,10 @@ mod tests {
         for op in &sample_ops() {
             wal.append(op).unwrap();
         }
-        assert_eq!(wal.last_seq(), 11);
+        assert_eq!(wal.last_seq(), 9);
         let scan = scan(&path).unwrap();
         assert!(!scan.torn);
-        assert_eq!(scan.records.len(), 4);
+        assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.records[0].seq, 8);
         let ops: Vec<WalOp> = scan.records.into_iter().map(|r| r.op).collect();
         assert_eq!(ops, sample_ops());
@@ -422,7 +389,7 @@ mod tests {
         for cut in 0..clean.len() {
             std::fs::write(&path, &clean[..cut]).unwrap();
             let s = scan(&path).unwrap();
-            assert!(s.records.len() <= 4, "cut at {cut}");
+            assert!(s.records.len() <= 2, "cut at {cut}");
             assert!(wide(cut) >= s.clean_len, "cut at {cut}");
         }
 
@@ -434,7 +401,7 @@ mod tests {
         std::fs::write(&path, &flipped).unwrap();
         let s = scan(&path).unwrap();
         assert!(s.torn);
-        assert_eq!(s.records.len(), 3);
+        assert_eq!(s.records.len(), 1);
 
         // The same flip mid-log (bytes follow) is typed corruption.
         let mut mid = clean.clone();
@@ -442,6 +409,31 @@ mod tests {
         std::fs::write(&path, &mid).unwrap();
         let err = scan(&path).unwrap_err();
         assert!(matches!(err, VaqError::BadConfig(ref m) if m.contains("write-ahead log")));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Tags 3 and 4 were seal and compaction markers, which no build
+    /// writes now: a well-framed record carrying one is corruption, even
+    /// as the last record, not a marker to skip.
+    #[test]
+    fn retired_marker_tags_are_typed_corruption() {
+        let dir = tmp_dir("retired");
+        let path = dir.join("log.wal");
+        for tag in [3u8, 4] {
+            let mut payload = BytesMut::new();
+            payload.put_u64_le(1);
+            payload.put_u8(tag);
+            payload.put_u64_le(2);
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&crate::crc::crc32c(&payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            std::fs::write(&path, &frame).unwrap();
+            let err = scan(&path).unwrap_err();
+            assert!(
+                matches!(err, VaqError::BadConfig(ref m) if m.contains(&format!("unknown op tag {tag}"))),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -171,8 +171,8 @@ impl TiPartition {
     /// Reassembles a partition from persisted parts. `None` when the
     /// boundaries are not a monotone cover of the member arrays or the
     /// arrays disagree in length — *content* invariants (index range,
-    /// sorted distances) are the audit's business (VAQ108): owned loads
-    /// run it eagerly, mapped loads on first touch.
+    /// sorted distances) are the audit's business (VAQ108), which every
+    /// load runs at open.
     pub(crate) fn from_parts(
         centroids: Matrix,
         offsets: Vec<usize>,
