@@ -422,8 +422,7 @@ fn chaos_run(seed: u64, p: f64, n: usize, d: usize) -> Result<bool, String> {
             .with_seal_threshold(24)
             .with_compact_min_segments(2)
             .with_tombstone_purge_frac(0.3)
-            .with_ti_clusters(8)
-            .sequential(),
+            .with_ti_clusters(8),
     );
     // `SegmentedVaq::add` trusts its input like `Vaq::add` does, so feed
     // it the sanitized view of the chaos rows.
@@ -957,10 +956,7 @@ fn cmd_bench_out_of_core(opts: &Opts) -> Result<(), String> {
     let sample = sample_fvecs_blocks(&data_path, dim, train_limit, block, seed)
         .map_err(|e| format!("sample: {e}"))?;
     let cfg = VaqConfig::new(budget, segments).with_seed(seed).with_ti_clusters(0);
-    let policy = SegmentPolicy::default()
-        .with_seal_threshold(seal)
-        .with_ti_clusters(ti_clusters)
-        .sequential();
+    let policy = SegmentPolicy::default().with_seal_threshold(seal).with_ti_clusters(ti_clusters);
     let seg = SegmentedVaq::train(&sample, &cfg, policy).map_err(|e| e.to_string())?;
     drop(sample);
     let train_secs = t0.elapsed().as_secs_f64();
@@ -1265,8 +1261,7 @@ fn crash_workload(base: &[u8], data: &Matrix, path: &Path) -> Result<CrashRun, S
         SegmentPolicy::default()
             .with_seal_threshold(12)
             .with_compact_min_segments(2)
-            .with_ti_clusters(4)
-            .sequential(),
+            .with_ti_clusters(4),
     );
     let half = data.rows() / 2;
     let mut durable = false;

@@ -42,7 +42,7 @@ fn every_command_opens_every_file_the_library_writes() {
     let mono = Vaq::train(&rows(0, 120), &VaqConfig::new(24, 4).with_ti_clusters(8)).unwrap();
     let seg = SegmentedVaq::from_vaq(
         mono.clone(),
-        SegmentPolicy::default().with_seal_threshold(32).with_ti_clusters(4).sequential(),
+        SegmentPolicy::default().with_seal_threshold(32).with_ti_clusters(4),
     );
     seg.add(&rows(120, 184)).unwrap(); // over the threshold: sealed inline
     seg.add(&rows(184, 190)).unwrap(); // 6 rows stay in the buffer

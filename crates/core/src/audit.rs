@@ -541,8 +541,9 @@ pub(crate) fn audit_index(
     arrays: impl Fn(&SegmentCore) -> ArrayParts,
 ) -> AuditReport {
     let model = index.shared_model();
-    let set = index.snapshot();
-    let (next_id, maintenance) = index.writer_probe();
+    // Snapshot and flag under one lock: read apart, they can pair the
+    // buffer a seal was about to take with the flag it cleared after.
+    let (set, next_id, maintenance) = index.writer_cut();
     let policy = index.policy();
 
     let mut r = audit_model(model);
@@ -830,8 +831,7 @@ mod tests {
     fn segmented_index_is_clean_and_vaq111_catches_structure_breaks() {
         use crate::segment::{SegmentPolicy, SegmentedVaq};
         let ds = SyntheticSpec::sift_like().generate(200, 0, 19);
-        let policy =
-            SegmentPolicy::default().with_seal_threshold(40).with_ti_clusters(4).sequential();
+        let policy = SegmentPolicy::default().with_seal_threshold(40).with_ti_clusters(4);
         let cfg = VaqConfig::new(40, 8).with_ti_clusters(12).with_seed(5);
         let seg = SegmentedVaq::train(&ds.data, &cfg, policy).unwrap();
         let extra = SyntheticSpec::sift_like().generate(90, 0, 20);

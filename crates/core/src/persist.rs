@@ -17,7 +17,10 @@
 //! zero padding in between
 //!
 //! extent 0:        model — pca | layout | bits | codebooks | strategy |
-//!                  ti_prefix_subspaces u64 | seed u64 | policy | next_id u32
+//!                  ti_prefix_subspaces u64 | seed u64 | policy (seal
+//!                  threshold u64 | compaction minimum u64 | purge fraction
+//!                  f64 | TI clusters u64 | reserved u8: 0, read 0 or 1) |
+//!                  next_id u32
 //! 7 per segment:   meta (rows u64 | dead u64 | first id u32 | TI flag +
 //!                  centroids, cluster boundaries, prefix) | ids [u32] |
 //!                  codes [u16] | packed [u8] | tombstone words [u64] |
@@ -425,7 +428,7 @@ impl Vaq {
     /// audit must pass.
     pub fn from_bytes(data: &[u8]) -> Result<Vaq, VaqError> {
         let index = SegmentedVaq::from_bytes(data)?;
-        let (set, next_id) = index.persist_snapshot();
+        let (set, next_id, _) = index.writer_cut();
         match set.segments.as_slice() {
             [Segment { core, tombstones }]
                 if matches!(core.ids, SegmentIds::Dense(0))
@@ -462,7 +465,7 @@ impl SegmentedVaq {
     /// concurrent ingest yields *some* consistent state; pending
     /// buffered rows are persisted as-is and re-sealed on load.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let (set, next_id) = self.persist_snapshot();
+        let (set, next_id, _) = self.writer_cut();
         let extents = set_extents(self.shared_model(), self.policy(), &set, next_id, false);
         let mut out = std::io::Cursor::new(Vec::new());
         // A `Vec` sink cannot fail, so there is no error to surface.
@@ -488,7 +491,7 @@ impl SegmentedVaq {
     ///
     /// [`SegmentedVaq::make_durable`]: crate::segment::SegmentedVaq::make_durable
     pub fn save(&self, path: &Path) -> Result<(), VaqError> {
-        let (set, next_id) = self.persist_snapshot();
+        let (set, next_id, _) = self.writer_cut();
         commit_set(path, self.shared_model(), self.policy(), &set, next_id, 0, false)
     }
 
@@ -512,7 +515,7 @@ impl SegmentedVaq {
     /// TI member tables) can be memory-mapped and scanned in place by
     /// [`SegmentedVaq::open_mapped`].
     pub fn save_mapped(&self, path: &Path) -> Result<(), VaqError> {
-        let (set, next_id) = self.persist_snapshot();
+        let (set, next_id, _) = self.writer_cut();
         commit_set(path, self.shared_model(), self.policy(), &set, next_id, 0, true)
     }
 
@@ -1055,7 +1058,7 @@ fn put_model(buf: &mut BytesMut, model: &Model, policy: &SegmentPolicy, next_id:
     buf.put_u64_le(wide(policy.compact_min_segments));
     buf.put_f64_le(policy.tombstone_purge_frac);
     buf.put_u64_le(wide(policy.ti_clusters));
-    buf.put_u8(u8::from(policy.background));
+    buf.put_u8(0); // reserved
 
     buf.put_u32_le(next_id);
 }
@@ -1085,16 +1088,15 @@ fn get_model_policy(buf: &mut Bytes) -> Result<(Model, SegmentPolicy, u32), VaqE
     let compact_min_segments = take_len(buf, "compaction minimum")?;
     let tombstone_purge_frac = take(buf, 8)?.get_f64_le();
     let ti_clusters = take_len(buf, "TI cluster knob")?;
-    let mut policy = SegmentPolicy::default()
+    let policy = SegmentPolicy::default()
         .with_seal_threshold(seal_threshold)
         .with_compact_min_segments(compact_min_segments)
         .with_tombstone_purge_frac(tombstone_purge_frac)
         .with_ti_clusters(ti_clusters);
-    policy.background = match take(buf, 1)?.get_u8() {
-        0 => false,
-        1 => true,
-        _ => return Err(bad("bad background flag")),
-    };
+    // Reserved: written as 0; files from before it was reserved hold 1.
+    if take(buf, 1)?.get_u8() > 1 {
+        return Err(bad("bad reserved policy byte"));
+    }
 
     let next_id = take(buf, 4)?.get_u32_le();
     Ok((model, policy, next_id))
@@ -1354,7 +1356,6 @@ mod tests {
             .with_seal_threshold(40)
             .with_compact_min_segments(3)
             .with_ti_clusters(6)
-            .sequential()
     }
 
     /// A segmented index with several sealed segments, tombstones in
@@ -1520,7 +1521,6 @@ mod tests {
         assert_eq!(back.snapshot().buffer_len(), seg.snapshot().buffer_len());
         assert_eq!(back.policy().seal_threshold, 40);
         assert_eq!(back.policy().compact_min_segments, 3);
-        assert!(!back.policy().background);
         assert!(!back.contains(7) && !back.contains(295));
         for i in (0..300).step_by(41) {
             for strat in [
@@ -1580,7 +1580,7 @@ mod tests {
         let seg = SegmentedVaq::train(
             &data,
             &VaqConfig::new(24, 4).with_ti_clusters(8),
-            SegmentPolicy::default().with_seal_threshold(marker).with_ti_clusters(4).sequential(),
+            SegmentPolicy::default().with_seal_threshold(marker).with_ti_clusters(4),
         )
         .unwrap();
         seg.add(&toy_data(50)).unwrap();
@@ -1598,6 +1598,39 @@ mod tests {
         assert!(back.snapshot().buffer_len() < 8, "loader must re-seal the buffer");
         assert_eq!(back.len(), seg.len());
         assert_eq!(seg.search(data.row(5), 6).unwrap(), back.search(data.row(5), 6).unwrap());
+    }
+
+    #[test]
+    fn reserved_policy_byte_opens_as_0_or_1_only() {
+        let marker = 0x00DE_AD17usize;
+        let data = toy_data(120);
+        let policy = SegmentPolicy::default().with_seal_threshold(marker);
+        let seg =
+            SegmentedVaq::train(&data, &VaqConfig::new(24, 4).with_ti_clusters(8), policy).unwrap();
+        let bytes = seg.to_bytes();
+        let needle = super::wide(marker).to_le_bytes();
+        let hits: Vec<usize> =
+            bytes.windows(8).enumerate().filter(|(_, w)| *w == needle).map(|(i, _)| i).collect();
+        assert_eq!(hits.len(), 1, "marker threshold must appear exactly once");
+        // Seal threshold, compaction minimum, purge fraction, TI clusters.
+        let at = hits[0] + 32;
+        assert_eq!(bytes[at], 0, "the reserved byte is written as 0");
+
+        // Files written before the byte was reserved hold 1.
+        let mut old = bytes.clone();
+        old[at] = 1;
+        reseal(&mut old);
+        let back = SegmentedVaq::from_bytes(&old).unwrap();
+        for i in (0..120).step_by(29) {
+            assert_eq!(back.search(data.row(i), 7).unwrap(), seg.search(data.row(i), 7).unwrap());
+        }
+        assert_eq!(back.to_bytes(), bytes, "re-saving writes the byte as 0");
+
+        let mut bad = bytes;
+        bad[at] = 2;
+        reseal(&mut bad);
+        let err = SegmentedVaq::from_bytes(&bad).unwrap_err().to_string();
+        assert!(err.contains("reserved policy byte"), "{err}");
     }
 
     #[test]
@@ -1752,7 +1785,7 @@ mod tests {
         ];
 
         let (clean, data) = populated();
-        let (set, next_id) = clean.persist_snapshot();
+        let (set, next_id, _) = clean.writer_cut();
         assert_eq!((set.segments[0].core.n, set.segments.len() > 1), (150, true));
         let path = tmp_dir("hostile-table").join("index.vaq");
         let strategies = [
@@ -1872,7 +1905,7 @@ mod tests {
 
         let back = SegmentedVaq::from_bytes(&plain).unwrap();
         assert!(back.audit().is_ok());
-        let (set, next_id) = back.persist_snapshot();
+        let (set, next_id, _) = back.writer_cut();
         let mut segments = set.segments.clone();
         let core = Arc::make_mut(&mut segments[0].core);
         let sizes: Vec<usize> = back.shared_model().encoder.table_sizes().collect();

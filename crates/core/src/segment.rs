@@ -1,6 +1,6 @@
 //! Segmented concurrent index: sealed segments, a mutable write buffer,
-//! tombstoned deletes, and background compaction (ROADMAP open item 1 —
-//! the serving-scale regime).
+//! tombstoned deletes, and compaction (ROADMAP open item 1 — the
+//! serving-scale regime).
 //!
 //! A [`SegmentedVaq`] shares **one trained model** (PCA basis, subspace
 //! plan, bit plan, dictionaries — everything [`Vaq::train`] learns) across
@@ -30,9 +30,9 @@
 //! # Lifecycle
 //!
 //! ```text
-//!   add ──▶ write buffer ──(≥ seal_threshold, background thread)──▶ seal
-//!                                                                    │
-//!            sealed segment ◀── pack codes + build per-segment TI ◀──┘
+//!   add ──▶ write buffer ──(≥ seal_threshold, inline in the writer)──▶ seal
+//!                                                                      │
+//!            sealed segment ◀──── pack codes + build per-segment TI ◀──┘
 //!                 │
 //!                 ├─ delete ──▶ tombstone bit (consulted at scan & rerank)
 //!                 │
@@ -40,10 +40,10 @@
 //!                        compaction: merge neighbours, drop tombstones
 //! ```
 //!
-//! Sealing and compaction run on a background thread when the
-//! [`crate::threads`] budget allows (and [`SegmentPolicy::background`] is
-//! set); otherwise they run inline at the trigger point. All three
-//! maintenance actions emit structured events
+//! Sealing and compaction run inline, on the writer whose `add`,
+//! `delete` or `flush` triggered them; a flag under the writer lock lets
+//! one pass run at a time while other writers and every reader go on.
+//! All three maintenance actions emit structured events
 //! (`segment.seal` / `segment.compact` / `segment.tombstone_purge`) into
 //! the [`crate::obs`] event ring under span coverage.
 //!
@@ -56,7 +56,7 @@
 //!     .collect();
 //! let data = Matrix::from_rows(&rows);
 //! let cfg = VaqConfig::new(12, 3).with_ti_clusters(8);
-//! let policy = SegmentPolicy::default().with_seal_threshold(32).sequential();
+//! let policy = SegmentPolicy::default().with_seal_threshold(32);
 //! let index = SegmentedVaq::train(&data, &cfg, policy).unwrap();
 //! let ids = index.add(&Matrix::from_rows(&rows[..4])).unwrap();
 //! assert!(index.delete(ids[0]));
@@ -82,8 +82,9 @@ pub(crate) mod wal;
 // Policy
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs for segment maintenance. All thresholds are clamped to
-/// sane minima by the builders.
+/// Tuning knobs for segment maintenance, which runs inline on the writer
+/// that triggers it. All thresholds are clamped to sane minima by the
+/// builders.
 #[derive(Debug, Clone)]
 pub struct SegmentPolicy {
     /// Buffer size (rows) that triggers sealing into a new segment.
@@ -97,11 +98,6 @@ pub struct SegmentPolicy {
     /// TI clusters per sealed segment (clamped to the segment size;
     /// `0` disables per-segment TI and the segment scans exactly).
     pub ti_clusters: usize,
-    /// Run seal/compaction on a background thread when the
-    /// [`crate::threads`] budget allows. When `false` (or with a budget
-    /// of 1) maintenance runs inline at the trigger point —
-    /// deterministic, useful for tests.
-    pub background: bool,
 }
 
 impl Default for SegmentPolicy {
@@ -111,7 +107,6 @@ impl Default for SegmentPolicy {
             compact_min_segments: 4,
             tombstone_purge_frac: 0.25,
             ti_clusters: 64,
-            background: true,
         }
     }
 }
@@ -142,17 +137,9 @@ impl SegmentPolicy {
         self
     }
 
-    /// Forces inline (same-thread) seal/compaction: deterministic, no
-    /// background thread.
-    pub fn sequential(mut self) -> Self {
-        self.background = false;
+    /// The identity: maintenance always runs inline on the writer.
+    pub fn sequential(self) -> Self {
         self
-    }
-
-    /// Hard cap on the buffer before writers block on the in-flight seal
-    /// (backpressure): twice the seal threshold.
-    fn backpressure_rows(&self) -> usize {
-        self.seal_threshold.saturating_mul(2).max(2)
     }
 }
 
@@ -455,12 +442,9 @@ impl SegmentSet {
 #[derive(Debug, Default)]
 pub(crate) struct WriterState {
     pub(crate) next_id: u32,
-    /// A seal/compaction pass is running (background or inline); at most
-    /// one at a time.
+    /// A seal/compaction pass is running, inline on the writer that
+    /// claimed this flag; at most one at a time.
     maintenance: bool,
-    /// Join handle of the in-flight background pass, for backpressure
-    /// and [`SegmentedVaq::flush`].
-    inflight: Option<thread::JoinHandle<()>>,
 }
 
 #[derive(Debug)]
@@ -615,18 +599,12 @@ impl SegmentedVaq {
         &self.shared.model
     }
 
-    /// Writer-state probe for the audit: `(next_id, maintenance pass in
-    /// flight)`, read atomically under the writer lock.
-    pub(crate) fn writer_probe(&self) -> (u32, bool) {
+    /// `(snapshot, next_id, maintenance pass in flight)`, read under one
+    /// writer-lock acquisition, so no add, seal or flag change slips
+    /// between them: what the audit checks and what a save writes.
+    pub(crate) fn writer_cut(&self) -> (Arc<SegmentSet>, u32, bool) {
         let st = wlock(&self.shared);
-        (st.next_id, st.maintenance)
-    }
-
-    /// A mutually consistent `(snapshot, next_id)` pair for serialization,
-    /// read under the writer lock so no add can slip between the two.
-    pub(crate) fn persist_snapshot(&self) -> (Arc<SegmentSet>, u32) {
-        let st = wlock(&self.shared);
-        (read_current(&self.shared), st.next_id)
+        (read_current(&self.shared), st.next_id, st.maintenance)
     }
 
     /// Admits an index assembled from untrusted bytes: the audit must pass
@@ -694,18 +672,17 @@ impl SegmentedVaq {
 
     /// Encodes and appends the rows of `data` into the write buffer,
     /// returning their assigned global ids. The rows are searchable as
-    /// soon as this returns; sealing happens asynchronously (or inline
-    /// under a [`SegmentPolicy::sequential`] policy). Writers block only
-    /// when the buffer outruns the in-flight seal by 2× the threshold
-    /// (backpressure).
+    /// soon as this returns. When they bring the buffer to the seal
+    /// threshold and no pass is running, this call runs the seal (and
+    /// any compaction it makes eligible) before returning; a pass already
+    /// running on another writer picks the rows up instead.
     pub fn add(&self, data: &Matrix) -> Result<Vec<u32>, VaqError> {
         let new_codes = self.shared.model.encode(data)?;
         if data.rows() == 0 {
             return Ok(Vec::new());
         }
 
-        let mut run_inline = false;
-        let mut join_for_backpressure = None;
+        let claimed;
         let ids: Vec<u32>;
         {
             let mut st = wlock(&self.shared);
@@ -725,19 +702,11 @@ impl SegmentedVaq {
             st.next_id += data.rows() as u32;
             ids = (first..st.next_id).collect();
             let buffered = append_to_buffer(&self.shared, first, data.rows(), &new_codes);
-
-            if buffered >= self.shared.policy.seal_threshold && !st.maintenance {
-                st.maintenance = true;
-                run_inline = !self.spawn_maintenance(&mut st);
-            } else if st.maintenance && buffered >= self.shared.policy.backpressure_rows() {
-                join_for_backpressure = st.inflight.take();
-            }
+            claimed = buffered >= self.shared.policy.seal_threshold && !st.maintenance;
+            st.maintenance |= claimed;
         }
-        if run_inline {
+        if claimed {
             maintenance_task(&self.shared);
-        }
-        if let Some(handle) = join_for_backpressure {
-            let _ = handle.join();
         }
         Ok(ids)
     }
@@ -756,7 +725,7 @@ impl SegmentedVaq {
     /// index the tombstone record must reach the write-ahead log before
     /// the in-memory state changes, and that append can fail.
     pub fn try_delete(&self, id: u32) -> Result<bool, VaqError> {
-        let mut run_inline = false;
+        let claimed;
         let killed;
         {
             let mut st = wlock(&self.shared);
@@ -792,12 +761,10 @@ impl SegmentedVaq {
                 journal_append(&self.shared, || wal::WalOp::Delete { id })?;
                 install(&self.shared, set);
             }
-            if purge_eligible && !st.maintenance {
-                st.maintenance = true;
-                run_inline = !self.spawn_maintenance(&mut st);
-            }
+            claimed = purge_eligible && !st.maintenance;
+            st.maintenance |= claimed;
         }
-        if run_inline {
+        if claimed {
             maintenance_task(&self.shared);
         }
         Ok(killed)
@@ -856,34 +823,28 @@ impl SegmentedVaq {
         }
     }
 
-    /// Drains pending maintenance synchronously: joins any in-flight
-    /// background pass, then seals and compacts inline until the buffer
+    /// Drains pending maintenance synchronously: waits out a pass running
+    /// on another writer, then seals and compacts inline until the buffer
     /// is below the seal threshold and no compaction is eligible. Queries
     /// keep running.
     pub fn flush(&self) {
         loop {
-            let (handle, claimed) = {
+            let claimed = {
                 let mut st = wlock(&self.shared);
-                let handle = st.inflight.take();
-                if handle.is_some() {
-                    (handle, false)
-                } else if st.maintenance {
-                    // An inline pass on another thread: wait and re-check.
-                    (None, false)
-                } else {
+                // A pass running on another writer: wait and re-check.
+                let claim = !st.maintenance;
+                if claim {
                     let cur = read_current(&self.shared);
-                    let pending = cur.buffer.rows >= self.shared.policy.seal_threshold
-                        || pick_compaction(&cur, &self.shared.policy).is_some();
-                    if !pending {
+                    if cur.buffer.rows < self.shared.policy.seal_threshold
+                        && pick_compaction(&cur, &self.shared.policy).is_none()
+                    {
                         return;
                     }
                     st.maintenance = true;
-                    (None, true)
                 }
+                claim
             };
-            if let Some(h) = handle {
-                let _ = h.join();
-            } else if claimed {
+            if claimed {
                 maintenance_task(&self.shared);
             } else {
                 thread::yield_now();
@@ -963,13 +924,12 @@ impl SegmentedVaq {
     pub fn open_durable(path: &Path) -> Result<SegmentedVaq, VaqError> {
         let _span = crate::obs::span("segment.recover");
         let (index, manifest_seq) = SegmentedVaq::load_with_seq(path)?;
-        let loaded = index.snapshot();
+        let (loaded, base_next_id, _) = index.writer_cut();
         // A stale staging file from an interrupted commit is dead weight;
         // the rename never happened, so it holds a torn manifest.
         if std::fs::remove_file(crate::persist::tmp_path(path)).is_ok() {
             crate::obs::event("segment.recover", "removed stale staging file");
         }
-        let (base_next_id, _) = index.writer_probe();
         let wal_file = wal::wal_path(path);
         let scan = wal::scan(&wal_file)?;
         if scan.torn {
@@ -1096,26 +1056,6 @@ impl SegmentedVaq {
             next_id: st.next_id,
         })
     }
-
-    /// Spawns the maintenance pass on a background thread when the policy
-    /// and thread budget allow; returns `false` when the caller must run
-    /// it inline. The `maintenance` flag is already claimed.
-    fn spawn_maintenance(&self, st: &mut WriterState) -> bool {
-        if !self.shared.policy.background || crate::threads::thread_budget() <= 1 {
-            return false;
-        }
-        let shared = Arc::clone(&self.shared);
-        match thread::Builder::new()
-            .name("vaq-segment-maintenance".into())
-            .spawn(move || maintenance_task(&shared))
-        {
-            Ok(handle) => {
-                st.inflight = Some(handle);
-                true
-            }
-            Err(_) => false,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1228,13 +1168,14 @@ fn search_set(
 // Maintenance: seal + compaction
 // ---------------------------------------------------------------------------
 
-/// One maintenance pass: seal the frozen buffer, compact until quiescent,
-/// and repeat while writers refilled the buffer past the threshold in the
-/// meantime. Runs on the background thread or inline; the `maintenance`
-/// flag is held for the whole pass and cleared at the end — the final
-/// re-check happens under the writer lock, so whenever the flag is down
-/// the buffer is below the seal threshold (audit code VAQ111).
-fn maintenance_task(shared: &Arc<Shared>) {
+/// One maintenance pass, run inline by the writer that claimed the
+/// `maintenance` flag: seal the frozen buffer, compact until quiescent,
+/// and repeat while other writers refilled the buffer past the threshold
+/// in the meantime. The flag is held for the whole pass and cleared at
+/// the end — the final re-check happens under the writer lock, so
+/// whenever the flag is down the buffer is below the seal threshold
+/// (audit code VAQ111).
+fn maintenance_task(shared: &Shared) {
     loop {
         seal_step(shared);
         compact_step(shared);
@@ -1250,7 +1191,7 @@ fn maintenance_task(shared: &Arc<Shared>) {
 /// expensive work (packing + per-segment TI build) runs without any lock
 /// against a frozen prefix — adds only append past it and deletes only
 /// set bits, which are re-read at install time.
-fn seal_step(shared: &Arc<Shared>) {
+fn seal_step(shared: &Shared) {
     let frozen = read_current(shared);
     let rows = frozen.buffer.rows;
     if rows == 0 {
@@ -1323,7 +1264,7 @@ fn pick_compaction(set: &SegmentSet, policy: &SegmentPolicy) -> Option<Compactio
 /// Merges small adjacent segments and purges tombstones until no job is
 /// eligible. Each rebuild runs without locks against a frozen snapshot;
 /// deletes that land during the rebuild are re-applied at install.
-fn compact_step(shared: &Arc<Shared>) {
+fn compact_step(shared: &Shared) {
     loop {
         let frozen = read_current(shared);
         let Some(job) = pick_compaction(&frozen, &shared.policy) else { return };
@@ -1358,17 +1299,14 @@ fn compact_step(shared: &Arc<Shared>) {
         let _st = wlock(shared);
         let cur = read_current(shared);
         // Only one maintenance pass runs at a time and nothing else
-        // restructures `segments`, so positions are stable; verify the
-        // cores anyway and abort (inputs retained) on any surprise.
-        let stable = cur.segments.len() == frozen.segments.len()
-            && (pos..pos + len)
-                .all(|i| Arc::ptr_eq(&cur.segments[i].core, &frozen.segments[i].core));
-        if !stable {
-            crate::faults::note_degradation(
-                "segment.compact: snapshot changed shape mid-rebuild, inputs retained",
-            );
-            return;
-        }
+        // restructures `segments` (deletes swap tombstones, not cores), so
+        // the frozen positions still hold the same cores.
+        debug_assert!(
+            cur.segments.len() == frozen.segments.len()
+                && (pos..pos + len)
+                    .all(|i| Arc::ptr_eq(&cur.segments[i].core, &frozen.segments[i].core)),
+            "segments restructured under a running compaction"
+        );
         let mut segments: Vec<Segment> = Vec::with_capacity(cur.segments.len());
         segments.extend_from_slice(&cur.segments[..pos]);
         if let Some(core) = merged {
@@ -1449,7 +1387,6 @@ mod tests {
             .with_seal_threshold(48)
             .with_compact_min_segments(3)
             .with_ti_clusters(8)
-            .sequential()
     }
 
     fn ids_of(hits: &[Neighbor]) -> Vec<u32> {
@@ -1555,8 +1492,7 @@ mod tests {
             .with_seal_threshold(30)
             .with_compact_min_segments(3)
             .with_tombstone_purge_frac(0.3)
-            .with_ti_clusters(4)
-            .sequential();
+            .with_ti_clusters(4);
         let seg = SegmentedVaq::train(&train, &cfg(), pol).unwrap();
         let more = toy_data(120, 8, 22);
         seg.add(&more).unwrap();
@@ -1602,8 +1538,7 @@ mod tests {
             .with_seal_threshold(1024)
             .with_compact_min_segments(3)
             .with_tombstone_purge_frac(0.5)
-            .with_ti_clusters(4)
-            .sequential();
+            .with_ti_clusters(4);
         let vaq = Vaq::train(&toy_data(1024, 6, 91), &cfg()).unwrap();
         assert!(matches!(vaq.core.ids, SegmentIds::Dense(0)));
         let seg = SegmentedVaq::from_vaq(vaq, pol.clone());
@@ -1623,7 +1558,7 @@ mod tests {
         assert_eq!(shape(&seg), [(Some(0), 2048), (Some(2048), 1024)]);
 
         // The same index with every id written out is 4 B/row larger.
-        let (set, next_id) = seg.persist_snapshot();
+        let (set, next_id, _) = seg.writer_cut();
         let stored = set.segments.iter().map(|s| {
             let ids: Vec<u32> = (0..s.core.n).map(|row| s.core.id_of(row)).collect();
             let core = SegmentCore { ids: SegmentIds::Column(ids.into()), ..(*s.core).clone() };
@@ -1665,12 +1600,12 @@ mod tests {
     }
 
     #[test]
-    fn background_seal_keeps_queries_exact() {
+    fn default_policy_seal_keeps_queries_exact() {
         let train = toy_data(100, 8, 41);
         let pol = SegmentPolicy::default()
             .with_seal_threshold(32)
             .with_compact_min_segments(4)
-            .with_ti_clusters(4); // background stays on
+            .with_ti_clusters(4);
         let seg = SegmentedVaq::train(&train, &cfg(), pol).unwrap();
         let more = toy_data(200, 8, 42);
         let mut oracle = Vaq::train(&train, &cfg()).unwrap();
@@ -1692,13 +1627,25 @@ mod tests {
     }
 
     #[test]
+    fn add_under_the_default_policy_returns_sealed() {
+        let pol = SegmentPolicy::default().with_seal_threshold(32);
+        let seg = SegmentedVaq::train(&toy_data(100, 8, 43), &cfg(), pol).unwrap();
+        let before = seg.snapshot().num_segments();
+        seg.add(&toy_data(40, 8, 44)).unwrap();
+        // No flush: the add that crossed the threshold ran the seal.
+        let snap = seg.snapshot();
+        assert!(snap.buffer_len() < 32, "buffer {}", snap.buffer_len());
+        assert_eq!(snap.num_segments(), before + 1);
+        assert_eq!(seg.len(), 140);
+    }
+
+    #[test]
     fn maintenance_events_reach_the_obs_ring() {
         let train = toy_data(40, 6, 51);
         let pol = SegmentPolicy::default()
             .with_seal_threshold(16)
             .with_compact_min_segments(2)
-            .with_ti_clusters(2)
-            .sequential();
+            .with_ti_clusters(2);
         crate::obs::set_enabled(true);
         let seg = SegmentedVaq::train(&train, &cfg(), pol).unwrap();
         seg.add(&toy_data(40, 6, 52)).unwrap();

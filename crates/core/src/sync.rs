@@ -44,12 +44,8 @@ pub mod atomic {
 
 pub mod thread {
     #[cfg(not(loom))]
-    pub use std::thread::{
-        available_parallelism, scope, spawn, yield_now, Builder, JoinHandle, Scope,
-    };
+    pub use std::thread::{available_parallelism, scope, spawn, yield_now, Scope};
 
     #[cfg(loom)]
-    pub use loom::thread::{
-        available_parallelism, scope, spawn, yield_now, Builder, JoinHandle, Scope,
-    };
+    pub use loom::thread::{available_parallelism, scope, spawn, yield_now, Scope};
 }

@@ -68,7 +68,7 @@ fn assert_distinct(ids: &[u32]) {
 /// inside the checker's passthrough mode.
 #[test]
 fn smoke_seal_race_writer_vs_reader() {
-    let index = fresh(SegmentPolicy::default().with_seal_threshold(2).sequential());
+    let index = fresh(SegmentPolicy::default().with_seal_threshold(2));
     let writer = {
         let index = index.clone();
         std::thread::spawn(move || {
@@ -98,6 +98,7 @@ fn smoke_seal_race_writer_vs_reader() {
 #[cfg(loom)]
 mod exhaustive {
     use super::*;
+    use vaq_core::Audit;
 
     /// Seal-while-search: a writer appends past the seal threshold
     /// (inline seal) while a reader keeps searching through a cached
@@ -108,7 +109,7 @@ mod exhaustive {
     fn seal_while_search() {
         let query = toy_rows(1, 3)[0].clone();
         loom::model(move || {
-            let index = fresh(SegmentPolicy::default().with_seal_threshold(2).sequential());
+            let index = fresh(SegmentPolicy::default().with_seal_threshold(2));
             let writer = {
                 let index = index.clone();
                 let rows = toy_rows(2, 11);
@@ -132,7 +133,7 @@ mod exhaustive {
     #[test]
     fn snapshots_never_regress() {
         loom::model(|| {
-            let index = fresh(SegmentPolicy::default().with_seal_threshold(64).sequential());
+            let index = fresh(SegmentPolicy::default().with_seal_threshold(64));
             let writer = {
                 let index = index.clone();
                 let rows = toy_rows(1, 21);
@@ -162,7 +163,7 @@ mod exhaustive {
     fn tombstone_visibility() {
         let query = toy_rows(1, 3)[0].clone();
         loom::model(move || {
-            let index = fresh(SegmentPolicy::default().sequential());
+            let index = fresh(SegmentPolicy::default());
             let deleter = {
                 let index = index.clone();
                 vaq_core::sync::thread::spawn(move || {
@@ -184,21 +185,16 @@ mod exhaustive {
     }
 
     /// Compaction-vs-delete: compaction gathers live rows, builds the
-    /// merged segment *outside* the writer lock, then re-checks core
-    /// pointer identity and re-applies tombstones from the current
-    /// snapshot at install. A delete racing into the segments being
+    /// merged segment *outside* the writer lock, then re-applies
+    /// tombstones from the current snapshot at install. A delete racing into the segments being
     /// merged (id 16 lives in the 1-row segment the compaction picks
     /// up) must survive on every schedule — the classic lost-update
     /// this re-application exists to prevent.
     #[test]
     fn compact_preserves_racing_delete() {
         loom::model(|| {
-            let index = fresh(
-                SegmentPolicy::default()
-                    .with_seal_threshold(1)
-                    .with_compact_min_segments(2)
-                    .sequential(),
-            );
+            let index =
+                fresh(SegmentPolicy::default().with_seal_threshold(1).with_compact_min_segments(2));
             // Deterministic setup (single thread, no branching): two
             // 1-row adds each seal, leaving 3 segments — compactable.
             index.add(&Matrix::from_rows(&toy_rows(1, 31))).expect("setup add");
@@ -223,12 +219,8 @@ mod exhaustive {
     #[test]
     fn concurrent_flushes_are_exclusive() {
         loom::model(|| {
-            let index = fresh(
-                SegmentPolicy::default()
-                    .with_seal_threshold(1)
-                    .with_compact_min_segments(2)
-                    .sequential(),
-            );
+            let index =
+                fresh(SegmentPolicy::default().with_seal_threshold(1).with_compact_min_segments(2));
             index.add(&Matrix::from_rows(&toy_rows(1, 51))).expect("setup add");
             index.add(&Matrix::from_rows(&toy_rows(1, 52))).expect("setup add");
             let other = {
@@ -243,21 +235,26 @@ mod exhaustive {
         });
     }
 
-    /// Buffer backpressure: with a background maintenance thread in
-    /// flight, a writer that overruns the backpressure cap joins it
-    /// instead of growing the buffer without bound. Exhaustively, the
-    /// add/seal/join handshake must never deadlock or lose rows.
+    /// Audit-during-inline-seal: a writer adds 2 rows under seal
+    /// threshold 2 — its add runs the seal — while the main thread
+    /// audits. The audit reads snapshot, id counter and maintenance flag
+    /// in one cut, so no schedule pairs the over-threshold buffer with
+    /// the flag the finished seal cleared (a false VAQ111).
     #[test]
-    fn backpressure_handshake() {
-        let query = toy_rows(1, 3)[0].clone();
-        loom::model(move || {
-            // background=true: the seal runs on a loom-spawned thread.
-            let index = fresh(SegmentPolicy::default().with_seal_threshold(1));
-            index.add(&Matrix::from_rows(&toy_rows(1, 41))).expect("first add");
-            index.add(&Matrix::from_rows(&toy_rows(1, 42))).expect("backpressured add");
-            index.flush();
-            let hits = index.search(&query, BASE_ROWS + 2).expect("post-flush search");
-            assert_eq!(hits.len(), BASE_ROWS + 2, "backpressure lost rows");
+    fn audit_during_inline_seal_is_clean() {
+        loom::model(|| {
+            let index = fresh(SegmentPolicy::default().with_seal_threshold(2));
+            let writer = {
+                let index = index.clone();
+                let rows = toy_rows(2, 61);
+                vaq_core::sync::thread::spawn(move || {
+                    index.add(&Matrix::from_rows(&rows)).expect("add");
+                })
+            };
+            let report = index.audit();
+            assert!(report.is_ok(), "{report}");
+            writer.join().expect("writer");
+            assert_eq!(index.snapshot().buffer_len(), 0, "the add ran its seal");
         });
     }
 

@@ -212,7 +212,7 @@ mod injected {
                 let vaq = Vaq::train(&d, &cfg)?;
                 let bytes = vaq.to_bytes();
                 let back = Vaq::from_bytes(&bytes)?;
-                let seg = SegmentedVaq::from_vaq(back, SegmentPolicy::default().sequential());
+                let seg = SegmentedVaq::from_vaq(back, SegmentPolicy::default());
                 // The durability layer owns the `persist.wal_append`,
                 // `persist.commit`, and `persist.fsync` sites: commit a
                 // manifest atomically, then log one add through the WAL.

@@ -69,13 +69,12 @@ fn base_vaq() -> &'static Vaq {
 
 /// The subject: seals every few rows and compacts aggressively, so short
 /// op logs cross many seal/merge/purge boundaries.
-fn churny_subject(background: bool) -> SegmentedVaq {
+fn churny_subject() -> SegmentedVaq {
     let policy = SegmentPolicy::default()
         .with_seal_threshold(12)
         .with_compact_min_segments(3)
         .with_tombstone_purge_frac(0.3)
         .with_ti_clusters(6);
-    let policy = if background { policy } else { policy.sequential() };
     SegmentedVaq::from_vaq(base_vaq().clone(), policy)
 }
 
@@ -85,7 +84,7 @@ fn churny_subject(background: bool) -> SegmentedVaq {
 fn unsealed_oracle() -> SegmentedVaq {
     SegmentedVaq::from_vaq(
         base_vaq().clone(),
-        SegmentPolicy::default().with_seal_threshold(1 << 20).sequential(),
+        SegmentPolicy::default().with_seal_threshold(1 << 20),
     )
 }
 
@@ -107,7 +106,7 @@ proptest! {
     /// the final live set — across seal, merge, and purge boundaries.
     #[test]
     fn random_op_logs_match_the_unsealed_oracle(seed in 0u64..1_000_000) {
-        let subject = churny_subject(false);
+        let subject = churny_subject();
         let oracle = unsealed_oracle();
         let mut rng = Lcg::new(seed);
         let mut live: Vec<u32> = subject.live_ids();
@@ -226,9 +225,10 @@ fn concurrent_reads_match_some_write_prefix() {
     }
     let final_answer = canon(&oracle.search_with(&query, k, SearchStrategy::FullScan).unwrap().0);
 
-    // Run the same log against the churny subject with background
-    // maintenance on, while three readers hammer the query path.
-    let subject = churny_subject(true);
+    // Run the same log against the churny subject, its seals and
+    // compactions inline in the writer, while three readers hammer the
+    // query path.
+    let subject = churny_subject();
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for reader in 0..3 {
@@ -290,7 +290,7 @@ fn concurrent_reads_match_some_write_prefix() {
 #[test]
 fn parallel_writers_converge_to_a_consistent_state() {
     const WRITERS: usize = 4;
-    let subject = churny_subject(true);
+    let subject = churny_subject();
 
     let results: Vec<(Vec<u32>, Vec<u32>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WRITERS)

@@ -32,7 +32,6 @@ fn policy() -> SegmentPolicy {
         .with_compact_min_segments(6)
         .with_tombstone_purge_frac(0.25)
         .with_ti_clusters(6)
-        .sequential()
 }
 
 fn rows(data: &Matrix, lo: usize, hi: usize) -> Matrix {

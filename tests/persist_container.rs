@@ -32,7 +32,7 @@ fn fixture() -> &'static Fixture {
         let mono = Vaq::train(&rows(0, 200), &VaqConfig::new(32, 4).with_ti_clusters(12)).unwrap();
         let seg = SegmentedVaq::from_vaq(
             mono.clone(),
-            SegmentPolicy::default().with_seal_threshold(40).with_ti_clusters(6).sequential(),
+            SegmentPolicy::default().with_seal_threshold(40).with_ti_clusters(6),
         );
         seg.add(&rows(200, 245)).unwrap(); // sealed inline
         seg.add(&rows(245, 290)).unwrap(); // sealed inline
