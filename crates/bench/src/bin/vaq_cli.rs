@@ -74,7 +74,7 @@ USAGE:
                  [--visit 0.25] [--limit N]
   vaq_cli info   --index INDEX
   vaq_cli audit  INDEX            (or --index INDEX)
-  vaq_cli kernels                 (report SIMD tier support + the active scan kernel)
+  vaq_cli kernels                 (report SIMD tier support, the active scan kernel and CRC path)
   vaq_cli chaos  [--seed-range 0..32] [--p 0.3] [--n 400] [--dim 16]
   vaq_cli crash  [--durability] [--seed 7] [--n 96] [--dim 12] [--k 8]
   vaq_cli bench  [--n 100000] [--dim 64] [--queries 16] [--k 10]
@@ -540,11 +540,12 @@ fn time_strategy(
 }
 
 /// `kernels`: one line per SIMD tier with its support status on this CPU,
-/// plus the kernel the dispatcher actually picked. The library degrades an
-/// unsupported or misspelt `VAQ_FORCE_KERNEL` to `scalar`; here that is an
-/// error, so a CI matrix job cannot stay green on a tier it never ran.
+/// plus the kernel the dispatcher actually picked and the CRC-32C path
+/// that follows it. The library degrades an unsupported or misspelt
+/// `VAQ_FORCE_KERNEL` to `scalar`; here that is an error, so a CI matrix
+/// job cannot stay green on a tier it never ran.
 fn cmd_kernels(_opts: &Opts) -> Result<(), String> {
-    use vaq_linalg::{active_kernel, kernel_supported, ScanKernel};
+    use vaq_linalg::{active_kernel, crc::active_crc, kernel_supported, ScanKernel};
     for kern in ScanKernel::ALL {
         println!(
             "{:>6}: {}",
@@ -554,6 +555,7 @@ fn cmd_kernels(_opts: &Opts) -> Result<(), String> {
     }
     let active = active_kernel().name();
     println!("active: {active}");
+    println!("crc: {}", active_crc());
     if let Some(forced) = std::env::var_os("VAQ_FORCE_KERNEL") {
         let requested = forced.to_string_lossy().trim().to_ascii_lowercase();
         println!("requested: {requested}");

@@ -347,6 +347,17 @@ fn audit_ti_shape(r: &mut AuditReport, ti: &TiPartition) {
 /// The first violation is enough signal — a hostile file must not buy one
 /// message per row.
 fn audit_ti_members(r: &mut AuditReport, ti: &TiPartition) {
+    // One pass per cluster with no branch per member: `0 <= d < inf`
+    // (false for NaN) and each distance no greater than the next,
+    // AND-folded. Only a failure walks again to name the first offender.
+    let in_order = (0..ti.num_clusters()).all(|c| {
+        let dists = ti.cluster_dist(c);
+        let finite = dists.iter().fold(true, |ok, d| ok & (0.0..f32::INFINITY).contains(d));
+        finite & dists.windows(2).fold(true, |ok, w| ok & (w[0] <= w[1]))
+    });
+    if in_order {
+        return;
+    }
     for c in 0..ti.num_clusters() {
         let (idxs, dists) = (ti.cluster_idx(c), ti.cluster_dist(c));
         if let Some(w) = dists.iter().position(|d| !(d.is_finite() && *d >= 0.0)) {
@@ -378,6 +389,10 @@ pub(crate) fn audit_codes(r: &mut AuditReport, codes: &[u16], n: usize, encoder:
     r.check(codes.len() == n * m, "VAQ106", || {
         format!("{} codes for {n} vectors x {m} subspaces", codes.len())
     });
+    if codes_in_range(codes, encoder) {
+        return;
+    }
+    // Something is out of range: name the first offender.
     for (row, code) in codes.chunks_exact(m).enumerate() {
         for (s, &c) in code.iter().enumerate() {
             let rows = encoder.codebooks[s].rows();
@@ -391,6 +406,38 @@ pub(crate) fn audit_codes(r: &mut AuditReport, codes: &[u16], n: usize, encoder:
             }
         }
     }
+}
+
+/// Whether every code of every whole row lies below its subspace's
+/// dictionary size: the one pass [`audit_codes`] makes over the array at
+/// every open, with no branch per code. Each code is held against its
+/// subspace's largest valid code by a saturating subtraction, OR-folded,
+/// over a run of whole rows long enough for the compiler to vectorize.
+fn codes_in_range(codes: &[u16], encoder: &Encoder) -> bool {
+    /// Codes per folded run, rounded down to whole rows.
+    const RUN: usize = 512;
+    let m = encoder.num_subspaces();
+    // A zero-row dictionary admits no code, and a dictionary count off the
+    // row width is no layout to fold against: the loop that names the
+    // offender decides.
+    let Some(max) = encoder
+        .codebooks
+        .iter()
+        .map(|book| book.rows().checked_sub(1).map(|top| u16::try_from(top).unwrap_or(u16::MAX)))
+        .collect::<Option<Vec<u16>>>()
+        .filter(|max| m > 0 && max.len() == m)
+    else {
+        return false;
+    };
+    let rows_per_run = (RUN / m).max(1);
+    let max: Vec<u16> = max.iter().copied().cycle().take(rows_per_run * m).collect();
+    let whole = &codes[..codes.len() - codes.len() % m];
+    let mut runs = whole.chunks_exact(max.len());
+    let fold = |run: &[u16]| {
+        run.iter().zip(&max).fold(0u16, |over, (&c, &top)| over | c.saturating_sub(top))
+    };
+    let over = runs.by_ref().fold(0u16, |over, run| over | fold(run));
+    over | fold(runs.remainder()) == 0
 }
 
 impl Audit for DictionaryStage {

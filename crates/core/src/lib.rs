@@ -49,7 +49,6 @@
 
 pub mod allocation;
 pub mod audit;
-pub mod crc;
 pub mod encoder;
 pub mod engine;
 pub mod faults;
@@ -77,6 +76,10 @@ pub use search::{Neighbor, SearchStats, SearchStrategy};
 pub use segment::{SegmentPolicy, SegmentSearcher, SegmentSet, SegmentedVaq};
 pub use subspaces::{SubspaceLayout, SubspaceMode};
 pub use vaq::{IngressPolicy, Vaq, VaqConfig};
+/// CRC-32C, the checksum of every extent and WAL record: the in-register
+/// kernels live beside the scan kernels in `vaq-linalg`, since this crate
+/// forbids `unsafe`.
+pub use vaq_linalg::crc;
 
 use std::fmt;
 use vaq_kmeans::KMeansError;

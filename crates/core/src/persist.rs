@@ -809,12 +809,41 @@ pub(crate) fn audited(report: AuditReport, after: &str) -> Result<(), VaqError> 
 }
 
 /// Holds the bytes of one extent against its stored CRC32C.
-fn check_crc(data: &[u8], (span, crc): (ExtentSpan, u32), what: &str) -> Result<(), VaqError> {
+fn check_crc(
+    data: &[u8],
+    (span, crc): (ExtentSpan, u32),
+    what: &str,
+    times: &mut OpenTimes,
+) -> Result<(), VaqError> {
     let bytes = data.get(span.offset..span.offset.saturating_add(span.len));
-    if bytes.map(crate::crc::crc32c) != Some(crc) {
+    if times.timed(0, || bytes.map(crate::crc::crc32c)) != Some(crc) {
         return Err(bad(&format!("{what} extent checksum mismatch")));
     }
     Ok(())
+}
+
+/// One open's time on the extent CRCs (`[0]`) and on the audit's walks
+/// over the segments' arrays (`[1]`), summed and recorded once as the
+/// `persist.verify` and `persist.audit` spans. `None` — obs off, or a
+/// verification outside an open — never reads the clock.
+#[derive(Debug, Default)]
+struct OpenTimes(Option<[u64; 2]>);
+
+impl OpenTimes {
+    fn timed<T>(&mut self, part: usize, f: impl FnOnce() -> T) -> T {
+        let Some(ns) = &mut self.0 else { return f() };
+        let t0 = std::time::Instant::now();
+        let out = f();
+        ns[part] += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        out
+    }
+
+    fn record(self) {
+        if let Some([verify, audit]) = self.0 {
+            crate::obs::record_span_ns("persist.verify", verify);
+            crate::obs::record_span_ns("persist.audit", audit);
+        }
+    }
 }
 
 /// Where one sealed segment's array extents sit and what they must hash
@@ -848,16 +877,19 @@ impl ArrayExtents {
         core: &SegmentCore,
         encoder: &Encoder,
         parts: ArrayParts,
+        times: &mut OpenTimes,
     ) -> Result<(), VaqError> {
         if parts.scan {
             for &entry in &self.scan {
-                check_crc(data, entry, "segment scan array")?;
+                check_crc(data, entry, "segment scan array", times)?;
             }
-            audited(audit_core_scan(core, self.seg, encoder), "reading a segment's scan arrays")?;
+            let report = times.timed(1, || audit_core_scan(core, self.seg, encoder));
+            audited(report, "reading a segment's scan arrays")?;
         }
         if parts.packed {
-            check_crc(data, self.packed, "packed codes")?;
-            audited(audit_core_packed(core, encoder), "reading a segment's packed codes")?;
+            check_crc(data, self.packed, "packed codes", times)?;
+            let report = times.timed(1, || audit_core_packed(core, encoder));
+            audited(report, "reading a segment's packed codes")?;
         }
         Ok(())
     }
@@ -892,7 +924,8 @@ impl LazyExtents {
             _ => {}
         }
         let parts = ArrayParts { scan: false, packed: true };
-        let res = self.arrays.verify(self.region.as_bytes(), core, encoder, parts);
+        let data = self.region.as_bytes();
+        let res = self.arrays.verify(data, core, encoder, parts, &mut OpenTimes::default());
         let (verdict, counter) = match res {
             Ok(()) => (1, "persist.lazy_extents_verified"),
             Err(_) => (2, "persist.lazy_extents_failed"),
@@ -921,6 +954,8 @@ fn read_index(
     if mapped.is_none() && crate::faults::fired("persist.from_bytes") {
         return Err(VaqError::Injected { site: "persist.from_bytes" });
     }
+    let _span = mapped.is_none().then(|| crate::obs::span("persist.load"));
+    let mut times = OpenTimes(crate::obs::enabled().then_some([0; 2]));
     let t = get_table(data)?;
     let nsegs = t.num_segments()?;
     let last = t.extents.len() - 1;
@@ -933,7 +968,7 @@ fn read_index(
         // An array extent that holds bytes is `ArrayExtents::verify`'s.
         let array = (1..last).contains(&i) && !matches!((i - 1) % SEG_EXTENTS, 0 | WORDS);
         if !(array && span.len != 0) {
-            check_crc(data, t.entry(i), "index")?;
+            check_crc(data, t.entry(i), "index", &mut times)?;
         }
     }
     let mut mp = Bytes::copy_from_slice(t.ext(data, 0));
@@ -980,7 +1015,7 @@ fn read_index(
         let mut core = SegmentCore { ids, codes, n, packed, ti, lazy: None };
         match mapped {
             // While the copies are still in cache.
-            None => arrays.verify(data, &core, &model.encoder, arrays.read_parts())?,
+            None => arrays.verify(data, &core, &model.encoder, arrays.read_parts(), &mut times)?,
             Some(region) => {
                 let (state, region) = (AtomicU8::new(0), Arc::clone(region));
                 core.lazy = Some(Arc::new(LazyExtents { state, region, arrays }));
@@ -1001,7 +1036,7 @@ fn read_index(
     if mapped.is_some() {
         for (s, seg) in segments.iter().enumerate() {
             let scan = ArrayParts { scan: true, packed: false };
-            t.arrays(s).verify(data, &seg.core, &model.encoder, scan)?;
+            t.arrays(s).verify(data, &seg.core, &model.encoder, scan, &mut times)?;
         }
     }
     if crate::obs::enabled() {
@@ -1027,6 +1062,7 @@ fn read_index(
         );
         crate::obs::event("persist.load", &held);
     }
+    times.record();
     let index = SegmentedVaq::from_parts(model, policy, segments, buffer, next_id);
     index.admit_loaded("load", |_| ArrayParts { scan: false, packed: false })?;
     if mapped.is_some() {
@@ -1920,6 +1956,67 @@ mod tests {
             next_id,
         );
         assert!(stale.audit().to_string().contains("VAQ110"), "{}", stale.audit());
+    }
+
+    /// A code one past its dictionary, CRC-valid, at the first cell of
+    /// segment 0 and at its last row's last subspace: both ends of the
+    /// VAQ106 pass, refused by every way in with the message that names
+    /// the cell.
+    #[test]
+    fn out_of_range_code_at_either_end_is_named_at_open() {
+        let (seg, _) = populated();
+        let path = tmp_dir("vaq106-ends").join("index.vaq");
+        seg.save_mapped(&path).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let encoder = &seg.shared_model().encoder;
+        let m = encoder.num_subspaces();
+        let n = seg.writer_cut().0.segments[0].core.n;
+        let codes = get_table(&clean).unwrap().extents[1 + super::CODES].offset;
+        for (row, s, code) in [(0, 0, u16::MAX), (n - 1, m - 1, 0)] {
+            let rows = encoder.codebooks[s].rows();
+            let code = code.max(u16::try_from(rows).unwrap());
+            let mut bytes = clean.clone();
+            let at = codes + 2 * (row * m + s);
+            bytes[at..at + 2].copy_from_slice(&code.to_le_bytes());
+            reseal(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            let want = format!(
+                "corrupt index file: audit found 1 invariant violation(s) after reading a \
+                 segment's scan arrays: \
+                 VAQ106: vector {row} subspace {s}: code {code} out of range [0, {rows})"
+            );
+            assert_eq!(err_text(SegmentedVaq::from_bytes(&bytes)), want);
+            assert_eq!(err_text(SegmentedVaq::load(&path)), want);
+            assert_eq!(err_text(SegmentedVaq::open_mapped(&path)), want);
+        }
+    }
+
+    /// One open records each span of its account once: the open itself,
+    /// the extent CRCs and the array walks. Other tests share the
+    /// process-wide registry, so an attempt another test's open overlapped
+    /// is repeated.
+    #[test]
+    fn one_open_records_each_span_once() {
+        let (seg, _) = populated();
+        let path = tmp_dir("open-spans").join("index.vaq");
+        seg.save_mapped(&path).unwrap();
+        let count = |name: &str| {
+            crate::obs::snapshot().spans.iter().find(|s| s.name == name).map_or(0, |s| s.count)
+        };
+        let spans = ["persist.open_mapped", "persist.load", "persist.verify", "persist.audit"];
+        let once = |open: &dyn Fn(), want: [u64; 4]| {
+            (0..64).any(|_| {
+                crate::obs::set_enabled(true);
+                let before = spans.map(count);
+                open();
+                let after = spans.map(count);
+                (0..4).all(|i| after[i] == before[i] + want[i])
+            })
+        };
+        let mapped = || drop(SegmentedVaq::open_mapped(&path).unwrap());
+        assert!(once(&mapped, [1, 0, 1, 1]), "open_mapped");
+        let owned = || drop(SegmentedVaq::load(&path).unwrap());
+        assert!(once(&owned, [0, 1, 1, 1]), "load");
     }
 
     #[test]

@@ -22,18 +22,23 @@
 //!   data and queries, expose the explained-variance profile that drives
 //!   VAQ's bit allocation.
 //!
+//! Beside it sit the pieces that need `unsafe` and so cannot live in
+//! `vaq-core`: the quantized scan kernels ([`qtables`]), the mapped
+//! storage ([`mmap`]) and the CRC-32C that guards every durable byte
+//! ([`crc`]).
+//!
 //! Everything is deterministic: no randomized algorithms are used, so the
 //! same input always yields the same rotation, which keeps the experiment
 //! harness reproducible.
 
 pub mod covariance;
+pub mod crc;
 pub mod eigen;
 pub mod matrix;
 pub mod mmap;
 pub mod norms;
 pub mod pca;
 pub mod qtables;
-pub mod sketch;
 pub mod svd;
 pub mod tables;
 
@@ -51,7 +56,6 @@ pub use qtables::{
     install_kernel_timing_hook, kernel_supported, prefetch_read, KernelTimingHook, PackedCodes,
     PackedRow, QuantizedTables, ScanKernel, QUERY_TILE,
 };
-pub use sketch::FrequentDirections;
 pub use svd::{procrustes, svd, Svd};
 pub use tables::{squared_distances_into, TableArena};
 

@@ -38,47 +38,6 @@ impl Pca {
         Ok(Pca { mean, components: vectors.to_f32(), eigenvalues: values })
     }
 
-    /// Fits PCA from a Frequent Directions sketch of the centered data —
-    /// the paper's large-`d` escape hatch (§III-B, "sketching methods
-    /// reduce the quadratic time over d to linear \[68\]"). The covariance
-    /// accumulation drops from `O(n·d²)` to `O(n·ℓ·d)`; the spectrum of
-    /// the sketch provably approximates the true one for `ℓ` above the
-    /// data's effective rank.
-    pub fn fit_sketched(x: &Matrix, sketch_size: usize) -> Result<Pca> {
-        let means = crate::covariance::column_means(x)?;
-        let d = x.cols();
-        let mut fd = crate::sketch::FrequentDirections::new(sketch_size.max(2), d)?;
-        let mut centered = vec![0.0f32; d];
-        for row in x.iter_rows() {
-            for ((c, &v), &m) in centered.iter_mut().zip(row.iter()).zip(means.iter()) {
-                *c = v - m as f32;
-            }
-            fd.push(&centered);
-        }
-        let mut gram = fd.gram();
-        let inv_n = 1.0 / x.rows() as f64;
-        for i in 0..d {
-            for j in 0..d {
-                gram.set(i, j, gram.get(i, j) * inv_n);
-            }
-        }
-        let SymEigen { values, vectors } = sym_eigen(&gram)?;
-        Ok(Pca {
-            mean: means.into_iter().map(|v| v as f32).collect(),
-            components: vectors.to_f32(),
-            eigenvalues: values,
-        })
-    }
-
-    /// Fits PCA on the *uncentered* scatter matrix `XᵀX/n`, which is what
-    /// the paper's Algorithm 1 literally computes. For z-normalized data the
-    /// two variants coincide.
-    pub fn fit_uncentered(x: &Matrix) -> Result<Pca> {
-        let cov = crate::covariance::covariance(x)?;
-        let SymEigen { values, vectors } = sym_eigen(&cov)?;
-        Ok(Pca { mean: vec![0.0; x.cols()], components: vectors.to_f32(), eigenvalues: values })
-    }
-
     /// Dimensionality of the fitted space.
     pub fn dim(&self) -> usize {
         self.eigenvalues.len()
@@ -127,18 +86,6 @@ impl Pca {
         self.components.project_row(&centered)
     }
 
-    /// Reconstructs vectors from the projected space: `Z Vᵀ + μ`.
-    pub fn inverse_transform(&self, z: &Matrix) -> Result<Matrix> {
-        let mut back = z.matmul(&self.components.transpose())?;
-        for i in 0..back.rows() {
-            let row = back.row_mut(i);
-            for (v, &m) in row.iter_mut().zip(self.mean.iter()) {
-                *v += m;
-            }
-        }
-        Ok(back)
-    }
-
     /// Reorders the component columns (and eigenvalues) by `perm`.
     ///
     /// This is the hook VAQ's partial-balancing step uses: it permutes PCs
@@ -180,19 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn transform_then_inverse_roundtrips() {
-        let x = line_cloud();
-        let pca = Pca::fit(&x).unwrap();
-        let z = pca.transform(&x).unwrap();
-        let back = pca.inverse_transform(&z).unwrap();
-        for i in 0..x.rows() {
-            for j in 0..x.cols() {
-                assert!((x.get(i, j) - back.get(i, j)).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
     fn transform_vec_matches_matrix_transform() {
         let x = line_cloud();
         let pca = Pca::fit(&x).unwrap();
@@ -231,44 +165,6 @@ mod tests {
         let after = pca.transform_vec(x.row(0)).unwrap();
         assert!((before[0] - after[1]).abs() < 1e-6);
         assert!((before[1] - after[0]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn uncentered_fit_on_centered_data_matches_centered_fit() {
-        let x = line_cloud();
-        // Center manually.
-        let means = crate::covariance::column_means(&x).unwrap();
-        let mut xc = x.clone();
-        for i in 0..xc.rows() {
-            let row = xc.row_mut(i);
-            for (v, &m) in row.iter_mut().zip(means.iter()) {
-                *v -= m as f32;
-            }
-        }
-        let a = Pca::fit(&x).unwrap();
-        let b = Pca::fit_uncentered(&xc).unwrap();
-        for (va, vb) in a.eigenvalues().iter().zip(b.eigenvalues().iter()) {
-            assert!((va - vb).abs() < 1e-5 * va.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn sketched_fit_approximates_exact_spectrum() {
-        let x = line_cloud();
-        let exact = Pca::fit(&x).unwrap();
-        let sketched = Pca::fit_sketched(&x, 4).unwrap();
-        // The dominant eigenvalue and its share must agree closely (the
-        // cloud is effectively rank-1).
-        let e0 = exact.eigenvalues()[0];
-        let s0 = sketched.eigenvalues()[0];
-        assert!((e0 - s0).abs() < 0.1 * e0, "exact {e0} vs sketched {s0}");
-        let er = exact.explained_variance_ratio()[0];
-        let sr = sketched.explained_variance_ratio()[0];
-        assert!((er - sr).abs() < 0.05, "shares {er} vs {sr}");
-        // Dominant directions align up to sign.
-        let dot: f32 =
-            (0..2).map(|i| exact.components().get(i, 0) * sketched.components().get(i, 0)).sum();
-        assert!(dot.abs() > 0.99, "direction cosine {dot}");
     }
 
     #[test]

@@ -33,8 +33,9 @@ pub struct LexedFile {
 
 /// CPU-feature keywords a kernel `unsafe` justification must name
 /// (VAQ011). Case-insensitive; `sse2` covers the baseline-guaranteed
-/// loads/stores and prefetch.
-const FEATURE_KEYWORDS: &[&str] = &["ssse3", "sse2", "avx2", "neon"];
+/// loads/stores and prefetch, `sse4.2` and `crc` the CRC-32C
+/// instructions of x86-64 and aarch64.
+const FEATURE_KEYWORDS: &[&str] = &["ssse3", "sse2", "avx2", "neon", "sse4.2", "crc"];
 
 /// A contiguous run of comments: first line, last line, accumulated text,
 /// and the token count when the run last grew (a token emitted between
@@ -525,6 +526,19 @@ mod tests {
         assert_eq!(lexed.feature_lines, vec![2]);
         // A justification that names no feature tier records nothing.
         let lexed = lex("fn f() {\n    // SAFETY: bounds checked above\n    unsafe { go() }\n}");
+        assert!(lexed.feature_lines.is_empty());
+    }
+
+    #[test]
+    fn crc_feature_names_are_recorded() {
+        // The x86-64 CRC-32C tier, written the way the CPUID flag is.
+        let lexed = lex("// SAFETY: SSE4.2 support verified by the guard\nunsafe { go() }");
+        assert_eq!(lexed.feature_lines, vec![1]);
+        // The aarch64 `crc` feature.
+        let lexed = lex("// SAFETY: the aarch64 `crc` feature was probed\nunsafe { go() }");
+        assert_eq!(lexed.feature_lines, vec![1]);
+        // `sse4` alone names no tier.
+        let lexed = lex("// SAFETY: sse4 is fine here\nunsafe { go() }");
         assert!(lexed.feature_lines.is_empty());
     }
 

@@ -11,7 +11,7 @@
 //! | VAQ008 | no direct `std::sync` / `std::thread` in `vaq-core` outside the `crate::sync` facade — loom builds must model every primitive |
 //! | VAQ009 | every non-`SeqCst` atomic ordering argument needs an `// ORDERING:` justification within the three preceding lines |
 //! | VAQ010 | no `as` integer casts in the serialization/kernel boundary files (`persist.rs`, `wal.rs`, `qtables.rs`, dataset `io.rs`/`largescale.rs`) — use `try_from`/`From` with a typed error |
-//! | VAQ011 | `unsafe` in SIMD kernel files additionally needs a comment naming the CPU feature tier the block relies on (ssse3/sse2/avx2/neon) |
+//! | VAQ011 | `unsafe` in kernel files (`qtables.rs`, `crc.rs`) additionally needs a comment naming the CPU feature tier the block relies on (ssse3/sse2/avx2/neon/sse4.2/crc) |
 //!
 //! Every rule reports a stable code so `lint.toml` allowances and CI logs
 //! stay meaningful as the codebase grows. See DESIGN.md §8 and §13.
@@ -33,7 +33,7 @@ pub const RULES: &[(&str, &str)] = &[
         "VAQ010",
         "no `as` integer casts in serialization/kernel boundary files — use `try_from`/`From`",
     ),
-    ("VAQ011", "kernel-file `unsafe` must name its CPU feature tier (ssse3/sse2/avx2/neon)"),
+    ("VAQ011", "kernel-file `unsafe` must name its CPU feature (ssse3/sse2/avx2/neon/sse4.2/crc)"),
 ];
 
 /// Non-`SeqCst` ordering variants whose use must be justified (VAQ009).
@@ -142,12 +142,13 @@ impl<'a> FileClass<'a> {
             || self.path.ends_with("dataset/src/largescale.rs")
     }
 
-    /// SIMD kernel files where every `unsafe` must also name the CPU
-    /// feature tier it relies on (VAQ011): the SAFETY argument for an
-    /// intrinsic block is only checkable against the dispatch layer when
-    /// it says *which* runtime-verified feature makes it sound.
+    /// Kernel files — the SIMD scan and the CRC-32C — where every
+    /// `unsafe` must also name the CPU feature tier it relies on
+    /// (VAQ011): the SAFETY argument for an intrinsic block is only
+    /// checkable against the dispatch layer when it says *which*
+    /// runtime-verified feature makes it sound.
     fn in_kernel_file(&self) -> bool {
-        self.path.ends_with("linalg/src/qtables.rs")
+        self.path.ends_with("linalg/src/qtables.rs") || self.path.ends_with("linalg/src/crc.rs")
     }
 }
 
@@ -189,9 +190,9 @@ pub fn check_file(class: FileClass<'_>, lexed: &LexedFile) -> Vec<Violation> {
                         &mut out,
                         "VAQ011",
                         t.line,
-                        "`unsafe` in a SIMD kernel file whose comment names no CPU feature \
-                         tier (ssse3/sse2/avx2/neon) — state which runtime-verified \
-                         feature makes the block sound"
+                        "`unsafe` in a kernel file whose comment names no CPU feature \
+                         tier (ssse3/sse2/avx2/neon/sse4.2/crc) — state which \
+                         runtime-verified feature makes the block sound"
                             .into(),
                     );
                 }
@@ -733,6 +734,8 @@ mod tests {
         // Test code in kernel files is NOT exempt (same as VAQ005).
         let test_mod = "#[cfg(test)]\nmod tests {\n // SAFETY: fine\n unsafe { go() }\n}";
         assert_eq!(codes(k, test_mod), vec!["VAQ011"]);
+        // The CRC kernels are held to the same rule.
+        assert_eq!(codes("crates/linalg/src/crc.rs", src), vec!["VAQ011"]);
         // Outside kernel files only VAQ005 applies.
         assert!(codes(LIB, src).is_empty());
     }
