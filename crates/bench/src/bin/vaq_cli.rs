@@ -421,8 +421,7 @@ fn chaos_run(seed: u64, p: f64, n: usize, d: usize) -> Result<bool, String> {
         SegmentPolicy::default()
             .with_seal_threshold(24)
             .with_compact_min_segments(2)
-            .with_tombstone_purge_frac(0.3)
-            .with_ti_clusters(8),
+            .with_tombstone_purge_frac(0.3),
     );
     // `SegmentedVaq::add` trusts its input like `Vaq::add` does, so feed
     // it the sanitized view of the chaos rows.
@@ -957,8 +956,8 @@ fn cmd_bench_out_of_core(opts: &Opts) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let sample = sample_fvecs_blocks(&data_path, dim, train_limit, block, seed)
         .map_err(|e| format!("sample: {e}"))?;
-    let cfg = VaqConfig::new(budget, segments).with_seed(seed).with_ti_clusters(0);
-    let policy = SegmentPolicy::default().with_seal_threshold(seal).with_ti_clusters(ti_clusters);
+    let cfg = VaqConfig::new(budget, segments).with_seed(seed).with_ti_clusters(ti_clusters);
+    let policy = SegmentPolicy::default().with_seal_threshold(seal);
     let seg = SegmentedVaq::train(&sample, &cfg, policy).map_err(|e| e.to_string())?;
     drop(sample);
     let train_secs = t0.elapsed().as_secs_f64();
@@ -1260,10 +1259,7 @@ fn crash_workload(base: &[u8], data: &Matrix, path: &Path) -> Result<CrashRun, S
     let vaq = Vaq::from_bytes(base).map_err(|e| format!("workload setup: {e}"))?;
     let seg = SegmentedVaq::from_vaq(
         vaq,
-        SegmentPolicy::default()
-            .with_seal_threshold(12)
-            .with_compact_min_segments(2)
-            .with_ti_clusters(4),
+        SegmentPolicy::default().with_seal_threshold(12).with_compact_min_segments(2),
     );
     let half = data.rows() / 2;
     let mut durable = false;

@@ -40,10 +40,8 @@ fn every_command_opens_every_file_the_library_writes() {
     let data = SyntheticSpec { dim: 12, ..SyntheticSpec::sift_like() }.generate(200, 0, 1).data;
     let rows = |lo: usize, hi: usize| data.select_rows(&(lo..hi).collect::<Vec<_>>());
     let mono = Vaq::train(&rows(0, 120), &VaqConfig::new(24, 4).with_ti_clusters(8)).unwrap();
-    let seg = SegmentedVaq::from_vaq(
-        mono.clone(),
-        SegmentPolicy::default().with_seal_threshold(32).with_ti_clusters(4),
-    );
+    let seg =
+        SegmentedVaq::from_vaq(mono.clone(), SegmentPolicy::default().with_seal_threshold(32));
     seg.add(&rows(120, 184)).unwrap(); // over the threshold: sealed inline
     seg.add(&rows(184, 190)).unwrap(); // 6 rows stay in the buffer
     assert!(seg.delete(5) && seg.delete(188)); // one sealed, one buffered tombstone
@@ -64,7 +62,7 @@ fn every_command_opens_every_file_the_library_writes() {
         out.contains("1 sealed segment(s), 0 with stored ids, holding 120 rows (0 tombstoned)"),
         "{out}"
     );
-    assert!(out.contains("TI clusters [8] over the first 4 subspaces"), "{out}");
+    assert!(out.contains("TI clusters 8 over the first 4 subspaces"), "{out}");
 
     for path in [&save_path, &mapped_path, &durable_path] {
         let (ok, out) = cli("audit", path);
@@ -74,7 +72,7 @@ fn every_command_opens_every_file_the_library_writes() {
             out.contains("2 sealed segment(s), 0 with stored ids, holding 184 rows (1 tombstoned)"),
             "{out}"
         );
-        assert!(out.contains("TI clusters [8, 4] over the first 4 subspaces"), "{out}");
+        assert!(out.contains("TI clusters 8 over the first 4 subspaces"), "{out}");
         assert!(out.contains("6 buffered rows (1 tombstoned)"), "{out}");
         let (ok, out) = cli("info", path);
         assert!(ok && out.contains("2 sealed, 6 buffered rows"), "{}: {out}", path.display());

@@ -20,6 +20,7 @@ use crate::encoder::Encoder;
 use crate::pipeline::{BitPlan, DictionaryStage, SubspacePlan};
 use crate::segment::{Model, SegmentCore, SegmentIds};
 use crate::subspaces::SubspaceLayout;
+use crate::sync::Arc;
 use crate::ti::TiPartition;
 use crate::vaq::{Vaq, VaqConfig};
 use std::fmt;
@@ -321,27 +322,6 @@ impl Audit for TableArena {
     }
 }
 
-impl Audit for TiPartition {
-    fn audit(&self) -> AuditReport {
-        let mut r = AuditReport::new();
-        audit_ti_shape(&mut r, self);
-        audit_ti_members(&mut r, self);
-        r
-    }
-}
-
-/// VAQ108 on the meta-sized part of a partition: the centroid matrix
-/// against the cluster count and the prefix.
-fn audit_ti_shape(r: &mut AuditReport, ti: &TiPartition) {
-    r.check(ti.centroids.rows() == ti.num_clusters(), "VAQ108", || {
-        format!("{} centroids for {} clusters", ti.centroids.rows(), ti.num_clusters())
-    });
-    r.check(ti.centroids.cols() == ti.prefix_dim, "VAQ108", || {
-        format!("centroids span {} dims, prefix is {}", ti.centroids.cols(), ti.prefix_dim)
-    });
-    r.check(ti.prefix_subspaces >= 1, "VAQ108", || "prefix spans no subspaces".into());
-}
-
 /// VAQ108 on the member distances: finite, non-negative and ascending
 /// within each cluster (the binary-searched pruning window requires it).
 /// The first violation is enough signal — a hostile file must not buy one
@@ -450,7 +430,9 @@ impl Audit for DictionaryStage {
     }
 }
 
-/// The invariants of the trained model every index shares.
+/// The invariants of the trained model every index shares, its TI
+/// centroids included (VAQ108): at least one, each as wide as the prefix,
+/// which ends on a subspace boundary of the encoder.
 fn audit_model(model: &Model) -> AuditReport {
     let mut r = model.layout.audit();
     audit_bits(&mut r, &model.bits, model.layout.ranges.len());
@@ -458,6 +440,21 @@ fn audit_model(model: &Model) -> AuditReport {
     r.check(model.encoder.bits() == model.bits.as_slice(), "VAQ109", || {
         "encoder bit widths disagree with the trained allocation".into()
     });
+    let (prefix, m) = (model.ti_prefix_subspaces, model.encoder.num_subspaces());
+    match model.encoder.ranges().get(prefix.wrapping_sub(1)) {
+        None => r.push("VAQ108", format!("TI prefix spans {prefix} of {m} subspaces")),
+        Some(&(_, end)) => {
+            if let Some(c) = &model.ti_centroids {
+                r.check(c.rows() >= 1 && c.cols() == end, "VAQ108", || {
+                    format!(
+                        "{} TI centroids of {} dims for a prefix of {end} dims",
+                        c.rows(),
+                        c.cols()
+                    )
+                });
+            }
+        }
+    }
     r
 }
 
@@ -465,16 +462,17 @@ fn audit_model(model: &Model) -> AuditReport {
 /// read so a reader can run each part when its bytes are trusted:
 /// [`audit_core_shape`] at open, [`audit_core_scan`] and
 /// [`audit_core_packed`] after the CRC of the extents they walk.
-fn audit_core(r: &mut AuditReport, core: &SegmentCore, s: usize, encoder: &Encoder) {
-    audit_core_shape(r, core, s, encoder);
-    r.merge(audit_core_scan(core, s, encoder));
-    r.merge(audit_core_packed(core, encoder));
+fn audit_core(r: &mut AuditReport, core: &SegmentCore, s: usize, model: &Model) {
+    audit_core_shape(r, core, s, model);
+    r.merge(audit_core_scan(core, s, &model.encoder));
+    r.merge(audit_core_packed(core, &model.encoder));
 }
 
 /// The part that reads only meta-sized state: row and id counts (VAQ111),
-/// the TI partition's shape against the encoder (VAQ108) and, when
-/// mapped, extent placement (VAQ113). No array element is touched.
-fn audit_core_shape(r: &mut AuditReport, core: &SegmentCore, s: usize, encoder: &Encoder) {
+/// a TI partition exactly when the model has centroids, over those very
+/// centroids (VAQ108) and, when mapped, extent placement (VAQ113). No
+/// array element is touched.
+fn audit_core_shape(r: &mut AuditReport, core: &SegmentCore, s: usize, model: &Model) {
     r.check(core.n > 0, "VAQ111", || format!("segment {s} is empty"));
     if let SegmentIds::Column(ids) = &core.ids {
         r.check(ids.len() == core.n, "VAQ111", || {
@@ -482,26 +480,16 @@ fn audit_core_shape(r: &mut AuditReport, core: &SegmentCore, s: usize, encoder: 
         });
         audit_mapped_span(r, s, "ids", ids.mapped_span());
     }
-    if let Some(ti) = &core.ti {
-        audit_ti_shape(r, ti);
-        // The prefix space must end on a subspace boundary of the
-        // encoder.
-        let m = encoder.num_subspaces();
-        if ti.prefix_subspaces >= 1 && ti.prefix_subspaces <= m {
-            let end = encoder.ranges()[ti.prefix_subspaces - 1].1;
-            r.check(ti.prefix_dim == end, "VAQ108", || {
-                format!(
-                    "segment {s}: prefix dim {} does not match subspace boundary {end} \
-                     after {} subspaces",
-                    ti.prefix_dim, ti.prefix_subspaces
-                )
-            });
-        } else {
-            r.push(
-                "VAQ108",
-                format!("segment {s}: prefix spans {} of {m} subspaces", ti.prefix_subspaces),
-            );
+    let over_model = match (&core.ti, &model.ti_centroids) {
+        (Some(ti), Some(c)) => {
+            Arc::ptr_eq(&ti.centroids, c) && ti.prefix_subspaces == model.ti_prefix_subspaces
         }
+        (ti, c) => ti.is_none() && c.is_none(),
+    };
+    r.check(over_model, "VAQ108", || {
+        format!("segment {s}: TI partition is not over the model's centroids")
+    });
+    if let Some(ti) = &core.ti {
         audit_mapped_span(r, s, "TI member ids", ti.member_idx.mapped_span());
         audit_mapped_span(r, s, "TI member dists", ti.member_dist.mapped_span());
     }
@@ -552,7 +540,7 @@ pub(crate) fn audit_core_packed(core: &SegmentCore, encoder: &Encoder) -> AuditR
 impl Audit for Vaq {
     fn audit(&self) -> AuditReport {
         let mut r = audit_model(&self.model);
-        audit_core(&mut r, &self.core, 0, &self.model.encoder);
+        audit_core(&mut r, &self.core, 0, &self.model);
         r
     }
 }
@@ -596,7 +584,7 @@ pub(crate) fn audit_index(
     let mut r = audit_model(model);
     let mut prev_last: Option<u32> = None;
     for (s, seg) in set.segments.iter().enumerate() {
-        audit_core_shape(&mut r, &seg.core, s, &model.encoder);
+        audit_core_shape(&mut r, &seg.core, s, model);
         let parts = arrays(&seg.core);
         if parts.scan {
             r.merge(audit_core_scan(&seg.core, s, &model.encoder));
@@ -878,7 +866,7 @@ mod tests {
     fn segmented_index_is_clean_and_vaq111_catches_structure_breaks() {
         use crate::segment::{SegmentPolicy, SegmentedVaq};
         let ds = SyntheticSpec::sift_like().generate(200, 0, 19);
-        let policy = SegmentPolicy::default().with_seal_threshold(40).with_ti_clusters(4);
+        let policy = SegmentPolicy::default().with_seal_threshold(40);
         let cfg = VaqConfig::new(40, 8).with_ti_clusters(12).with_seed(5);
         let seg = SegmentedVaq::train(&ds.data, &cfg, policy).unwrap();
         let extra = SyntheticSpec::sift_like().generate(90, 0, 20);

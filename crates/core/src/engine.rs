@@ -9,11 +9,13 @@
 //!   database: per-subspace dictionaries, column ranges, the flat `n × m`
 //!   code array, and an optional triangle-inequality partition.
 //! * [`QueryEngine`] — the reusable execution state: a flat
-//!   [`TableArena`] of lookup tables plus a default [`SearchStrategy`].
-//!   One engine answers any number of queries against any number of
-//!   views; after the first query of a given layout, the steady state
-//!   performs **zero** table allocations (observable through
-//!   [`SearchStats::table_reallocations`]).
+//!   [`TableArena`] of lookup tables, the query's TI cluster ranking and
+//!   a default [`SearchStrategy`]. One engine answers any number of
+//!   queries against any number of views; after the first query of a
+//!   given layout, the steady state performs **zero** table allocations
+//!   (observable through [`SearchStats::table_reallocations`]). Views
+//!   that share dictionaries and TI centroids — the segments of one index
+//!   — are scanned against one preparation.
 //!
 //! Distances: the scan accumulates *squared* Euclidean terms (that is what
 //! the tables store). `search*` take the final square root, matching
@@ -164,13 +166,16 @@ impl<'a> IndexView<'a> {
     }
 }
 
-/// Reusable ADC execution state: the lookup-table arena plus a default
-/// strategy. Create one per thread and reuse it across queries — the
-/// arena re-fills in place, so only the first query of a layout touches
-/// the heap.
+/// Reusable ADC execution state: the lookup-table arena, the prepared
+/// query's TI ranking, plus a default strategy. Create one per thread and
+/// reuse it across queries — the arena re-fills in place, so only the
+/// first query of a layout touches the heap.
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     arena: TableArena,
+    /// The prepared query's distance to every TI centroid and the
+    /// clusters in visit order (`None` for a view without TI).
+    ranking: Option<(Vec<f32>, Vec<u32>)>,
     strategy: SearchStrategy,
     /// Per-query `u8` quantization of the arena (Quantized scans only);
     /// reused across queries without reallocating.
@@ -192,6 +197,7 @@ impl QueryEngine {
     pub fn new() -> QueryEngine {
         QueryEngine {
             arena: TableArena::new(),
+            ranking: None,
             strategy: SearchStrategy::EarlyAbandon,
             qtables: QuantizedTables::new(),
             qsums: Vec::new(),
@@ -206,7 +212,7 @@ impl QueryEngine {
         engine
     }
 
-    /// Overrides the default strategy used by [`QueryEngine::search`].
+    /// Overrides the default strategy ([`crate::Vaq::search_in`] reads it).
     pub fn with_strategy(mut self, strategy: SearchStrategy) -> QueryEngine {
         self.strategy = strategy;
         self
@@ -228,11 +234,12 @@ impl QueryEngine {
         &self.arena
     }
 
-    /// Fills the arena with `view`'s ADC tables for a projected query.
+    /// Fills the arena with `view`'s ADC tables for a projected query and,
+    /// when the view carries a TI partition, ranks its clusters for it.
     /// Exposed for callers that consume the tables directly (quantized
     /// scanners, prefix ablations) rather than through a full search.
     pub fn prepare(&mut self, view: &IndexView<'_>, projected_query: &[f32]) {
-        let _span = crate::obs::span("query.table_refill");
+        let refill = crate::obs::span("query.table_refill");
         view.fill_tables(projected_query, &mut self.arena);
         if cfg!(debug_assertions) {
             use crate::audit::Audit;
@@ -244,6 +251,13 @@ impl QueryEngine {
                 "arena table count disagrees with the view"
             );
         }
+        drop(refill);
+        self.ranking = view.ti().map(|ti| {
+            let _prune = crate::obs::span("query.ti_prune");
+            let dists = ti.query_distances(projected_query);
+            let order = ti.visit_order(&dists);
+            (dists, order)
+        });
     }
 
     /// Fills the arena with caller-defined tables (e.g. SDC
@@ -255,16 +269,6 @@ impl QueryEngine {
     ) {
         self.arena.ensure_layout(sizes);
         self.arena.fill_with(fill);
-    }
-
-    /// Searches with the engine's default strategy; unsquared distances.
-    pub fn search(
-        &mut self,
-        view: &IndexView<'_>,
-        projected_query: &[f32],
-        k: usize,
-    ) -> Vec<Neighbor> {
-        self.search_with(view, projected_query, k, self.strategy).0
     }
 
     /// Searches with an explicit strategy; unsquared (metric) distances.
@@ -292,10 +296,23 @@ impl QueryEngine {
         let t0 = crate::obs::enabled().then(std::time::Instant::now);
         let before = self.arena.reallocations();
         self.prepare(view, projected_query);
-        let mut stats = SearchStats {
-            table_reallocations: self.arena.reallocations() - before,
-            ..SearchStats::default()
-        };
+        let (out, mut stats) = self.search_prepared(view, k, strategy);
+        stats.table_reallocations = self.arena.reallocations() - before;
+        observe_query(t0, &stats);
+        (out, stats)
+    }
+
+    /// Scans `view` against the last [`QueryEngine::prepare`], which must
+    /// have been for this query over the view's dictionaries and TI
+    /// centroids (the segments of one index share the model's), keeping
+    /// squared distances.
+    pub(crate) fn search_prepared(
+        &mut self,
+        view: &IndexView<'_>,
+        k: usize,
+        strategy: SearchStrategy,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let mut stats = SearchStats::default();
         let n = view.len();
         let k = k.min(n);
         let mut heap: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(k + 1);
@@ -304,7 +321,9 @@ impl QueryEngine {
         // index structure is missing or unsound runs as the exact
         // early-abandon scan, the one fallback loop below.
         let (ti, packed) = match strategy {
-            SearchStrategy::TiEa { .. } => (usable_partition(view), None),
+            SearchStrategy::TiEa { .. } => {
+                (usable_partition(view).zip(self.ranking.as_ref()), None)
+            }
             SearchStrategy::Quantized => (None, usable_packing(view)),
             _ => (None, None),
         };
@@ -329,11 +348,7 @@ impl QueryEngine {
                     push_k(&mut heap, k, i as u32, dist);
                 }
             }
-            (SearchStrategy::TiEa { visit_frac }, Some(ti), _) => {
-                let prune = crate::obs::span("query.ti_prune");
-                let qd = ti.query_distances(projected_query);
-                let order = ti.visit_order(&qd);
-                drop(prune);
+            (SearchStrategy::TiEa { visit_frac }, Some((ti, (qd, order))), _) => {
                 let _scan = crate::obs::span("query.scan");
                 let visit =
                     ((visit_frac.clamp(0.0, 1.0) * order.len() as f64).ceil() as usize).max(1);
@@ -371,12 +386,7 @@ impl QueryEngine {
                 }
             }
         }
-        let out = collect_sorted(heap);
-        if let Some(t0) = t0 {
-            crate::obs::observe_ns("query_latency", t0.elapsed().as_nanos() as u64);
-            crate::obs::record_search_stats(&stats);
-        }
-        (out, stats)
+        (collect_sorted(heap), stats)
     }
 
     /// The prune + exact-rerank tail of the quantized scan, run over the
@@ -536,37 +546,31 @@ impl QueryEngine {
     }
 }
 
-/// Per-query soundness check on a TI partition. Release builds keep the
-/// cheap O(#clusters) size-sum test; debug builds additionally verify
-/// exact membership — every database row in exactly one cluster — via
-/// [`TiPartition::covers_exactly`], which the size sum alone cannot see
-/// (a double-assigned row plus an omitted one still sums to `n`).
-#[inline]
-fn ti_covers(ti: &TiPartition, n: usize) -> bool {
-    let total: usize = ti.members_total();
-    if total != n {
-        return false;
-    }
-    if cfg!(debug_assertions) {
-        ti.covers_exactly(n)
-    } else {
-        true
+/// Records one answered query — its latency from `t0` and its work
+/// counters — when obs is on (`t0` is `None` when it is off).
+pub(crate) fn observe_query(t0: Option<std::time::Instant>, stats: &SearchStats) {
+    if let Some(t0) = t0 {
+        crate::obs::observe_ns("query_latency", t0.elapsed().as_nanos() as u64);
+        crate::obs::record_search_stats(stats);
     }
 }
 
 /// The view's TI partition when [`SearchStrategy::TiEa`] may use it; `None`
 /// (the exact early-abandon scan answers instead) when there is none or it
-/// fails [`ti_covers`] ([`IndexView::with_ti`] takes any partition).
+/// does not cover the view's rows exactly once, which would silently drop
+/// or duplicate candidates ([`IndexView::with_ti`] takes any partition).
+/// Release builds check the member count; debug builds walk
+/// [`TiPartition::covers_exactly`], which also sees a double-assigned row
+/// masking an omitted one.
 fn usable_partition<'a>(view: &IndexView<'a>) -> Option<&'a TiPartition> {
-    match view.ti() {
-        Some(ti) if !ti_covers(ti, view.len()) => {
-            // A partition that does not cover the database exactly once
-            // would silently drop or duplicate candidates.
-            crate::faults::note_degradation("engine.search: TI failed audit, EA scan");
-            None
-        }
-        other => other,
+    let (ti, n) = (view.ti()?, view.len());
+    let covers =
+        if cfg!(debug_assertions) { ti.covers_exactly(n) } else { ti.members_total() == n };
+    if !covers {
+        crate::faults::note_degradation("engine.search: TI failed audit, EA scan");
+        return None;
     }
+    Some(ti)
 }
 
 /// The view's packed codes when [`SearchStrategy::Quantized`] may use

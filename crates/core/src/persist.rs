@@ -17,12 +17,12 @@
 //! zero padding in between
 //!
 //! extent 0:        model — pca | layout | bits | codebooks | strategy |
-//!                  ti_prefix_subspaces u64 | seed u64 | policy (seal
-//!                  threshold u64 | compaction minimum u64 | purge fraction
-//!                  f64 | TI clusters u64 | reserved u8: 0, read 0 or 1) |
+//!                  TI prefix subspaces u64 | TI centroids (a matrix,
+//!                  0 × 0 without TI) | policy (seal threshold u64 |
+//!                  compaction minimum u64 | purge fraction f64) |
 //!                  next_id u32
-//! 7 per segment:   meta (rows u64 | dead u64 | first id u32 | TI flag +
-//!                  centroids, cluster boundaries, prefix) | ids [u32] |
+//! 7 per segment:   meta (rows u64 | dead u64 | first id u32 | TI cluster
+//!                  boundaries, when the model has centroids) | ids [u32] |
 //!                  codes [u16] | packed [u8] | tombstone words [u64] |
 //!                  TI member ids [u32] | TI member distances [f32]
 //! last extent:     buffer — rows u64 | first id u32 | codes [u16] |
@@ -46,7 +46,9 @@
 //!   the meta's first id, which is what every segment holds until a
 //!   compaction drops rows from it (4 B/row saved; the buffer's ids are
 //!   always such a range);
-//! * both **TI** extents when the segment has no partition.
+//! * both **TI** extents when the model has no centroids: the centroids
+//!   are stored once, in the model extent, and a segment stores only each
+//!   row's cluster (by position) and distance.
 //!
 //! This module states the **format** and nothing else: magic, version,
 //! checksums, zero padding, extent geometry and alignment, bytes taken
@@ -108,7 +110,9 @@ use vaq_linalg::{
 };
 
 const MAGIC: &[u8; 4] = b"VAQ4";
-const VERSION: u32 = 1;
+/// 2 since the TI centroids moved from every segment's meta into the
+/// model extent; a version-1 file is refused.
+const VERSION: u32 = 2;
 /// Bytes of the header covered by the header CRC (everything before the
 /// CRC field itself), and the whole header.
 const HEADER_CRC_SPAN: usize = 4 + 4 + 8 + 8;
@@ -359,16 +363,9 @@ fn set_extents<'a>(
         meta.put_u64_le(wide(tombstones.dead()));
         meta.put_u32_le(core.id_span().map_or(0, |(first, _)| first));
         let (idx, dist): (&[u32], &[f32]) = match &core.ti {
-            None => {
-                meta.put_u8(0);
-                (&[], &[])
-            }
+            None => (&[], &[]),
             Some(ti) => {
-                meta.put_u8(1);
-                put_matrix(&mut meta, &ti.centroids);
                 put_usize_slice(&mut meta, &ti.offsets);
-                meta.put_u64_le(wide(ti.prefix_subspaces));
-                meta.put_u64_le(wide(ti.prefix_dim));
                 (ti.member_idx.as_slice(), ti.member_dist.as_slice())
             }
         };
@@ -704,8 +701,8 @@ struct SegMeta {
     /// Id of row 0: where the dense range starts when the ids extent is
     /// empty, and what a stored column must start with.
     first_id: u32,
-    /// `(centroids, cluster boundaries, prefix_subspaces, prefix_dim)`.
-    ti: Option<(Matrix, Vec<usize>, usize, usize)>,
+    /// TI cluster boundaries, when the model has centroids.
+    ti_offsets: Option<Vec<usize>>,
 }
 
 /// Parses the meta extent of the segment whose extents start at `base`
@@ -723,23 +720,9 @@ fn get_seg_layout(data: &[u8], t: &Table, base: usize, model: &Model) -> Result<
         return Err(bad("tombstone dead count exceeds the row count"));
     }
     let first_id = take(buf, 4)?.get_u32_le();
-    let ti = match take(buf, 1)?.get_u8() {
-        0 => None,
-        1 => {
-            let centroids = get_matrix(buf)?;
-            let offsets = get_usize_slice(buf)?;
-            let ncl = centroids.rows();
-            if ncl == 0 || ncl > n {
-                return Err(bad("TI cluster count out of range"));
-            }
-            let prefix_subspaces = take_len(buf, "TI prefix subspaces")?;
-            let prefix_dim = take_len(buf, "TI prefix dim")?;
-            Some((centroids, offsets, prefix_subspaces, prefix_dim))
-        }
-        _ => return Err(bad("bad TI flag")),
-    };
+    let ti_offsets = model.ti_centroids.is_some().then(|| get_usize_slice(buf)).transpose()?;
     expect_drained(buf, "segment meta extent")?;
-    let meta = SegMeta { n, dead, first_id, ti };
+    let meta = SegMeta { n, dead, first_id, ti_offsets };
     let rows_by = |elem: usize| checked_size(n, elem);
     let expect = |slot: usize, len: usize, what: &str| {
         if t.extents[base + slot].len == len {
@@ -753,7 +736,7 @@ fn get_seg_layout(data: &[u8], t: &Table, base: usize, model: &Model) -> Result<
     }
     expect(CODES, checked_size(rows_by(model.encoder.num_subspaces())?, 2)?, "segment codes")?;
     expect(WORDS, checked_size(n.div_ceil(64), 8)?, "segment tombstone words")?;
-    let ti_len = if meta.ti.is_some() { rows_by(4)? } else { 0 };
+    let ti_len = if meta.ti_offsets.is_some() { rows_by(4)? } else { 0 };
     expect(TI_IDX, ti_len, "TI member ids")?;
     expect(TI_DIST, ti_len, "TI member distances")?;
     Ok(meta)
@@ -984,16 +967,17 @@ fn read_index(
         let ids = seg_ids(&meta, ids)?;
         let codes = t.array(data, mapped, base + CODES, u16::from_le_bytes, U16Storage::mapped)?;
         let words = t.array(data, mapped, base + WORDS, u64::from_le_bytes, U64Storage::mapped)?;
-        let ti = match meta.ti {
-            None => None,
-            Some((centroids, offsets, psub, pdim)) => {
+        let ti = match (meta.ti_offsets, &model.ti_centroids) {
+            (Some(offsets), Some(centroids)) => {
                 let idx =
                     t.array(data, mapped, base + TI_IDX, u32::from_le_bytes, U32Storage::mapped)?;
                 let dist =
                     t.array(data, mapped, base + TI_DIST, f32::from_le_bytes, F32Storage::mapped)?;
-                let ti = TiPartition::from_parts(centroids, offsets, idx, dist, psub, pdim);
+                let prefix = model.ti_prefix_subspaces;
+                let ti = TiPartition::from_parts(Arc::clone(centroids), offsets, idx, dist, prefix);
                 Some(ti.ok_or_else(|| bad("TI boundaries are inconsistent"))?)
             }
+            _ => None,
         };
         let raw = t.array(data, mapped, base + PACKED, u8::from_le_bytes, CodesStorage::mapped)?;
         let packed = match PackedCodes::from_parts(raw, &sizes, n) {
@@ -1044,14 +1028,11 @@ fn read_index(
         let rows: usize = segments.iter().map(|s| s.core.n).sum();
         let dead: usize = segments.iter().map(|s| s.tombstones.dead()).sum();
         let stored = segments.iter().filter(|s| !s.core.ids.column().is_empty()).count();
-        let ti: Vec<usize> = segments
-            .iter()
-            .map(|s| s.core.ti.as_ref().map_or(0, TiPartition::num_clusters))
-            .collect();
+        let ti = model.ti_centroids.as_ref().map_or(0, |c| c.rows());
         let held = format!(
             "bits {:?}: {} sealed segment(s), {stored} with stored ids, holding {rows} rows \
              ({dead} tombstoned), \
-             TI clusters {ti:?} over the first {} subspaces, \
+             TI clusters {ti} over the first {} subspaces, \
              {} buffered rows ({} tombstoned), next id {next_id}, wal_seq {}",
             model.bits,
             segments.len(),
@@ -1076,7 +1057,7 @@ fn read_index(
 // ---------------------------------------------------------------------------
 
 /// Writes the model extent: the trained model (projection, layout, bit
-/// plan, codebooks, default strategy, per-segment TI build settings), the
+/// plan, codebooks, default strategy, TI prefix and centroids), the
 /// maintenance policy, and the id counter.
 fn put_model(buf: &mut BytesMut, model: &Model, policy: &SegmentPolicy, next_id: u32) {
     put_pca(buf, &model.pca);
@@ -1088,13 +1069,11 @@ fn put_model(buf: &mut BytesMut, model: &Model, policy: &SegmentPolicy, next_id:
     }
     put_strategy(buf, model.default_strategy);
     buf.put_u64_le(wide(model.ti_prefix_subspaces));
-    buf.put_u64_le(model.seed);
+    put_matrix(buf, model.ti_centroids.as_deref().unwrap_or(&Matrix::zeros(0, 0)));
 
     buf.put_u64_le(wide(policy.seal_threshold));
     buf.put_u64_le(wide(policy.compact_min_segments));
     buf.put_f64_le(policy.tombstone_purge_frac);
-    buf.put_u64_le(wide(policy.ti_clusters));
-    buf.put_u8(0); // reserved
 
     buf.put_u32_le(next_id);
 }
@@ -1115,24 +1094,23 @@ fn get_model_policy(buf: &mut Bytes) -> Result<(Model, SegmentPolicy, u32), VaqE
     if !(1..=m).contains(&ti_prefix_subspaces) {
         return Err(bad("TI prefix outside the subspace plan"));
     }
-    let seed = take(buf, 8)?.get_u64_le();
-    let model = Model { pca, layout, bits, encoder, default_strategy, ti_prefix_subspaces, seed };
+    let centroids = get_matrix(buf)?;
+    if centroids.rows() == 0 && centroids.cols() != 0 {
+        return Err(bad("TI centroids without rows"));
+    }
+    let ti_centroids = (centroids.rows() > 0).then(|| Arc::new(centroids));
+    let model =
+        Model { pca, layout, bits, encoder, default_strategy, ti_centroids, ti_prefix_subspaces };
 
     // Policy (re-clamped through the builders: persisted knobs are as
     // untrusted as everything else).
     let seal_threshold = take_len(buf, "seal threshold")?;
     let compact_min_segments = take_len(buf, "compaction minimum")?;
     let tombstone_purge_frac = take(buf, 8)?.get_f64_le();
-    let ti_clusters = take_len(buf, "TI cluster knob")?;
     let policy = SegmentPolicy::default()
         .with_seal_threshold(seal_threshold)
         .with_compact_min_segments(compact_min_segments)
-        .with_tombstone_purge_frac(tombstone_purge_frac)
-        .with_ti_clusters(ti_clusters);
-    // Reserved: written as 0; files from before it was reserved hold 1.
-    if take(buf, 1)?.get_u8() > 1 {
-        return Err(bad("bad reserved policy byte"));
-    }
+        .with_tombstone_purge_frac(tombstone_purge_frac);
 
     let next_id = take(buf, 4)?.get_u32_le();
     Ok((model, policy, next_id))
@@ -1388,10 +1366,7 @@ mod tests {
     }
 
     fn policy() -> SegmentPolicy {
-        SegmentPolicy::default()
-            .with_seal_threshold(40)
-            .with_compact_min_segments(3)
-            .with_ti_clusters(6)
+        SegmentPolicy::default().with_seal_threshold(40).with_compact_min_segments(3)
     }
 
     /// A segmented index with several sealed segments, tombstones in
@@ -1487,6 +1462,15 @@ mod tests {
             let mut bad = bytes.clone();
             bad[3] = b'9';
             assert_eq!(load(&bad), (true, true));
+
+            // A version-1 file (TI centroids in every segment's meta) is
+            // refused by its header, behind a valid header checksum.
+            let mut old = bytes.clone();
+            old[4..8].copy_from_slice(&1u32.to_le_bytes());
+            let crc = crate::crc::crc32c(&old[..super::HEADER_CRC_SPAN]);
+            old[super::HEADER_CRC_SPAN..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+            assert!(err_text(SegmentedVaq::from_bytes(&old)).contains("unsupported version 1"));
+            assert!(err_text(Vaq::from_bytes(&old)).contains("unsupported version 1"));
 
             // Truncation at every 89th byte must error, never panic.
             for at in (5..bytes.len()).step_by(89) {
@@ -1616,7 +1600,7 @@ mod tests {
         let seg = SegmentedVaq::train(
             &data,
             &VaqConfig::new(24, 4).with_ti_clusters(8),
-            SegmentPolicy::default().with_seal_threshold(marker).with_ti_clusters(4),
+            SegmentPolicy::default().with_seal_threshold(marker),
         )
         .unwrap();
         seg.add(&toy_data(50)).unwrap();
@@ -1634,39 +1618,6 @@ mod tests {
         assert!(back.snapshot().buffer_len() < 8, "loader must re-seal the buffer");
         assert_eq!(back.len(), seg.len());
         assert_eq!(seg.search(data.row(5), 6).unwrap(), back.search(data.row(5), 6).unwrap());
-    }
-
-    #[test]
-    fn reserved_policy_byte_opens_as_0_or_1_only() {
-        let marker = 0x00DE_AD17usize;
-        let data = toy_data(120);
-        let policy = SegmentPolicy::default().with_seal_threshold(marker);
-        let seg =
-            SegmentedVaq::train(&data, &VaqConfig::new(24, 4).with_ti_clusters(8), policy).unwrap();
-        let bytes = seg.to_bytes();
-        let needle = super::wide(marker).to_le_bytes();
-        let hits: Vec<usize> =
-            bytes.windows(8).enumerate().filter(|(_, w)| *w == needle).map(|(i, _)| i).collect();
-        assert_eq!(hits.len(), 1, "marker threshold must appear exactly once");
-        // Seal threshold, compaction minimum, purge fraction, TI clusters.
-        let at = hits[0] + 32;
-        assert_eq!(bytes[at], 0, "the reserved byte is written as 0");
-
-        // Files written before the byte was reserved hold 1.
-        let mut old = bytes.clone();
-        old[at] = 1;
-        reseal(&mut old);
-        let back = SegmentedVaq::from_bytes(&old).unwrap();
-        for i in (0..120).step_by(29) {
-            assert_eq!(back.search(data.row(i), 7).unwrap(), seg.search(data.row(i), 7).unwrap());
-        }
-        assert_eq!(back.to_bytes(), bytes, "re-saving writes the byte as 0");
-
-        let mut bad = bytes;
-        bad[at] = 2;
-        reseal(&mut bad);
-        let err = SegmentedVaq::from_bytes(&bad).unwrap_err().to_string();
-        assert!(err.contains("reserved policy byte"), "{err}");
     }
 
     #[test]

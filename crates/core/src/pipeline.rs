@@ -14,7 +14,8 @@
 //! 4. [`BitPlan::train_dictionaries`] — variable-sized dictionaries +
 //!    database encoding (Algorithm 3, part 1).
 //! 5. [`DictionaryStage::build_ti`] — TI partitioning (Algorithm 3,
-//!    part 2), producing the finished [`Vaq`].
+//!    part 2): the model's centroids and the training rows' assignment to
+//!    them, producing the finished [`Vaq`].
 //!
 //! Each intermediate stage exposes its state publicly, so ablations can
 //! fork mid-pipeline — e.g. reuse one `VarPCA` across several bit budgets
@@ -272,8 +273,10 @@ pub struct DictionaryStage {
 
 impl DictionaryStage {
     /// Stage 5: TI partitioning (Algorithm 3, part 2) and assembly of the
-    /// finished index. `cfg.ti_clusters == 0` skips the partition
-    /// (EA-only queries).
+    /// finished index. The centroids sampled here become the model's: the
+    /// training rows are assigned to them now, every later sealed row when
+    /// it is sealed. `cfg.ti_clusters == 0` skips the partition (EA-only
+    /// queries).
     pub fn build_ti(self, cfg: &VaqConfig) -> Result<Vaq, VaqError> {
         let _span = crate::obs::span("train.ti_build");
         let ti = if cfg.ti_clusters > 0 {
@@ -297,6 +300,7 @@ impl DictionaryStage {
             self.n,
         );
         crate::obs::note_truncated_packing(&packed, "pipeline.encode");
+        let ti_centroids = ti.as_ref().map(|ti| Arc::clone(&ti.centroids));
         let core = SegmentCore {
             ids: SegmentIds::Dense(0),
             codes: self.codes.into(),
@@ -310,8 +314,8 @@ impl DictionaryStage {
             layout: self.layout,
             bits: self.bits,
             default_strategy: SearchStrategy::TiEa { visit_frac: cfg.ti_visit_frac },
+            ti_centroids,
             ti_prefix_subspaces: cfg.ti_prefix_subspaces.clamp(1, self.encoder.num_subspaces()),
-            seed: cfg.seed,
             encoder: self.encoder,
         };
         let vaq = Vaq { model, core: Arc::new(core) };

@@ -11,8 +11,9 @@
 //!   searchable immediately;
 //! * a list of immutable **sealed segments** (`SegmentCore`), each
 //!   owning its codes, [`PackedCodes`] blocked layout and [`TiPartition`]
-//!   and storing its global ids only once a compaction has dropped rows
-//!   from it (`SegmentIds`). A [`Vaq`] is the model plus exactly one
+//!   (each row's cluster and distance under the model's TI centroids) and
+//!   storing its global ids only once a compaction has dropped rows from
+//!   it (`SegmentIds`). A [`Vaq`] is the model plus exactly one
 //!   such segment, so there is one rows type, one set of pruned scan
 //!   paths and one file shape for both.
 //!
@@ -32,12 +33,13 @@
 //! ```text
 //!   add ──▶ write buffer ──(≥ seal_threshold, inline in the writer)──▶ seal
 //!                                                                      │
-//!            sealed segment ◀──── pack codes + build per-segment TI ◀──┘
+//!            sealed segment ◀── pack codes + assign rows to model TI ◀─┘
 //!                 │
 //!                 ├─ delete ──▶ tombstone bit (consulted at scan & rerank)
 //!                 │
 //!                 └─(small segments / dead_frac ≥ purge threshold)──▶
-//!                        compaction: merge neighbours, drop tombstones
+//!                        compaction: merge neighbours, drop tombstones,
+//!                        carry every kept row's TI assignment
 //! ```
 //!
 //! Sealing and compaction run inline, on the writer whose `add`,
@@ -95,8 +97,9 @@ pub struct SegmentPolicy {
     /// Dead fraction of a sealed segment that triggers a tombstone purge
     /// rewrite, in `(0, 1]`.
     pub tombstone_purge_frac: f64,
-    /// TI clusters per sealed segment (clamped to the segment size;
-    /// `0` disables per-segment TI and the segment scans exactly).
+    /// Ignored: the TI centroids belong to the trained model, so
+    /// [`VaqConfig::ti_clusters`] alone sets the cluster count of every
+    /// segment.
     pub ti_clusters: usize,
 }
 
@@ -131,7 +134,7 @@ impl SegmentPolicy {
         self
     }
 
-    /// Overrides the per-segment TI cluster count (0 disables).
+    /// Sets the ignored [`SegmentPolicy::ti_clusters`].
     pub fn with_ti_clusters(mut self, clusters: usize) -> Self {
         self.ti_clusters = clusters;
         self
@@ -148,7 +151,8 @@ impl SegmentPolicy {
 // ---------------------------------------------------------------------------
 
 /// The trained model every segment shares: projection, layout, bit plan,
-/// dictionaries, and query defaults. Never mutated after construction.
+/// dictionaries, TI centroids and query defaults. Never mutated after
+/// construction.
 #[derive(Debug, Clone)]
 pub(crate) struct Model {
     pub(crate) pca: Pca,
@@ -156,11 +160,12 @@ pub(crate) struct Model {
     pub(crate) bits: Vec<usize>,
     pub(crate) encoder: Encoder,
     pub(crate) default_strategy: SearchStrategy,
-    /// Prefix subspaces for per-segment TI builds.
+    /// The TI centroids, sampled once from the encoded training rows, in
+    /// the prefix space of the first `ti_prefix_subspaces` subspaces;
+    /// every sealed segment's partition shares them. `None` when the model
+    /// was trained without TI (`VaqConfig::ti_clusters == 0`).
+    pub(crate) ti_centroids: Option<Arc<Matrix>>,
     pub(crate) ti_prefix_subspaces: usize,
-    /// Base RNG seed for per-segment TI sampling (xor-ed with the
-    /// segment's first id, so rebuilds are deterministic per segment).
-    pub(crate) seed: u64,
 }
 
 impl Model {
@@ -289,7 +294,7 @@ impl SegmentIds {
 }
 
 /// The immutable payload of a sealed segment: codes, global ids, the
-/// blocked packing, and the per-segment TI partition. Shared by `Arc`
+/// blocked packing, and the rows' TI partition. Shared by `Arc`
 /// across snapshots; only the tombstone bitmap beside it ever changes.
 /// A [`Vaq`] is the trained [`Model`] plus exactly one of these. The
 /// arrays are [`U32Storage`]/[`U16Storage`] so an out-of-core index can
@@ -1114,8 +1119,11 @@ impl SegmentSearcher {
 }
 
 /// Fans one query out over every segment plus the buffer and k-way-merges
-/// the partial top-k (sort by `(distance, global id)`, truncate). Stats
-/// are summed; distances come back in metric (unsquared) space.
+/// the partial top-k (sort by `(distance, global id)`, truncate). Every
+/// view shares the model's dictionaries and TI centroids, so the tables
+/// are filled and the clusters ranked once per query, and every segment
+/// visits the same clusters. Stats are summed; distances come back in
+/// metric (unsquared) space.
 fn search_set(
     model: &Model,
     set: &SegmentSet,
@@ -1125,7 +1133,15 @@ fn search_set(
     strategy: SearchStrategy,
 ) -> Result<(Vec<Neighbor>, SearchStats), VaqError> {
     let projected = model.pca.transform_vec(query)?;
-    let mut stats = SearchStats::default();
+    let t0 = crate::obs::enabled().then(std::time::Instant::now);
+    let before = engine.arena().reallocations();
+    let ti = set.segments.iter().find_map(|seg| seg.core.ti.as_ref());
+    // One ranking serves every segment because they share the centroids.
+    let shared = |t: &TiPartition| ti.is_some_and(|ti| Arc::ptr_eq(&t.centroids, &ti.centroids));
+    debug_assert!(set.segments.iter().all(|seg| seg.core.ti.as_ref().is_none_or(shared)));
+    engine.prepare(&IndexView::from_encoder(&model.encoder, &[], 0).with_ti(ti), &projected);
+    let realloc = engine.arena().reallocations() - before;
+    let mut stats = SearchStats { table_reallocations: realloc, ..SearchStats::default() };
     let mut merged: Vec<Neighbor> = Vec::new();
     for seg in &set.segments {
         if seg.live() == 0 {
@@ -1138,7 +1154,7 @@ fn search_set(
             seg.core.ensure_verified(&model.encoder)?;
         }
         let view = seg.core.view(&model.encoder).with_dead(seg.tombstones.filter());
-        let (part, s) = engine.search_squared(&view, &projected, k, strategy);
+        let (part, s) = engine.search_prepared(&view, k, strategy);
         stats += s;
         merged.extend(
             part.into_iter().map(|nb| Neighbor { index: seg.core.id_of(nb.index as usize), ..nb }),
@@ -1150,7 +1166,7 @@ fn search_set(
         // pruning strategy.
         let view = IndexView::from_encoder(&model.encoder, &set.buffer.codes, set.buffer.rows)
             .with_dead(set.buffer.tombstones.filter());
-        let (part, s) = engine.search_squared(&view, &projected, k, strategy);
+        let (part, s) = engine.search_prepared(&view, k, strategy);
         stats += s;
         merged.extend(
             part.into_iter().map(|nb| Neighbor { index: set.buffer.first_id + nb.index, ..nb }),
@@ -1161,6 +1177,7 @@ fn search_set(
     for nb in merged.iter_mut() {
         nb.distance = nb.distance.max(0.0).sqrt();
     }
+    crate::engine::observe_query(t0, &stats);
     Ok((merged, stats))
 }
 
@@ -1188,7 +1205,8 @@ fn maintenance_task(shared: &Shared) {
 }
 
 /// Packs the current buffer prefix into a new sealed segment. The
-/// expensive work (packing + per-segment TI build) runs without any lock
+/// expensive work (packing + assigning the rows to the model's TI
+/// centroids) runs without any lock
 /// against a frozen prefix — adds only append past it and deletes only
 /// set bits, which are re-read at install time.
 fn seal_step(shared: &Shared) {
@@ -1199,7 +1217,7 @@ fn seal_step(shared: &Shared) {
     }
     let _span = crate::obs::span("segment.seal");
     let ids = SegmentIds::Dense(frozen.buffer.first_id);
-    let core = build_core(&shared.model, &shared.policy, ids, frozen.buffer.codes.clone());
+    let core = build_core(&shared.model, ids, frozen.buffer.codes.clone(), None);
 
     let _st = wlock(shared);
     let cur = read_current(shared);
@@ -1291,10 +1309,15 @@ fn compact_step(shared: &Shared) {
                 origins.push((pos + s, local));
             }
         }
+        // Every kept row carries its TI assignment: a merge computes no
+        // distance.
+        let assigned: Option<Vec<Vec<(u32, f32)>>> =
+            srcs.iter().map(|seg| seg.core.ti.as_ref().map(TiPartition::assignments)).collect();
+        let carried =
+            assigned.map(|a| origins.iter().map(|&(s, local)| a[s - pos][local]).collect());
         let dropped: usize = srcs.iter().map(|s| s.tombstones.dead()).sum();
-        let merged = (!ids.is_empty()).then(|| {
-            build_core(&shared.model, &shared.policy, SegmentIds::from_ascending(ids), codes)
-        });
+        let merged = (!ids.is_empty())
+            .then(|| build_core(&shared.model, SegmentIds::from_ascending(ids), codes, carried));
 
         let _st = wlock(shared);
         let cur = read_current(shared);
@@ -1329,34 +1352,25 @@ fn compact_step(shared: &Shared) {
 }
 
 /// Builds a sealed segment's immutable payload: the blocked packing plus,
-/// unless the policy turns it off, a per-segment TI partition.
+/// when the model has TI centroids, the rows' partition over them — from
+/// each row's `carried` (cluster, distance) when a merge knows it, by
+/// assigning every row otherwise.
 fn build_core(
     model: &Model,
-    policy: &SegmentPolicy,
     ids: SegmentIds,
     codes: Vec<u16>,
+    carried: Option<Vec<(u32, f32)>>,
 ) -> SegmentCore {
     let n = codes.len() / model.encoder.num_subspaces();
     let sizes: Vec<usize> = model.encoder.table_sizes().collect();
     let packed = PackedCodes::pack(&codes, &sizes, n);
     crate::obs::note_truncated_packing(&packed, "segment.seal");
-    let mut core = SegmentCore { ids, codes: codes.into(), n, packed, ti: None, lazy: None };
-    if policy.ti_clusters > 0 && n > 0 {
-        let first = core.id_span().map_or(0, |(first, _)| first);
-        let seed = model.seed ^ u64::from(first).rotate_left(17);
-        // `build` fails only for `n = 0` or codes that are not `n × m`,
-        // both ruled out here.
-        core.ti = TiPartition::build(
-            &model.encoder,
-            &core.codes,
-            n,
-            policy.ti_clusters.min(n),
-            model.ti_prefix_subspaces,
-            seed,
-        )
-        .ok();
-    }
-    core
+    let prefix = model.ti_prefix_subspaces;
+    let ti = model.ti_centroids.as_ref().map(|c| match carried {
+        Some(assigned) => TiPartition::from_assignments(Arc::clone(c), &assigned, prefix),
+        None => TiPartition::assign(&model.encoder, &codes, Arc::clone(c), prefix),
+    });
+    SegmentCore { ids, codes: codes.into(), n, packed, ti, lazy: None }
 }
 
 #[cfg(test)]
@@ -1383,10 +1397,7 @@ mod tests {
     }
 
     fn policy() -> SegmentPolicy {
-        SegmentPolicy::default()
-            .with_seal_threshold(48)
-            .with_compact_min_segments(3)
-            .with_ti_clusters(8)
+        SegmentPolicy::default().with_seal_threshold(48).with_compact_min_segments(3)
     }
 
     fn ids_of(hits: &[Neighbor]) -> Vec<u32> {
@@ -1491,8 +1502,7 @@ mod tests {
         let pol = SegmentPolicy::default()
             .with_seal_threshold(30)
             .with_compact_min_segments(3)
-            .with_tombstone_purge_frac(0.3)
-            .with_ti_clusters(4);
+            .with_tombstone_purge_frac(0.3);
         let seg = SegmentedVaq::train(&train, &cfg(), pol).unwrap();
         let more = toy_data(120, 8, 22);
         seg.add(&more).unwrap();
@@ -1532,13 +1542,59 @@ mod tests {
     }
 
     #[test]
+    fn compaction_carries_each_rows_assignment() {
+        // Merges and a purge carry every kept row's (cluster, distance):
+        // each segment's partition is exactly a fresh assignment of its
+        // rows to the model's centroids, in the same order.
+        let pol = SegmentPolicy::default()
+            .with_seal_threshold(30)
+            .with_compact_min_segments(3)
+            .with_tombstone_purge_frac(0.3);
+        let seg = SegmentedVaq::train(&toy_data(60, 8, 21), &cfg(), pol).unwrap();
+        let fresh_everywhere = |seg: &SegmentedVaq| {
+            let model = seg.shared_model();
+            let centroids = model.ti_centroids.as_ref().unwrap();
+            for s in &seg.snapshot().segments {
+                let ti = s.core.ti.as_ref().unwrap();
+                assert!(Arc::ptr_eq(&ti.centroids, centroids), "segment has its own centroids");
+                let prefix = model.ti_prefix_subspaces;
+                let fresh = TiPartition::assign(
+                    &model.encoder,
+                    &s.core.codes,
+                    Arc::clone(centroids),
+                    prefix,
+                );
+                let dists = |t: &TiPartition| -> Vec<u32> {
+                    t.member_dist.iter().map(|d| d.to_bits()).collect()
+                };
+                assert_eq!(ti.offsets, fresh.offsets);
+                assert_eq!(ti.member_idx.as_slice(), fresh.member_idx.as_slice());
+                assert_eq!(dists(ti), dists(&fresh));
+            }
+        };
+        for c in 0..4 {
+            seg.add(&toy_data(30, 8, 22 + c)).unwrap();
+        }
+        seg.flush();
+        assert!(seg.snapshot().segments.iter().any(|s| s.core.n > 60), "nothing merged");
+        fresh_everywhere(&seg);
+        let victims: Vec<u32> = seg.live_ids().into_iter().step_by(2).take(40).collect();
+        for id in victims {
+            assert!(seg.delete(id));
+        }
+        seg.flush();
+        let snap = seg.snapshot();
+        assert!(snap.segments.iter().any(|s| !s.core.ids.column().is_empty()), "nothing purged");
+        fresh_everywhere(&seg);
+    }
+
+    #[test]
     fn a_segment_stores_ids_only_after_dropping_rows() {
         // 1024-row segments, so every ids extent is a whole number of pages.
         let pol = SegmentPolicy::default()
             .with_seal_threshold(1024)
             .with_compact_min_segments(3)
-            .with_tombstone_purge_frac(0.5)
-            .with_ti_clusters(4);
+            .with_tombstone_purge_frac(0.5);
         let vaq = Vaq::train(&toy_data(1024, 6, 91), &cfg()).unwrap();
         assert!(matches!(vaq.core.ids, SegmentIds::Dense(0)));
         let seg = SegmentedVaq::from_vaq(vaq, pol.clone());
@@ -1602,10 +1658,7 @@ mod tests {
     #[test]
     fn default_policy_seal_keeps_queries_exact() {
         let train = toy_data(100, 8, 41);
-        let pol = SegmentPolicy::default()
-            .with_seal_threshold(32)
-            .with_compact_min_segments(4)
-            .with_ti_clusters(4);
+        let pol = SegmentPolicy::default().with_seal_threshold(32).with_compact_min_segments(4);
         let seg = SegmentedVaq::train(&train, &cfg(), pol).unwrap();
         let more = toy_data(200, 8, 42);
         let mut oracle = Vaq::train(&train, &cfg()).unwrap();
@@ -1642,10 +1695,7 @@ mod tests {
     #[test]
     fn maintenance_events_reach_the_obs_ring() {
         let train = toy_data(40, 6, 51);
-        let pol = SegmentPolicy::default()
-            .with_seal_threshold(16)
-            .with_compact_min_segments(2)
-            .with_ti_clusters(2);
+        let pol = SegmentPolicy::default().with_seal_threshold(16).with_compact_min_segments(2);
         crate::obs::set_enabled(true);
         let seg = SegmentedVaq::train(&train, &cfg(), pol).unwrap();
         seg.add(&toy_data(40, 6, 52)).unwrap();

@@ -9,6 +9,13 @@
 //! `d(q, x) ≥ |d(q, c) − d(x, c)|` lets whole runs of each sorted cluster
 //! be skipped with two binary searches (the paper's Figure 5 example).
 //!
+//! The centroids belong to the trained model: they are sampled once, at
+//! train time, and every sealed segment's partition shares them through
+//! one `Arc`. A segment holds only each row's (cluster, distance)
+//! assignment — made once, when the row is sealed, and carried unchanged
+//! through every merge and purge — so a query ranks the clusters once and
+//! every segment visits the same ones.
+//!
 //! All distances here are *unsquared* Euclidean (the triangle inequality
 //! needs a true metric) in the prefix space of the first
 //! `prefix_subspaces` subspaces. A prefix of non-negative per-subspace
@@ -19,33 +26,25 @@
 //!
 //! Members are stored struct-of-arrays: one flat index array and one flat
 //! distance array, both segmented by an `offsets` table (cluster `c` owns
-//! elements `offsets[c]..offsets[c + 1]`, sorted ascending by distance).
-//! The two flat arrays sit behind [`U32Storage`] / [`F32Storage`], so an
-//! out-of-core index can map them straight from a file extent instead
-//! of copying — the binary-search pruning reads the mapped distances in
-//! place.
+//! elements `offsets[c]..offsets[c + 1]`, sorted ascending by distance,
+//! then by row). The two flat arrays sit behind [`U32Storage`] /
+//! [`F32Storage`], so an out-of-core index can map them straight from a
+//! file extent instead of copying — the binary-search pruning reads the
+//! mapped distances in place.
 
 use crate::encoder::Encoder;
+use crate::sync::Arc;
 use crate::VaqError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vaq_linalg::{euclidean, F32Storage, Matrix, U32Storage};
 
-/// One encoded vector inside a TI cluster (a build-time convenience; the
-/// partition itself stores members struct-of-arrays).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Member {
-    /// Database row index.
-    pub idx: u32,
-    /// Unsquared prefix-space distance to the cluster centroid.
-    pub dist: f32,
-}
-
-/// The TI partition structure built once at encoding time.
+/// The TI partition of one set of encoded rows.
 #[derive(Debug, Clone)]
 pub struct TiPartition {
-    /// Cluster centroids in prefix space (one row per cluster).
-    pub(crate) centroids: Matrix,
+    /// Cluster centroids in prefix space (one row per cluster, as wide as
+    /// the prefix); the model's, shared by every segment.
+    pub(crate) centroids: Arc<Matrix>,
     /// `num_clusters + 1` boundaries into the flat member arrays.
     pub(crate) offsets: Vec<usize>,
     /// Member row indices, cluster-segmented, sorted by distance within
@@ -55,17 +54,15 @@ pub struct TiPartition {
     pub(crate) member_dist: F32Storage,
     /// Number of subspaces spanned by the prefix.
     pub(crate) prefix_subspaces: usize,
-    /// Dimensionality of the prefix space.
-    pub(crate) prefix_dim: usize,
 }
 
 impl TiPartition {
-    /// Builds the partition from the encoded database.
-    ///
-    /// `codes` is the row-major `n × m` code array produced by
-    /// [`Encoder::encode_all`]; `num_clusters` centroids are sampled from
-    /// the encoded vectors themselves (paper: "VAQ randomly samples a few
-    /// of them that form the cluster centroids").
+    /// Builds a partition with its own centroids: `num_clusters`
+    /// (clamped to `1..=n`) prefix reconstructions of rows sampled from
+    /// the encoded database itself (paper: "VAQ randomly samples a few of
+    /// them that form the cluster centroids"), then every row assigned to
+    /// them. `codes` is the row-major `n × m` code array produced by
+    /// [`Encoder::encode_all`].
     pub fn build(
         encoder: &Encoder,
         codes: &[u16],
@@ -85,7 +82,6 @@ impl TiPartition {
             )));
         }
         let prefix_subspaces = prefix_subspaces.clamp(1, m);
-        let prefix_dim = encoder.ranges()[prefix_subspaces - 1].1;
         let c = num_clusters.clamp(1, n);
 
         // Sample centroid codes *without replacement* (partial
@@ -96,90 +92,99 @@ impl TiPartition {
         // cluster.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut pool: Vec<u32> = (0..n as u32).collect();
-        let mut centroids = Matrix::zeros(c, prefix_dim);
+        let mut centroids = Matrix::zeros(c, encoder.ranges()[prefix_subspaces - 1].1);
         for ci in 0..c {
             let j = ci + rng.gen_range(0..n - ci);
             pool.swap(ci, j);
             let pick = pool[ci] as usize;
-            let code = &codes[pick * m..(pick + 1) * m];
-            let rec = encoder.decode_prefix(code, prefix_subspaces);
+            let rec = encoder.decode_prefix(&codes[pick * m..(pick + 1) * m], prefix_subspaces);
             centroids.row_mut(ci).copy_from_slice(&rec);
         }
+        Ok(Self::assign(encoder, codes, Arc::new(centroids), prefix_subspaces))
+    }
 
-        // Assign every code to its nearest centroid (prefix space,
-        // unsquared), parallel over rows.
-        let mut assign: Vec<(u32, f32)> = vec![(0, 0.0); n];
+    /// Assigns every row of the `n × m` `codes` to its nearest centroid
+    /// (prefix space, unsquared; ties go to the lower cluster id),
+    /// parallel over rows.
+    pub(crate) fn assign(
+        encoder: &Encoder,
+        codes: &[u16],
+        centroids: Arc<Matrix>,
+        prefix_subspaces: usize,
+    ) -> TiPartition {
+        let m = encoder.num_subspaces();
+        let n = codes.len() / m;
+        let mut assigned: Vec<(u32, f32)> = vec![(0, 0.0); n];
         let workers = crate::threads::worker_count(n);
-        let chunk = n.div_ceil(workers);
+        let chunk = n.div_ceil(workers).max(1);
         crate::sync::thread::scope(|scope| {
-            let mut rest: &mut [(u32, f32)] = &mut assign;
             let centroids = &centroids;
-            for w in 0..workers {
-                let start = w * chunk;
-                if start >= n {
-                    break;
-                }
-                let len = chunk.min(n - start);
-                let (mine, tail) = rest.split_at_mut(len);
-                rest = tail;
+            for (w, mine) in assigned.chunks_mut(chunk).enumerate() {
                 scope.spawn(move || {
                     for (j, slot) in mine.iter_mut().enumerate() {
-                        let i = start + j;
+                        let i = w * chunk + j;
                         let code = &codes[i * m..(i + 1) * m];
-                        let rec = encoder.decode_prefix(code, prefix_subspaces);
-                        let mut best = 0u32;
-                        let mut best_d = f32::INFINITY;
-                        for (ci, crow) in centroids.iter_rows().enumerate() {
-                            let d = euclidean(crow, &rec);
-                            if d < best_d {
-                                best_d = d;
-                                best = ci as u32;
-                            }
-                        }
-                        *slot = (best, best_d);
+                        *slot = nearest(centroids, &encoder.decode_prefix(code, prefix_subspaces));
                     }
                 });
             }
         });
-
-        let mut buckets: Vec<Vec<Member>> = vec![Vec::new(); c];
-        for (i, &(ci, d)) in assign.iter().enumerate() {
-            buckets[ci as usize].push(Member { idx: i as u32, dist: d });
-        }
-        let mut offsets = Vec::with_capacity(c + 1);
-        let mut member_idx = Vec::with_capacity(n);
-        let mut member_dist = Vec::with_capacity(n);
-        offsets.push(0);
-        for mut cl in buckets {
-            cl.sort_by(|a, b| a.dist.total_cmp(&b.dist).then_with(|| a.idx.cmp(&b.idx)));
-            for mem in cl {
-                member_idx.push(mem.idx);
-                member_dist.push(mem.dist);
-            }
-            offsets.push(member_idx.len());
-        }
-        Ok(TiPartition {
-            centroids,
-            offsets,
-            member_idx: member_idx.into(),
-            member_dist: member_dist.into(),
-            prefix_subspaces,
-            prefix_dim,
-        })
+        Self::from_assignments(centroids, &assigned, prefix_subspaces)
     }
 
-    /// Reassembles a partition from persisted parts. `None` when the
-    /// boundaries are not a monotone cover of the member arrays or the
-    /// arrays disagree in length — *content* invariants (index range,
-    /// sorted distances) are the audit's business (VAQ108), which every
-    /// load runs at open.
+    /// The partition in which row `i` is in cluster `assigned[i].0` at
+    /// distance `assigned[i].1`: members bucketed by cluster, each cluster
+    /// sorted by distance (`total_cmp`), then by row. Seal and train reach
+    /// it through [`TiPartition::assign`]; compaction calls it on the
+    /// [`TiPartition::assignments`] of the rows it keeps, so no distance
+    /// is computed twice.
+    pub(crate) fn from_assignments(
+        centroids: Arc<Matrix>,
+        assigned: &[(u32, f32)],
+        prefix_subspaces: usize,
+    ) -> TiPartition {
+        let mut buckets: Vec<Vec<(f32, u32)>> = vec![Vec::new(); centroids.rows()];
+        for (i, &(c, dist)) in assigned.iter().enumerate() {
+            buckets[c as usize].push((dist, i as u32));
+        }
+        let mut offsets = Vec::with_capacity(buckets.len() + 1);
+        let mut member_idx = Vec::with_capacity(assigned.len());
+        let mut member_dist = Vec::with_capacity(assigned.len());
+        offsets.push(0);
+        for mut cl in buckets {
+            cl.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            member_idx.extend(cl.iter().map(|mem| mem.1));
+            member_dist.extend(cl.iter().map(|mem| mem.0));
+            offsets.push(member_idx.len());
+        }
+        let (member_idx, member_dist) = (member_idx.into(), member_dist.into());
+        TiPartition { centroids, offsets, member_idx, member_dist, prefix_subspaces }
+    }
+
+    /// Every row's `(cluster, distance)`, indexed by row — what
+    /// [`TiPartition::from_assignments`] takes back. The partition must
+    /// cover its rows exactly (VAQ108, audited wherever one comes in).
+    pub(crate) fn assignments(&self) -> Vec<(u32, f32)> {
+        let mut out = vec![(0u32, 0.0f32); self.members_total()];
+        for c in 0..self.num_clusters() {
+            for (&idx, &dist) in self.cluster_idx(c).iter().zip(self.cluster_dist(c)) {
+                out[idx as usize] = (c as u32, dist);
+            }
+        }
+        out
+    }
+
+    /// Reassembles a partition from persisted parts over the model's
+    /// `centroids`. `None` when the boundaries are not a monotone cover of
+    /// the member arrays or the arrays disagree in length — *content*
+    /// invariants (index range, sorted distances) are the audit's business
+    /// (VAQ108), which every load runs at open.
     pub(crate) fn from_parts(
-        centroids: Matrix,
+        centroids: Arc<Matrix>,
         offsets: Vec<usize>,
         member_idx: U32Storage,
         member_dist: F32Storage,
         prefix_subspaces: usize,
-        prefix_dim: usize,
     ) -> Option<TiPartition> {
         if offsets.len() != centroids.rows() + 1 || offsets.first() != Some(&0) {
             return None;
@@ -190,14 +195,7 @@ impl TiPartition {
         if offsets.last() != Some(&member_idx.len()) || member_idx.len() != member_dist.len() {
             return None;
         }
-        Some(TiPartition {
-            centroids,
-            offsets,
-            member_idx,
-            member_dist,
-            prefix_subspaces,
-            prefix_dim,
-        })
+        Some(TiPartition { centroids, offsets, member_idx, member_dist, prefix_subspaces })
     }
 
     /// Number of clusters.
@@ -217,7 +215,7 @@ impl TiPartition {
 
     /// Dimensions spanned by the prefix metric.
     pub fn prefix_dim(&self) -> usize {
-        self.prefix_dim
+        self.centroids.cols()
     }
 
     /// Element range of cluster `c` inside the flat member arrays.
@@ -244,21 +242,27 @@ impl TiPartition {
     /// Exact-membership coverage check: `true` iff every row index in
     /// `0..n` appears in exactly one cluster. O(n) time and one bit per
     /// row — unlike the cheap size-sum test, this catches a
-    /// double-assigned row masking an omitted one.
+    /// double-assigned row masking an omitted one. With exactly `n`
+    /// members, none out of range and none repeated is an exact cover;
+    /// both are folded into flags, so a member costs no branch.
     pub fn covers_exactly(&self, n: usize) -> bool {
-        let mut seen = vec![false; n];
-        let mut covered = 0usize;
-        for &idx in self.member_idx.as_slice() {
-            let Some(slot) = seen.get_mut(idx as usize) else {
-                return false; // out-of-range index
-            };
-            if *slot {
-                return false; // duplicate assignment
-            }
-            *slot = true;
-            covered += 1;
+        let members = self.member_idx.as_slice();
+        if members.len() != n {
+            return false;
         }
-        covered == n
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        let Some(last) = seen.len().checked_sub(1) else { return true };
+        let (mut outside, mut repeated) = (false, false);
+        for &idx in members {
+            let i = idx as usize;
+            outside |= i >= n;
+            // An out-of-range row lands in the last word: the verdict is
+            // `false` already, whatever it sets there.
+            let (word, bit) = (&mut seen[(i / 64).min(last)], 1u64 << (i % 64));
+            repeated |= *word & bit != 0;
+            *word |= bit;
+        }
+        !(outside | repeated)
     }
 
     /// Inserts one newly encoded vector: assigns it to its nearest
@@ -267,16 +271,9 @@ impl TiPartition {
     /// On a mapped partition this materializes owned member arrays
     /// (copy-on-write).
     pub fn insert(&mut self, encoder: &Encoder, code: &[u16], idx: u32) {
-        let rec = encoder.decode_prefix(code, self.prefix_subspaces);
-        let mut best = 0usize;
-        let mut best_d = f32::INFINITY;
-        for (ci, crow) in self.centroids.iter_rows().enumerate() {
-            let d = euclidean(crow, &rec);
-            if d < best_d {
-                best_d = d;
-                best = ci;
-            }
-        }
+        let (best, best_d) =
+            nearest(&self.centroids, &encoder.decode_prefix(code, self.prefix_subspaces));
+        let best = best as usize;
         // Same comparator as the build-time sort: `total_cmp` then index.
         // A `<`/`==` mix here would disagree with that order (and stall at
         // position 0 on NaN), breaking the sorted invariant for every
@@ -306,7 +303,7 @@ impl TiPartition {
     /// Unsquared distances from a projected query's prefix to every
     /// centroid.
     pub fn query_distances(&self, projected_query: &[f32]) -> Vec<f32> {
-        let q = &projected_query[..self.prefix_dim];
+        let q = &projected_query[..self.prefix_dim()];
         self.centroids.iter_rows().map(|c| euclidean(c, q)).collect()
     }
 
@@ -331,6 +328,19 @@ impl TiPartition {
         let hi = dists.partition_point(|&d| d < hi_bound);
         (lo, hi)
     }
+}
+
+/// The nearest centroid to a prefix reconstruction and its unsquared
+/// distance; ties go to the lower cluster id.
+fn nearest(centroids: &Matrix, rec: &[f32]) -> (u32, f32) {
+    let mut best = (0u32, f32::INFINITY);
+    for (ci, crow) in centroids.iter_rows().enumerate() {
+        let d = euclidean(crow, rec);
+        if d < best.1 {
+            best = (ci as u32, d);
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -521,11 +531,17 @@ mod tests {
         let big = (0..ti.num_clusters()).max_by_key(|&c| ti.cluster_len(c)).unwrap();
         let (start, end) = ti.cluster_range(big);
         assert!(end - start >= 2, "need a cluster with two members to doctor");
+        let clean = ti.clone();
         let dup = ti.member_idx.as_slice()[start];
         ti.member_idx.to_mut()[end - 1] = dup;
         let total: usize = (0..ti.num_clusters()).map(|c| ti.cluster_len(c)).sum();
         assert_eq!(total, 200, "doctoring must keep the size sum intact");
         assert!(!ti.covers_exactly(200), "double-assignment + omission went undetected");
+        // An out-of-range member in place of a real one: no row repeats,
+        // the size sum holds, but one row is omitted for a row past `n`.
+        let mut outside = clean;
+        outside.member_idx.to_mut()[end - 1] = 200;
+        assert!(!outside.covers_exactly(200), "out-of-range member + omission went undetected");
     }
 
     #[test]
@@ -553,7 +569,6 @@ mod tests {
             ti.member_idx.clone(),
             ti.member_dist.clone(),
             ti.prefix_subspaces,
-            ti.prefix_dim,
         );
         assert!(ok.is_some());
         let mut bad = ti.offsets.clone();
@@ -564,7 +579,6 @@ mod tests {
             ti.member_idx.clone(),
             ti.member_dist.clone(),
             ti.prefix_subspaces,
-            ti.prefix_dim,
         )
         .is_none());
         let mut short = ti.offsets.clone();
@@ -575,7 +589,6 @@ mod tests {
             ti.member_idx.clone(),
             ti.member_dist.clone(),
             ti.prefix_subspaces,
-            ti.prefix_dim,
         )
         .is_none());
     }

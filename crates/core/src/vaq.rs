@@ -48,8 +48,10 @@ pub struct VaqConfig {
     pub partial_balance: bool,
     /// Adaptive (MILP) or uniform bit allocation.
     pub allocation: AllocationStrategy,
-    /// Number of triangle-inequality clusters (paper: 1000). `0` disables
-    /// the TI structure (EA-only queries). Clamped to the database size.
+    /// Number of triangle-inequality clusters (paper: 1000), sampled once
+    /// from the training rows and shared by every segment of the index.
+    /// `0` disables the TI structure (EA-only queries). Clamped to the
+    /// training set size.
     pub ti_clusters: usize,
     /// Subspaces spanned by the TI prefix metric (clamped to `m`).
     pub ti_prefix_subspaces: usize,

@@ -87,7 +87,7 @@ fn durable_fixture() -> &'static DurableFixture {
         let seg = SegmentedVaq::train(
             &slice(&data, 0, 60),
             &VaqConfig::new(24, 4).with_ti_clusters(8),
-            SegmentPolicy::default().with_seal_threshold(16).with_ti_clusters(4),
+            SegmentPolicy::default().with_seal_threshold(16),
         )
         .unwrap();
         seg.make_durable(&path).unwrap();
@@ -252,7 +252,7 @@ fn open_durable_replays_to_the_live_state() {
     let seg = SegmentedVaq::train(
         &slice(&data, 0, 50),
         &VaqConfig::new(24, 4).with_ti_clusters(8),
-        SegmentPolicy::default().with_seal_threshold(16).with_ti_clusters(4),
+        SegmentPolicy::default().with_seal_threshold(16),
     )
     .unwrap();
     seg.make_durable(&path).unwrap();
@@ -311,10 +311,8 @@ fn container_fixture() -> &'static ContainerFixture {
         let data = toy_data(220, 10, 41);
         let cfg = VaqConfig::new(24, 4).with_ti_clusters(8);
         let mono = Vaq::train(&slice(&data, 0, 120), &cfg).unwrap();
-        let seg = SegmentedVaq::from_vaq(
-            mono.clone(),
-            SegmentPolicy::default().with_seal_threshold(32).with_ti_clusters(4),
-        );
+        let seg =
+            SegmentedVaq::from_vaq(mono.clone(), SegmentPolicy::default().with_seal_threshold(32));
         seg.add(&slice(&data, 120, 200)).unwrap(); // sealed inline
         for id in (120..200).step_by(4) {
             seg.delete(id); // a quarter of the segment: purged, ids now stored

@@ -48,7 +48,7 @@ fn trained() -> &'static Vaq {
 }
 
 fn fresh(policy: SegmentPolicy) -> SegmentedVaq {
-    SegmentedVaq::from_vaq(trained().clone(), policy.with_ti_clusters(0))
+    SegmentedVaq::from_vaq(trained().clone(), policy)
 }
 
 fn assert_distinct(ids: &[u32]) {

@@ -73,8 +73,7 @@ fn churny_subject() -> SegmentedVaq {
     let policy = SegmentPolicy::default()
         .with_seal_threshold(12)
         .with_compact_min_segments(3)
-        .with_tombstone_purge_frac(0.3)
-        .with_ti_clusters(6);
+        .with_tombstone_purge_frac(0.3);
     SegmentedVaq::from_vaq(base_vaq().clone(), policy)
 }
 

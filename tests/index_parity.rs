@@ -31,7 +31,6 @@ fn policy() -> SegmentPolicy {
         .with_seal_threshold(70)
         .with_compact_min_segments(6)
         .with_tombstone_purge_frac(0.25)
-        .with_ti_clusters(6)
 }
 
 fn rows(data: &Matrix, lo: usize, hi: usize) -> Matrix {
@@ -176,5 +175,50 @@ fn a_purge_changes_nothing_a_caller_can_see() {
     let back = SegmentedVaq::open_durable(&path).unwrap();
     assert_eq!((back.live_ids(), answers(&queries, 10, &back)), (live, want));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A TiEa query ranks the model's clusters once and every segment visits
+/// the same ones, so its answer, at any visit fraction, depends on the
+/// rows alone: the same rows in 1, 2 or 5 sealed segments, in RAM, mapped
+/// from a file or recovered from a log whose replay seals them.
+#[test]
+fn tiea_answers_do_not_depend_on_how_the_rows_are_segmented() {
+    let (data, queries) = data();
+    let dir = tmp_dir("segmentation");
+    let trained = Vaq::train(&rows(&data, 0, TRAINED), &cfg()).unwrap();
+    let rest = N - TRAINED;
+    let answers = |index: &SegmentedVaq| -> Vec<Vec<Neighbor>> {
+        let visits = [0.1, 0.25, 1.0].map(|visit_frac| SearchStrategy::TiEa { visit_frac });
+        (0..queries.rows())
+            .flat_map(|q| visits.map(|s| index.search_with(queries.row(q), 10, s).unwrap().0))
+            .collect()
+    };
+    let mut want: Option<Vec<Vec<Neighbor>>> = None;
+    // (sealed segments, seal threshold, compaction minimum): the one seal
+    // merged into the trained segment, kept beside it, or cut in four.
+    for (segments, seal, compact) in [(1, rest, 2), (2, rest, 16), (5, rest / 4, 16)] {
+        let policy =
+            SegmentPolicy::default().with_seal_threshold(seal).with_compact_min_segments(compact);
+        let owned = SegmentedVaq::from_vaq(trained.clone(), policy.clone());
+        let logged = SegmentedVaq::from_vaq(trained.clone(), policy);
+        let durable = dir.join(format!("{segments}-durable.vaq"));
+        logged.make_durable(&durable).unwrap();
+        for lo in (TRAINED..N).step_by(seal) {
+            owned.add(&rows(&data, lo, lo + seal)).unwrap();
+            logged.add(&rows(&data, lo, lo + seal)).unwrap();
+        }
+        drop(logged);
+        assert_eq!(owned.snapshot().num_segments(), segments);
+        assert_eq!(owned.len(), N);
+        let mapped = dir.join(format!("{segments}-mapped.vaq"));
+        owned.save_mapped(&mapped).unwrap();
+        let recovered = SegmentedVaq::open_durable(&durable).unwrap();
+        assert_eq!(recovered.len(), N);
+        let got = answers(&owned);
+        assert_eq!(answers(&SegmentedVaq::open_mapped(&mapped).unwrap()), got, "{segments} mapped");
+        assert_eq!(answers(&recovered), got, "{segments} recovered");
+        assert_eq!(want.get_or_insert_with(|| got.clone()), &got, "{segments} segments");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,10 +30,8 @@ fn fixture() -> &'static Fixture {
         let data = SyntheticSpec { dim: 16, ..SyntheticSpec::sift_like() }.generate(300, 1, 5).data;
         let rows = |lo: usize, hi: usize| data.select_rows(&(lo..hi).collect::<Vec<_>>());
         let mono = Vaq::train(&rows(0, 200), &VaqConfig::new(32, 4).with_ti_clusters(12)).unwrap();
-        let seg = SegmentedVaq::from_vaq(
-            mono.clone(),
-            SegmentPolicy::default().with_seal_threshold(40).with_ti_clusters(6),
-        );
+        let seg =
+            SegmentedVaq::from_vaq(mono.clone(), SegmentPolicy::default().with_seal_threshold(40));
         seg.add(&rows(200, 245)).unwrap(); // sealed inline
         seg.add(&rows(245, 290)).unwrap(); // sealed inline
         seg.add(&rows(290, 300)).unwrap(); // stays buffered
